@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench bench-short bench-compare bench-history bench-go calibrate check verify store-faults serve-test sweep-test ci
+.PHONY: build test race vet bench bench-short bench-cells bench-compare bench-history bench-go calibrate check verify store-faults serve-test sweep-test ci
 
 build:
 	$(GO) build ./...
@@ -66,6 +66,13 @@ bench-history:
 # compares cells across commits.
 bench-go:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
+
+# The short-cell hot loop: the 18x6 matrix on config.Small() at scale 0.1,
+# one sub-benchmark per technique reporting ns/SM-cycle. Compare commits with
+#   make bench-cells > old.txt; (change); make bench-cells > new.txt
+#   benchstat old.txt new.txt
+bench-cells:
+	$(GO) test -run '^$$' -bench SmallCells -count 10 ./internal/core
 
 check: build test
 

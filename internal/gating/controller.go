@@ -316,6 +316,10 @@ func (c *Controller) Finish() { c.endIdleRun() }
 // shared, not copied; callers must not mutate it.
 func (c *Controller) Stats() Stats { return c.st }
 
+// CriticalWakeups returns the cumulative critical-wakeup count — the one
+// counter the adaptive idle-detect reads every cycle, without copying Stats.
+func (c *Controller) CriticalWakeups() uint64 { return c.st.CriticalWakeups }
+
 // Kind returns the controller's gating policy.
 func (c *Controller) Kind() config.GatingKind { return c.kind }
 

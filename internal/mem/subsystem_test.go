@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"testing"
 
 	"warpedgates/internal/config"
@@ -226,4 +227,63 @@ func TestGlobalAccessPanicsWithStagedBacklog(t *testing.T) {
 		}
 	}()
 	p.GlobalAccess(0, []Line{5})
+}
+
+// TestCanIssueGlobalShortcutsMatchFullCount pins CanIssueGlobal's fast
+// accept (no more lines than free entries) and early reject (the count
+// passes the free entries) to the verdict of counting every distinct line
+// without an outstanding fill, and checks that exactly the refusals move the
+// NoteFull and stallsMSHR counters.
+func TestCanIssueGlobalShortcutsMatchFullCount(t *testing.T) {
+	fullCount := func(m *MSHR, lines []Line) bool {
+		need := 0
+		for i, l := range lines {
+			if _, ok := m.Lookup(l); ok || slices.Contains(lines[:i], l) {
+				continue
+			}
+			need++
+		}
+		return m.HasRoom(need)
+	}
+	cases := []struct {
+		name    string
+		pending []Line // outstanding lines before the check (capacity 4)
+		lines   []Line
+		want    bool
+	}{
+		{"fast accept", []Line{1, 2}, []Line{5, 6}, true},
+		{"fast accept with duplicates", []Line{1, 2}, []Line{5, 5}, true},
+		{"empty access on a full table", []Line{1, 2, 3, 4}, nil, true},
+		{"merges only on a full table", []Line{1, 2, 3, 4}, []Line{1, 2}, true},
+		{"counted accept through merges", []Line{1, 2}, []Line{1, 2, 5, 5}, true},
+		{"counted accept through duplicates", []Line{1, 2, 3}, []Line{7, 7, 7}, true},
+		{"early reject", []Line{1, 2, 3}, []Line{7, 8, 9}, false},
+		{"reject after a merge", []Line{1, 2, 3, 4}, []Line{1, 9}, false},
+		{"reject with duplicates", []Line{1, 2, 3}, []Line{7, 7, 8, 8}, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testCfg()
+			cfg.MSHRPerSM = 4
+			p := NewSMPort(cfg, NewGPUMem(cfg))
+			for _, l := range tc.pending {
+				p.mshr.Allocate(l, 100)
+			}
+			if ref := fullCount(p.mshr, tc.lines); ref != tc.want {
+				t.Fatalf("reference count says %v, case wants %v", ref, tc.want)
+			}
+			if got := p.CanIssueGlobal(tc.lines); got != tc.want {
+				t.Fatalf("CanIssueGlobal = %v, want %v", got, tc.want)
+			}
+			refusals := uint64(0)
+			if !tc.want {
+				refusals = 1
+			}
+			_, _, full := p.MSHRStats()
+			_, _, stalls := p.Stats()
+			if full != refusals || stalls != refusals {
+				t.Fatalf("NoteFull %d, stallsMSHR %d, want %d each", full, stalls, refusals)
+			}
+		})
+	}
 }

@@ -6,40 +6,37 @@ import (
 	"warpedgates/internal/isa"
 )
 
-// benchCands builds a mixed 24-candidate list.
-func benchCands() []Candidate {
-	out := make([]Candidate, 24)
-	for i := range out {
-		out[i] = Candidate{WarpIdx: i * 2, Class: isa.Class(i % 4)}
+// benchReady builds 24 ready warps of mixed classes on the even slots.
+func benchReady() *[isa.NumClasses]uint64 {
+	var r [isa.NumClasses]uint64
+	for i := 0; i < 24; i++ {
+		r[i%int(isa.NumClasses)] |= 1 << uint(i*2)
 	}
-	return out
+	return &r
 }
 
-func BenchmarkTwoLevelArrange(b *testing.B) {
-	p := NewTwoLevel()
-	st := &SMState{NumWarps: 48}
-	cands := benchCands()
-	buf := make([]Candidate, len(cands))
-	b.ResetTimer()
+// benchWalk starts p's order, walks all of it and issues the first warp.
+func benchWalk(b *testing.B, p Policy, before func()) {
+	ready := benchReady()
+	var o Order
 	for i := 0; i < b.N; i++ {
-		copy(buf, cands)
-		p.Arrange(buf, st)
-		p.OnIssue(buf[0])
+		before()
+		p.Order(&o, ready, ^uint64(0))
+		first := o.Next()
+		for o.Next() >= 0 {
+		}
+		p.OnIssue(first)
 	}
 }
 
-func BenchmarkGATESArrange(b *testing.B) {
+func BenchmarkTwoLevelOrder(b *testing.B) {
+	benchWalk(b, NewTwoLevel(), func() {})
+}
+
+func BenchmarkGATESOrder(b *testing.B) {
 	g := NewGATES()
 	st := &SMState{NumWarps: 48}
 	st.ACTV[isa.INT] = 6
 	st.ACTV[isa.FP] = 6
-	cands := benchCands()
-	buf := make([]Candidate, len(cands))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.UpdatePriority(st)
-		copy(buf, cands)
-		g.Arrange(buf, st)
-		g.OnIssue(buf[0])
-	}
+	benchWalk(b, g, func() { g.UpdatePriority(st) })
 }

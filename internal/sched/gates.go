@@ -22,26 +22,23 @@ import "warpedgates/internal/isa"
 // One GATES instance is shared by both of an SM's scheduler slots, modeling
 // the single per-SM priority register of the paper's Figure 7.
 type GATES struct {
-	highIsINT bool
-	last      int
+	roundRobin // round-robin pointer within a type
+	highIsINT  bool
 	// MaxHold, when positive, bounds how many consecutive cycles one type
 	// may stay highest-priority. Zero disables the bound (paper default).
 	MaxHold int
 	hold    int
 
 	switches uint64
-
-	// buckets are reusable scratch space for Arrange's priority sort.
-	buckets [4][]Candidate
 }
 
 // NewGATES returns a gating-aware scheduler with INT initially highest
 // (paper §4.1: "We initialize INT as the highest priority").
-func NewGATES() *GATES { return &GATES{highIsINT: true, last: -1} }
+func NewGATES() *GATES { return &GATES{roundRobin: roundRobin{last: -1}, highIsINT: true} }
 
 // UpdatePriority applies the dynamic priority-switch rules. The simulator
-// calls it once per SM per cycle, before either scheduler slot arranges its
-// candidates.
+// calls it once per SM per cycle, before either scheduler slot orders its
+// ready warps.
 func (g *GATES) UpdatePriority(st *SMState) {
 	hi, lo := g.highLow()
 	swap := false
@@ -125,44 +122,14 @@ func (g *GATES) highLow() (hi, lo isa.Class) {
 	return isa.FP, isa.INT
 }
 
-// rank maps a class to its priority rank under the current ordering
-// [hi, LDST, SFU, lo] (paper §4.1: memory first among the middle classes).
-func (g *GATES) rank(c isa.Class) int {
-	hi, _ := g.highLow()
-	switch c {
-	case hi:
-		return 0
-	case isa.LDST:
-		return 1
-	case isa.SFU:
-		return 2
-	default: // lo
-		return 3
-	}
+// Order walks the slot's ready warps by type priority [hi, LDST, SFU, lo]
+// (paper §4.1: memory first among the middle classes), round-robin within a
+// type.
+func (g *GATES) Order(o *Order, ready *[isa.NumClasses]uint64, slot uint64) {
+	hi, lo := g.highLow()
+	o.groups = [isa.NumClasses]uint64{ready[hi] & slot, ready[isa.LDST] & slot, ready[isa.SFU] & slot, ready[lo] & slot}
+	o.start(len(o.groups), g.last)
 }
-
-// Arrange orders candidates by type priority, round-robin within a type.
-func (g *GATES) Arrange(cands []Candidate, st *SMState) {
-	if len(cands) < 2 {
-		return
-	}
-	rotate(cands, g.last)
-	// Bucket by rank, preserving the rotated order within each bucket.
-	for r := range g.buckets {
-		g.buckets[r] = g.buckets[r][:0]
-	}
-	for _, c := range cands {
-		r := g.rank(c.Class)
-		g.buckets[r] = append(g.buckets[r], c)
-	}
-	out := cands[:0]
-	for r := range g.buckets {
-		out = append(out, g.buckets[r]...)
-	}
-}
-
-// OnIssue records the issued warp for round-robin fairness within a type.
-func (g *GATES) OnIssue(c Candidate) { g.last = c.WarpIdx }
 
 // Name returns "GATES".
 func (g *GATES) Name() string { return "GATES" }

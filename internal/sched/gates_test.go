@@ -16,17 +16,10 @@ func TestGATESInitialPriorityIsINT(t *testing.T) {
 
 func TestGATESOrdering(t *testing.T) {
 	g := NewGATES()
-	st := &SMState{NumWarps: 16}
-	cands := []Candidate{
-		cand(0, isa.FP), cand(1, isa.SFU), cand(2, isa.LDST), cand(3, isa.INT), cand(4, isa.FP),
-	}
-	g.Arrange(cands, st)
+	ready := readyOf(0, isa.FP, 1, isa.SFU, 2, isa.LDST, 3, isa.INT, 4, isa.FP)
 	// Expected rank order with INT high: INT, LDST, SFU, FP.
-	wantClasses := []isa.Class{isa.INT, isa.LDST, isa.SFU, isa.FP, isa.FP}
-	for i, c := range cands {
-		if c.Class != wantClasses[i] {
-			t.Fatalf("position %d: got %s, want %s (order %v)", i, c.Class, wantClasses[i], cands)
-		}
+	if got := walk(g, ready, ^uint64(0)); !equalInts(got, []int{3, 2, 1, 0, 4}) {
+		t.Fatalf("GATES order = %v, want INT, LDST, SFU, FP, FP = [3 2 1 0 4]", got)
 	}
 }
 
@@ -107,14 +100,10 @@ func TestGATESMaxHold(t *testing.T) {
 
 func TestGATESRoundRobinWithinType(t *testing.T) {
 	g := NewGATES()
-	st := &SMState{NumWarps: 16}
-	cands := []Candidate{cand(0, isa.INT), cand(4, isa.INT), cand(8, isa.INT)}
-	g.Arrange(cands, st)
-	g.OnIssue(cands[0]) // warp 0
-	cands = []Candidate{cand(0, isa.INT), cand(4, isa.INT), cand(8, isa.INT)}
-	g.Arrange(cands, st)
-	if cands[0].WarpIdx != 4 {
-		t.Fatalf("round-robin within type broken: %v", idxOrder(cands))
+	ready := readyOf(0, isa.INT, 4, isa.INT, 8, isa.INT)
+	g.OnIssue(walk(g, ready, ^uint64(0))[0]) // warp 0
+	if got := walk(g, ready, ^uint64(0)); !equalInts(got, []int{4, 8, 0}) {
+		t.Fatalf("round-robin within type broken: %v", got)
 	}
 }
 
@@ -129,26 +118,27 @@ func TestGATESSeparatesINTAndFPToEnds(t *testing.T) {
 			st.ACTV[isa.FP] = 1 // force a switch to FP-high
 			g.UpdatePriority(st)
 		}
-		var cands []Candidate
+		var ready [isa.NumClasses]uint64
+		class := make([]isa.Class, 64)
 		for i, cr := range classRaw {
-			cands = append(cands, cand(i, isa.Class(cr%4)))
+			if i == 64 {
+				break
+			}
+			class[i] = isa.Class(cr % uint8(isa.NumClasses))
+			ready[class[i]] |= 1 << uint(i)
 		}
-		st := &SMState{NumWarps: 64}
-		g.Arrange(cands, st)
-		hi := g.HighPriority()
 		lo := isa.FP
-		if hi == isa.FP {
+		if g.HighPriority() == isa.FP {
 			lo = isa.INT
 		}
-		// After the first lo-class candidate, only lo-class may follow.
+		// After the first lo-class warp, only lo-class warps may follow.
 		seenLo := false
-		for _, c := range cands {
-			if c.Class == lo {
+		for _, i := range walk(g, &ready, ^uint64(0)) {
+			if class[i] == lo {
 				seenLo = true
 			} else if seenLo {
 				return false
 			}
-			_ = hi
 		}
 		return true
 	}
@@ -157,30 +147,26 @@ func TestGATESSeparatesINTAndFPToEnds(t *testing.T) {
 	}
 }
 
-func TestGATESArrangePreservesCandidateSet(t *testing.T) {
-	// Property: Arrange permutes, never adds or drops candidates.
-	f := func(classRaw []uint8) bool {
+func TestGATESOrderVisitsEachReadyWarpOnce(t *testing.T) {
+	// Property: the order visits exactly the slot's ready warps, each once.
+	f := func(ready [isa.NumClasses]uint64, slot uint64, last uint8) bool {
 		g := NewGATES()
-		var cands []Candidate
-		for i, cr := range classRaw {
-			cands = append(cands, cand(i, isa.Class(cr%4)))
+		g.last = int(last%65) - 1
+		var want uint64
+		for c := range ready {
+			ready[c] &^= want // a warp has one next-instruction class
+			want |= ready[c]
 		}
-		before := map[int]isa.Class{}
-		for _, c := range cands {
-			before[c.WarpIdx] = c.Class
-		}
-		g.Arrange(cands, &SMState{NumWarps: 64})
-		if len(cands) != len(before) {
-			return false
-		}
-		for _, c := range cands {
-			cls, ok := before[c.WarpIdx]
-			if !ok || cls != c.Class {
+		want &= slot
+		var seen uint64
+		for _, i := range walk(g, &ready, slot) {
+			bit := uint64(1) << uint(i)
+			if seen&bit != 0 || want&bit == 0 {
 				return false
 			}
-			delete(before, c.WarpIdx)
+			seen |= bit
 		}
-		return len(before) == 0
+		return seen == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

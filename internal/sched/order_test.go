@@ -1,0 +1,104 @@
+package sched
+
+import (
+	"testing"
+	"testing/quick"
+
+	"warpedgates/internal/isa"
+)
+
+// candidate is one ready warp of the reference list arrangement.
+type candidate struct {
+	warp  int
+	class isa.Class
+}
+
+// refReverse flips cands in place.
+func refReverse(cands []candidate) {
+	for i, j := 0, len(cands)-1; i < j; i, j = i+1, j-1 {
+		cands[i], cands[j] = cands[j], cands[i]
+	}
+}
+
+// refRotate is the list-based loose round-robin arrangement: the first warp
+// above pivot comes first, relative order kept otherwise (a block swap by
+// three reversals).
+func refRotate(cands []candidate, pivot int) {
+	split := len(cands)
+	for i, c := range cands {
+		if c.warp > pivot {
+			split = i
+			break
+		}
+	}
+	refReverse(cands[:split])
+	refReverse(cands[split:])
+	refReverse(cands)
+}
+
+// refArrange is the reference issue order over an ascending candidate list:
+// rotated after last and, for GATES, stably bucketed by class rank
+// [hi, LDST, SFU, lo].
+func refArrange(cands []candidate, last int, gates bool, hi isa.Class) []int {
+	refRotate(cands, last)
+	if gates {
+		lo := isa.FP
+		if hi == isa.FP {
+			lo = isa.INT
+		}
+		var out []candidate
+		for _, c := range []isa.Class{hi, isa.LDST, isa.SFU, lo} {
+			for _, cd := range cands {
+				if cd.class == c {
+					out = append(out, cd)
+				}
+			}
+		}
+		cands = out
+	}
+	order := make([]int, len(cands))
+	for i, c := range cands {
+		order[i] = c.warp
+	}
+	return order
+}
+
+// TestOrderMatchesListArrangement checks the bitset walk against the
+// reference rotate-and-bucket list order for every policy, over random ready
+// sets, slot masks, per-warp classes, round-robin pointers and GATES
+// priority orientations.
+func TestOrderMatchesListArrangement(t *testing.T) {
+	f := func(ready, thin, slot uint64, classes [64]uint8, lastRaw uint8, sparse, fpHigh bool) bool {
+		if sparse {
+			ready &= thin
+		}
+		last := int(lastRaw%65) - 1
+		var readyCls [isa.NumClasses]uint64
+		var cands []candidate
+		for i := 0; i < 64; i++ {
+			bit := uint64(1) << uint(i)
+			if ready&bit == 0 {
+				continue
+			}
+			c := isa.Class(classes[i] % uint8(isa.NumClasses))
+			readyCls[c] |= bit
+			if slot&bit != 0 {
+				cands = append(cands, candidate{i, c})
+			}
+		}
+		lrr, two, g := NewLRR(), NewTwoLevel(), NewGATES()
+		lrr.last, two.last, g.last = last, last, last
+		g.highIsINT = !fpHigh
+		for _, p := range []Policy{lrr, two, g} {
+			want := refArrange(append([]candidate(nil), cands...), last, p == Policy(g), g.HighPriority())
+			if got := walk(p, &readyCls, slot); !equalInts(got, want) {
+				t.Logf("%s last=%d: walk %v, reference %v", p.Name(), last, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Fatal(err)
+	}
+}

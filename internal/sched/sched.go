@@ -4,26 +4,20 @@
 // the gating-aware two-level scheduler that is the paper's first
 // contribution.
 //
-// The simulator builds, once per scheduler slot per cycle, the list of ready
-// candidates (warps in the active set whose next instruction has all operands
-// ready); the policy orders that list, and the issue arbiter walks it until
-// one candidate passes the structural and gating checks. Two policy instances
-// per SM model Fermi's dual schedulers; GATES instances share per-SM priority
-// state, matching the paper's single per-SM priority register.
+// Each cycle, each scheduler slot walks its ready warps (those in the active
+// set whose next instruction has all operands ready) in the policy's issue
+// order until one passes the structural and gating checks. The order is a
+// walk over warp bitsets, never a materialised candidate list. Two policy
+// instances per SM model Fermi's dual schedulers; GATES instances share
+// per-SM priority state, matching the paper's single per-SM priority
+// register.
 package sched
 
 import (
-	"fmt"
+	"math/bits"
 
 	"warpedgates/internal/isa"
 )
-
-// Candidate is one issue-eligible warp: its index in the SM warp table and
-// the execution-unit class of its next instruction.
-type Candidate struct {
-	WarpIdx int
-	Class   isa.Class
-}
 
 // SMState is the per-cycle scheduler-visible SM state: the per-type counters
 // the paper adds for GATES (ACTV and RDY, §6) plus blackout visibility for
@@ -41,83 +35,92 @@ type SMState struct {
 	NumWarps int
 }
 
-// Policy orders issue candidates. Implementations may keep history (e.g.
-// round-robin pointers) and are informed of every successful issue.
+// Policy orders a scheduler slot's issue attempts. Implementations may keep
+// history (e.g. round-robin pointers) and are informed of every successful
+// issue.
 type Policy interface {
-	// Arrange reorders cands in place into descending issue priority.
-	Arrange(cands []Candidate, st *SMState)
-	// OnIssue notifies the policy that the candidate was issued.
-	OnIssue(c Candidate)
+	// Order starts o on this cycle's issue order over the ready warps:
+	// ready[c] holds the ready warps whose next instruction is of class c
+	// (bit i = warp slot i), and slot masks the warps the slot owns.
+	Order(o *Order, ready *[isa.NumClasses]uint64, slot uint64)
+	// OnIssue notifies the policy that warp slot i was issued.
+	OnIssue(i int)
 	// Name returns the policy's short name.
 	Name() string
 }
 
-// rotate reorders cands so the first warp index strictly greater than pivot
-// comes first, preserving relative order otherwise — the classic loose
-// round-robin arrangement.
-func rotate(cands []Candidate, pivot int) {
-	if len(cands) < 2 {
-		return
-	}
-	split := len(cands)
-	for i, c := range cands {
-		if c.WarpIdx > pivot {
-			split = i
-			break
+// Order walks warp bitsets in issue priority: its groups in order and,
+// within a group, the warps above the round-robin pointer ascending, then
+// the rest ascending — the classic loose round-robin rotation. Walking a
+// class's group in that order is exactly a stable sort of the rotated list
+// by class rank, so no candidate list is built.
+type Order struct {
+	groups    [isa.NumClasses]uint64
+	n, next   int    // groups in use; index of the next group to walk
+	above     uint64 // warp bits strictly above the round-robin pointer
+	cur, wrap uint64 // the current group's unvisited bits above / not above it
+}
+
+// start resets the walk over the first n groups with round-robin pointer
+// last (-1 before any issue).
+func (o *Order) start(n, last int) {
+	o.n, o.next, o.cur, o.wrap = n, 0, 0, 0
+	o.above = ^uint64(0) << uint(last+1)
+}
+
+// Next returns the next warp slot in issue order, or -1 when none is left.
+func (o *Order) Next() int {
+	for o.cur == 0 {
+		switch {
+		case o.wrap != 0:
+			o.cur, o.wrap = o.wrap, 0
+		case o.next == o.n:
+			return -1
+		default:
+			g := o.groups[o.next]
+			o.next++
+			o.cur, o.wrap = g&o.above, g&^o.above
 		}
 	}
-	if split == 0 || split == len(cands) {
-		return
-	}
-	// In-place block swap via three reversals — this runs once per scheduler
-	// slot per cycle, so it must not allocate.
-	reverse(cands[:split])
-	reverse(cands[split:])
-	reverse(cands)
+	i := bits.TrailingZeros64(o.cur)
+	o.cur &= o.cur - 1
+	return i
 }
 
-// reverse flips cands in place.
-func reverse(cands []Candidate) {
-	for i, j := 0, len(cands)-1; i < j; i, j = i+1, j-1 {
-		cands[i], cands[j] = cands[j], cands[i]
-	}
-}
-
-// LRR is a loose round-robin scheduler with no type awareness; it serves as
-// the simplest ablation baseline.
-type LRR struct {
+// roundRobin is the type-blind loose round-robin order shared by LRR and
+// TwoLevel: one group of every ready warp, rotated after the last issue.
+type roundRobin struct {
 	last int
 }
 
-// NewLRR returns a loose round-robin policy.
-func NewLRR() *LRR { return &LRR{last: -1} }
-
-// Arrange rotates the candidates after the last-issued warp.
-func (p *LRR) Arrange(cands []Candidate, st *SMState) { rotate(cands, p.last) }
+// Order walks the slot's ready warps in rotated warp order.
+func (p *roundRobin) Order(o *Order, ready *[isa.NumClasses]uint64, slot uint64) {
+	o.groups[0] = (ready[isa.INT] | ready[isa.FP] | ready[isa.SFU] | ready[isa.LDST]) & slot
+	o.start(1, p.last)
+}
 
 // OnIssue records the issued warp for the next rotation.
-func (p *LRR) OnIssue(c Candidate) { p.last = c.WarpIdx }
+func (p *roundRobin) OnIssue(i int) { p.last = i }
+
+// LRR is a loose round-robin scheduler with no type awareness; it serves as
+// the simplest ablation baseline.
+type LRR struct{ roundRobin }
+
+// NewLRR returns a loose round-robin policy.
+func NewLRR() *LRR { return &LRR{roundRobin{last: -1}} }
 
 // Name returns "LRR".
 func (p *LRR) Name() string { return "LRR" }
 
 // TwoLevel is the paper's baseline scheduler: warps waiting on long-latency
 // events live in a pending set (enforced by the simulator — they are never
-// candidates), and ready warps issue greedily in loose round-robin order
+// ready), and ready warps issue greedily in loose round-robin order
 // without regard to instruction type. The greedy interspersing of types is
 // precisely what produces the short idle periods of paper Figure 3a.
-type TwoLevel struct {
-	last int
-}
+type TwoLevel struct{ roundRobin }
 
 // NewTwoLevel returns a two-level baseline policy.
-func NewTwoLevel() *TwoLevel { return &TwoLevel{last: -1} }
-
-// Arrange rotates the ready candidates after the last-issued warp.
-func (p *TwoLevel) Arrange(cands []Candidate, st *SMState) { rotate(cands, p.last) }
-
-// OnIssue records the issued warp for the next rotation.
-func (p *TwoLevel) OnIssue(c Candidate) { p.last = c.WarpIdx }
+func NewTwoLevel() *TwoLevel { return &TwoLevel{roundRobin{last: -1}} }
 
 // Name returns "TwoLevel".
 func (p *TwoLevel) Name() string { return "TwoLevel" }
@@ -128,6 +131,3 @@ var (
 	_ Policy = (*TwoLevel)(nil)
 	_ Policy = (*GATES)(nil)
 )
-
-// fmt is used by priority debugging helpers.
-var _ = fmt.Sprintf

@@ -6,15 +6,28 @@ import (
 	"warpedgates/internal/isa"
 )
 
-func cand(idx int, c isa.Class) Candidate { return Candidate{WarpIdx: idx, Class: c} }
+// readyOf builds per-class ready masks from (warp slot, class) pairs.
+func readyOf(warps ...any) *[isa.NumClasses]uint64 {
+	var r [isa.NumClasses]uint64
+	for k := 0; k < len(warps); k += 2 {
+		r[warps[k+1].(isa.Class)] |= 1 << uint(warps[k].(int))
+	}
+	return &r
+}
 
-func idxOrder(cands []Candidate) []int {
-	out := make([]int, len(cands))
-	for i, c := range cands {
-		out[i] = c.WarpIdx
+// walk returns the warp slots a policy's order visits, in order.
+func walk(p Policy, ready *[isa.NumClasses]uint64, slot uint64) []int {
+	var o Order
+	p.Order(&o, ready, slot)
+	var out []int
+	for i := o.Next(); i >= 0; i = o.Next() {
+		out = append(out, i)
 	}
 	return out
 }
+
+// rr returns a round-robin policy whose pointer is last.
+func rr(last int) *TwoLevel { return &TwoLevel{roundRobin{last: last}} }
 
 func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
@@ -29,69 +42,63 @@ func equalInts(a, b []int) bool {
 }
 
 func TestRotateBasic(t *testing.T) {
-	cands := []Candidate{cand(0, isa.INT), cand(2, isa.INT), cand(5, isa.INT), cand(9, isa.INT)}
-	rotate(cands, 2)
-	if got := idxOrder(cands); !equalInts(got, []int{5, 9, 0, 2}) {
-		t.Fatalf("rotate after 2 = %v", got)
+	p := rr(2)
+	ready := readyOf(0, isa.INT, 2, isa.INT, 5, isa.INT, 9, isa.INT)
+	if got := walk(p, ready, ^uint64(0)); !equalInts(got, []int{5, 9, 0, 2}) {
+		t.Fatalf("order after 2 = %v", got)
 	}
 }
 
 func TestRotateEdgeCases(t *testing.T) {
-	// Pivot before all: unchanged.
-	cands := []Candidate{cand(3, isa.INT), cand(7, isa.INT)}
-	rotate(cands, -1)
-	if got := idxOrder(cands); !equalInts(got, []int{3, 7}) {
-		t.Fatalf("rotate(-1) = %v", got)
+	ready := readyOf(3, isa.INT, 7, isa.INT)
+	// Pointer before all, after all, and at the top slot: ascending order.
+	for _, last := range []int{-1, 7, 63} {
+		if got := walk(rr(last), ready, ^uint64(0)); !equalInts(got, []int{3, 7}) {
+			t.Fatalf("order after %d = %v", last, got)
+		}
 	}
-	// Pivot after all: unchanged.
-	rotate(cands, 100)
-	if got := idxOrder(cands); !equalInts(got, []int{3, 7}) {
-		t.Fatalf("rotate(100) = %v", got)
+	// A single warp, an empty ready set, and a slot owning none of the
+	// ready warps.
+	if got := walk(rr(1), readyOf(1, isa.FP), ^uint64(0)); !equalInts(got, []int{1}) {
+		t.Fatalf("single warp order = %v", got)
 	}
-	// Single element and empty are no-ops.
-	one := []Candidate{cand(1, isa.INT)}
-	rotate(one, 0)
-	rotate(nil, 5)
+	if got := walk(rr(5), readyOf(), ^uint64(0)); len(got) != 0 {
+		t.Fatalf("empty order = %v", got)
+	}
+	if got := walk(rr(-1), ready, 1<<4); len(got) != 0 {
+		t.Fatalf("foreign slot order = %v", got)
+	}
 }
 
 func TestTwoLevelRoundRobin(t *testing.T) {
 	p := NewTwoLevel()
-	st := &SMState{NumWarps: 16}
-	cands := []Candidate{cand(1, isa.INT), cand(4, isa.FP), cand(8, isa.LDST)}
-	p.Arrange(cands, st)
-	if cands[0].WarpIdx != 1 {
-		t.Fatalf("fresh scheduler should start from lowest warp, got %d", cands[0].WarpIdx)
+	ready := readyOf(1, isa.INT, 4, isa.FP, 8, isa.LDST)
+	got := walk(p, ready, ^uint64(0))
+	if got[0] != 1 {
+		t.Fatalf("fresh scheduler should start from lowest warp, got %d", got[0])
 	}
-	p.OnIssue(cands[0])
-	cands2 := []Candidate{cand(1, isa.INT), cand(4, isa.FP), cand(8, isa.LDST)}
-	p.Arrange(cands2, st)
-	if cands2[0].WarpIdx != 4 {
-		t.Fatalf("after issuing warp 1, next should be 4, got %d", cands2[0].WarpIdx)
+	p.OnIssue(got[0])
+	if got := walk(p, ready, ^uint64(0)); got[0] != 4 {
+		t.Fatalf("after issuing warp 1, next should be 4, got %d", got[0])
 	}
 }
 
 func TestTwoLevelIgnoresType(t *testing.T) {
-	// The baseline greedily intersperses types: the arrangement depends only
-	// on warp order, never on instruction class (the paper's §3 critique).
+	// The baseline greedily intersperses types: the order depends only on
+	// warp order, never on instruction class (the paper's §3 critique).
 	p := NewTwoLevel()
-	st := &SMState{NumWarps: 8}
-	a := []Candidate{cand(0, isa.FP), cand(1, isa.INT), cand(2, isa.FP)}
-	p.Arrange(a, st)
-	if got := idxOrder(a); !equalInts(got, []int{0, 1, 2}) {
+	ready := readyOf(0, isa.FP, 1, isa.INT, 2, isa.FP)
+	if got := walk(p, ready, ^uint64(0)); !equalInts(got, []int{0, 1, 2}) {
 		t.Fatalf("two-level reordered by type: %v", got)
 	}
 }
 
 func TestLRRBehavesLikeRoundRobin(t *testing.T) {
 	p := NewLRR()
-	st := &SMState{NumWarps: 8}
-	cands := []Candidate{cand(0, isa.INT), cand(3, isa.FP)}
-	p.Arrange(cands, st)
-	p.OnIssue(cands[0])
-	cands = []Candidate{cand(0, isa.INT), cand(3, isa.FP)}
-	p.Arrange(cands, st)
-	if cands[0].WarpIdx != 3 {
-		t.Fatalf("LRR did not rotate: %v", idxOrder(cands))
+	ready := readyOf(0, isa.INT, 3, isa.FP)
+	p.OnIssue(walk(p, ready, ^uint64(0))[0])
+	if got := walk(p, ready, ^uint64(0)); got[0] != 3 {
+		t.Fatalf("LRR did not rotate: %v", got)
 	}
 }
 
