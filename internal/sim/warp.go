@@ -73,6 +73,10 @@ type Warp struct {
 	// waste time and break determinism across retry counts).
 	memLines      []mem.Line
 	memLinesValid bool
+	// memRefused is 1 + the MSHRGen at which memLines was last refused
+	// admission (0: not refused); the refusal stands until the MSHR's set of
+	// outstanding lines changes or the lines are regenerated.
+	memRefused uint64
 
 	issued uint64 // dynamic instructions issued by this warp
 }
