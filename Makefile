@@ -21,7 +21,7 @@ race:
 	$(GO) test -race ./...
 
 # The profiled bench harness: times the full benchmark × technique matrix
-# with and without the idle fast-forward, measures the steady-state
+# with and without the fast-forward, measures the steady-state
 # per-cycle cost (which must report 0 allocs/cycle), and writes
 # BENCH_sim.json. bench-short is the CI-sized variant; FLOOR (default 0 =
 # off) gates the intra-run scaling curve — `make bench-short FLOOR=1.5`

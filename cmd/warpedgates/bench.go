@@ -109,7 +109,7 @@ type memBanksPoint struct {
 // cmdBench times the full benchmark × technique matrix serially (one
 // simulation at a time, bypassing the runner's memoization so every cell is
 // really executed), measures the steady-state per-cycle cost, reruns the
-// matrix with the idle fast-forward disabled for the speedup baseline, and
+// matrix with the fast-forward disabled for the speedup baseline, and
 // writes everything as JSON.
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)

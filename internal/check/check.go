@@ -36,9 +36,9 @@ const MaxViolations = 50
 
 // Violation is one detected invariant breach.
 type Violation struct {
-	SM    int   // SM index, or -1 for whole-device (end-of-run) checks
-	Cycle int64 // simulated cycle of the breach
-	Rule  string
+	SM     int   // SM index, or -1 for whole-device (end-of-run) checks
+	Cycle  int64 // simulated cycle of the breach
+	Rule   string
 	Detail string
 }
 

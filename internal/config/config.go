@@ -127,11 +127,13 @@ type Config struct {
 	// worker count never affects results, only wall-clock time, so it is
 	// excluded from the experiment runner's cache key.
 	IntraRunWorkers int
-	// DisableFastForward turns off the idle fast-forward, forcing the
-	// simulator to step every cycle individually. The fast-forward is
-	// cycle-exact (identical reports, probes and histograms), so this knob
-	// exists only for equivalence testing and debugging; the zero value
-	// leaves it enabled.
+	// DisableFastForward turns off the event-driven step: every SM steps
+	// every cycle and ticks every gating controller every cycle, instead of
+	// jumping across cycles that repeat a stalled one and ticking a class's
+	// controllers only when their inputs change or an event falls due. Both
+	// are cycle-exact (identical reports, probes, histograms and memory
+	// counters), so this knob exists only for equivalence testing and
+	// debugging; the zero value leaves them enabled.
 	DisableFastForward bool
 	// DisableShardSteal pins each parallel-engine worker to a fixed
 	// contiguous SM shard instead of letting workers claim SM batches from a

@@ -134,7 +134,7 @@ func goldenWorkersRunner(workers int, noFF bool) *Runner {
 // TestGoldenMatrixIntraRunWorkersStable is the tentpole's byte-stability
 // acceptance check: the full 108-cell corpus is byte-identical between the
 // serial engine and the phase-split parallel engine at workers ∈ {4, NumSMs},
-// with the idle fast-forward both on and off. Fresh runners on every side —
+// with the fast-forward both on and off. Fresh runners on every side —
 // and IntraRunWorkers is excluded from the cache key anyway, precisely
 // because of this equivalence.
 func TestGoldenMatrixIntraRunWorkersStable(t *testing.T) {

@@ -67,8 +67,8 @@ type FS struct {
 	Inner store.FS
 
 	mu      sync.Mutex
-	step    int  // mutating ops seen so far
-	reads   int  // ReadFile calls seen so far
+	step    int // mutating ops seen so far
+	reads   int // ReadFile calls seen so far
 	crashed bool
 
 	failAt int // 1-based step to fault; 0 = disarmed

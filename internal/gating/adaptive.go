@@ -98,12 +98,21 @@ func (a *AdaptiveIdleDetect) endEpoch() {
 	a.criticals = 0
 }
 
+// NextEpochEnd returns k such that the k-th Tick from now ends the epoch and
+// may move the window, or math.MaxInt64 when adaptation is off.
+func (a *AdaptiveIdleDetect) NextEpochEnd() int64 {
+	if !a.enabled {
+		return never
+	}
+	return int64(a.epochLen - a.cycleInEpoch)
+}
+
 // AdvanceIdle advances the mechanism by n cycles with zero critical wakeups,
 // bit-identical to calling Tick(0) n times: the in-progress epoch finishes
 // with whatever criticals it accumulated before the batch, and every complete
 // epoch after it is quiet, so the window only recovers (value decrements every
-// decEpochs quiet epochs down to the minimum). The simulator's idle
-// fast-forward uses this to batch-advance across long fully-idle stretches.
+// decEpochs quiet epochs down to the minimum). The simulator uses it to
+// settle the cycles it leaves unticked.
 func (a *AdaptiveIdleDetect) AdvanceIdle(n int64) {
 	if !a.enabled || n <= 0 {
 		return

@@ -2,6 +2,7 @@ package gating
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"warpedgates/internal/config"
@@ -20,9 +21,10 @@ func controllerFingerprint(c *Controller) string {
 }
 
 // TestControllerAdvanceIdleMatchesTicks drives twin controllers into each
-// settled state, batch-advances one while stepping the other, then runs a
-// common busy/demand suffix so any divergence in hidden state (idle counter,
-// idle-run length, first-compensated flag) surfaces in the fingerprints.
+// state no idle tick leaves, batch-advances one while stepping the other,
+// then runs a common busy/demand suffix so any divergence in hidden state
+// (idle counter, idle-run length, first-compensated flag) surfaces in the
+// fingerprints.
 func TestControllerAdvanceIdleMatchesTicks(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -48,11 +50,11 @@ func TestControllerAdvanceIdleMatchesTicks(t *testing.T) {
 			}
 			tickIdle(batched, tc.settle)
 			tickIdle(stepped, tc.settle)
-			if !batched.IdleSettled() {
-				t.Fatalf("prefix did not settle: state=%v", batched.State())
+			if k := batched.NextEvent(false); k <= tc.batch {
+				t.Fatalf("prefix did not settle: state=%v next event in %d", batched.State(), k)
 			}
 
-			batched.AdvanceIdle(tc.batch)
+			batched.Advance(tc.batch, false)
 			tickIdle(stepped, int(tc.batch))
 			if a, b := controllerFingerprint(batched), controllerFingerprint(stepped); a != b {
 				t.Fatalf("post-batch divergence:\nbatched: %s\nstepped: %s", a, b)
@@ -88,14 +90,16 @@ func TestControllerAdvanceIdleActiveInhibited(t *testing.T) {
 		stepped.SetDirectives(true, false)
 		stepped.Tick(false)
 	}
-	batched.AdvanceIdle(50)
+	batched.SetDirectives(true, false)
+	batched.Advance(50, false)
 	if a, b := controllerFingerprint(batched), controllerFingerprint(stepped); a != b {
 		t.Fatalf("inhibited-active divergence:\nbatched: %s\nstepped: %s", a, b)
 	}
 }
 
 // TestControllerAdvanceIdleRejectsTransients pins the contract that the
-// closed form refuses states whose counters change cycle to cycle.
+// closed form refuses a batch reaching a transient state's next transition:
+// an uncompensated controller may advance up to, not across, break-even.
 func TestControllerAdvanceIdleRejectsTransients(t *testing.T) {
 	idle := func() int { return 2 }
 	c := NewController(config.GateConventional, idle, 14, 3)
@@ -103,12 +107,17 @@ func TestControllerAdvanceIdleRejectsTransients(t *testing.T) {
 	if c.State() != StUncompensated {
 		t.Fatalf("setup: state=%v", c.State())
 	}
+	k := c.NextEvent(false)
+	if k != 13 {
+		t.Fatalf("uncompensated with 13 cycles to break-even: NextEvent=%d", k)
+	}
+	c.Advance(k-1, false)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("AdvanceIdle accepted an uncompensated controller")
+			t.Fatal("Advance crossed the break-even transition")
 		}
 	}()
-	c.AdvanceIdle(10)
+	c.Advance(1, false)
 }
 
 // TestAdaptiveAdvanceIdleMatchesTicks checks the closed-form window recovery
@@ -161,6 +170,74 @@ func TestAdaptiveAdvanceIdleMatchesTicks(t *testing.T) {
 				t.Fatalf("%s: batched value=%d inc=%d dec=%d ep=%d, stepped value=%d inc=%d dec=%d ep=%d",
 					name, batched.Value(), bi, bd, be, stepped.Value(), si, sd, se)
 			}
+		}
+	}
+}
+
+// TestControllerNextEventAdvanceExact checks both closed forms in every
+// state against per-cycle ticking: after a random history, random inputs are
+// installed; NextEvent must name exactly the tick that first changes the
+// state when those inputs repeat, and Advance over any shorter batch must
+// leave the same counters as ticking through it.
+func TestControllerNextEventAdvanceExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	kinds := []config.GatingKind{config.GateNone, config.GateConventional,
+		config.GateNaiveBlackout, config.GateCoordBlackout}
+	seen := map[State]bool{}
+	for trial := 0; trial < 4000; trial++ {
+		kind := kinds[rng.Intn(len(kinds))]
+		idle, bet, wake := rng.Intn(8), 1+rng.Intn(20), rng.Intn(6)
+		batched := newTestCtrl(kind, idle, bet, wake)
+		stepped := newTestCtrl(kind, idle, bet, wake)
+		type in struct{ busy, demand, inhibit, force bool }
+		install := func(c *Controller, x in) {
+			if x.demand {
+				c.RequestIssue()
+			}
+			c.SetDirectives(x.inhibit, x.force)
+		}
+		tick := func(c *Controller, x in) {
+			install(c, x)
+			c.Tick(x.busy)
+		}
+		draw := func() in {
+			return in{busy: batched.CanIssue() && rng.Intn(3) == 0, demand: rng.Intn(4) == 0,
+				inhibit: rng.Intn(5) == 0, force: rng.Intn(8) == 0}
+		}
+		for i, n := 0, rng.Intn(60); i < n; i++ {
+			x := draw()
+			tick(batched, x)
+			tick(stepped, x)
+		}
+		x := draw()
+		install(batched, x)
+		state := batched.State()
+		seen[state] = true
+		k := batched.NextEvent(x.busy)
+		n := int64(rng.Intn(300))
+		if k != never && n > k-1 {
+			n = k - 1
+		}
+		batched.Advance(n, x.busy)
+		for i := int64(0); i < n; i++ {
+			tick(stepped, x)
+			if stepped.State() != state {
+				t.Fatalf("trial %d: %v/%v moved at tick %d of %d before NextEvent %d", trial, kind, state, i+1, n, k)
+			}
+		}
+		if a, b := controllerFingerprint(batched), controllerFingerprint(stepped); a != b {
+			t.Fatalf("trial %d: %v/%v inputs %+v batch %d:\nbatched: %s\nstepped: %s", trial, kind, state, x, n, a, b)
+		}
+		if k != never && n == k-1 {
+			tick(stepped, x)
+			if stepped.State() == state {
+				t.Fatalf("trial %d: %v/%v inputs %+v: no transition at NextEvent %d", trial, kind, state, x, k)
+			}
+		}
+	}
+	for _, s := range []State{StActive, StUncompensated, StCompensated, StWakeup} {
+		if !seen[s] {
+			t.Errorf("state %v never exercised", s)
 		}
 	}
 }

@@ -7,11 +7,14 @@
 // One Controller drives one gating domain (e.g. the INT pipes of SP cluster 0
 // behind a single sleep transistor). The simulator calls RequestIssue during
 // the issue stage whenever a ready instruction wants a gated unit, and Tick
-// exactly once per cycle with the unit's busy/idle status.
+// with the unit's busy/idle status. Every cycle is ticked once: a run of
+// cycles with the same inputs may instead be applied at once with Advance,
+// up to the next event NextEvent predicts.
 package gating
 
 import (
 	"fmt"
+	"math"
 
 	"warpedgates/internal/config"
 	"warpedgates/internal/stats"
@@ -77,13 +80,24 @@ type Controller struct {
 	wakeCtr int // remaining wakeup cycles
 
 	curIdleRun     int  // length of the in-progress idle run
-	demand         bool // a ready instruction wanted this unit this cycle
-	inhibitGate    bool // coordinator directive: do not gate this cycle
-	forceGate      bool // coordinator directive: gate now if idle
 	firstCompCycle bool // true during the first cycle spent compensated
+
+	// next collects the demand and directives for the coming Tick, which
+	// NextEvent and Advance replay.
+	next tickInputs
 
 	st Stats
 }
+
+// tickInputs are the inputs a Tick takes besides the busy flag: whether a
+// ready instruction wanted the unit, and the coordinator's directives
+// (inhibit wins over force).
+type tickInputs struct {
+	demand, inhibit, force bool
+}
+
+// never is the NextEvent of a state that the replayed inputs cannot change.
+const never = math.MaxInt64
 
 // NewController builds a controller for the given policy. idleDetect is
 // evaluated every cycle, so adaptive mechanisms can share one closure across
@@ -133,19 +147,31 @@ func (c *Controller) CanIssue() bool { return c.state == StActive }
 // RequestIssue tells the controller a ready instruction wanted this unit this
 // cycle while CanIssue() was false (or true — harmless). The demand is
 // consumed by the next Tick and may trigger a wakeup, policy permitting.
-func (c *Controller) RequestIssue() { c.demand = true }
+func (c *Controller) RequestIssue() { c.next.demand = true }
 
 // SetDirectives installs the coordinator's per-cycle gating directives; both
-// are cleared by Tick. inhibit wins over force.
+// are cleared by Tick (or ClearInputs). inhibit wins over force.
 func (c *Controller) SetDirectives(inhibit, force bool) {
-	c.inhibitGate = inhibit
-	c.forceGate = force
+	c.next.inhibit = inhibit
+	c.next.force = force
 }
 
+// ClearInputs drops the demand and directives installed for the coming Tick.
+func (c *Controller) ClearInputs() { c.next = tickInputs{} }
+
 // Tick advances the state machine by one cycle. busy reports whether any
-// instruction occupied the unit's pipeline this cycle. Tick must be called
-// exactly once per simulated cycle, after the issue stage.
+// instruction occupied the unit's pipeline this cycle. Every simulated cycle
+// is ticked exactly once — by Tick, TickKeep or Advance — after the issue
+// stage.
 func (c *Controller) Tick(busy bool) {
+	c.TickKeep(busy)
+	c.next = tickInputs{}
+}
+
+// TickKeep is Tick for a caller that stages the inputs of a run of cycles:
+// it leaves the demand and directives installed for the ticks after it.
+func (c *Controller) TickKeep(busy bool) {
+	in := c.next
 	if busy {
 		c.st.BusyCycles++
 	} else {
@@ -166,10 +192,10 @@ func (c *Controller) Tick(busy bool) {
 			break
 		}
 		shouldGate := c.idleCtr >= c.idleDetect()
-		if c.forceGate {
+		if in.force {
 			shouldGate = true
 		}
-		if c.inhibitGate {
+		if in.inhibit {
 			shouldGate = false
 		}
 		if shouldGate {
@@ -188,12 +214,12 @@ func (c *Controller) Tick(busy bool) {
 		c.betCtr--
 		// Conventional gating wakes on demand even before break-even,
 		// paying for overhead it never recoups (a "negative" event).
-		if c.demand && c.kind == config.GateConventional {
+		if in.demand && c.kind == config.GateConventional {
 			c.st.NegativeEvents++
 			c.beginWakeup()
 			break
 		}
-		if c.demand {
+		if in.demand {
 			c.st.DeniedWakeups++
 		}
 		if c.betCtr <= 0 {
@@ -208,7 +234,7 @@ func (c *Controller) Tick(busy bool) {
 		c.st.GatedCycles++
 		c.st.CompCycles++
 		c.curIdleRun++
-		if c.demand {
+		if in.demand {
 			if c.firstCompCycle {
 				// The instruction was waiting for the blackout to end:
 				// the paper's critical wakeup (§5.1).
@@ -232,9 +258,6 @@ func (c *Controller) Tick(busy bool) {
 			c.idleCtr = 0
 		}
 	}
-	c.demand = false
-	c.inhibitGate = false
-	c.forceGate = false
 }
 
 // beginWakeup starts the wakeup sequence; with a zero wakeup delay the unit
@@ -251,53 +274,83 @@ func (c *Controller) beginWakeup() {
 	c.wakeCtr = c.wakeupDelay
 }
 
-// IdleSettled reports whether the controller, in isolation, can no longer
-// change state under sustained idle input (busy=false) with no issue demand
-// and no coordinator directives: it is either parked in the compensated state
-// (only demand wakes it) or permanently active because gating is disabled.
-// An active controller with gating enabled is NOT settled here — left alone
-// it will cross the idle-detect threshold and gate; coordinated configurations
-// that hold such a controller active forever are recognized by
-// Coordinator.IdleSettled instead. The simulator's idle fast-forward uses
-// these predicates to decide when per-cycle stepping can stop.
-func (c *Controller) IdleSettled() bool {
-	return c.state == StCompensated || (c.state == StActive && c.kind == config.GateNone)
+// NextEvent returns k such that ticking with the installed demand and
+// directives and the given busy flag, over and over, leaves the state
+// unchanged for k-1 ticks and changes it on the k-th, or math.MaxInt64 when
+// no number of such ticks can. It is exact in every state: Active counts
+// idle cycles up to the idle-detect value (unless busy, ungated or
+// inhibited; a force directive gates at once), Uncompensated counts down to
+// break-even (a conventional unit wakes at once on demand), Compensated
+// waits for demand, and Wakeup counts down its delay. The idle-detect value
+// is read once, so the caller must ask again after it moves.
+func (c *Controller) NextEvent(busy bool) int64 {
+	in := c.next
+	switch c.state {
+	case StActive:
+		switch {
+		case busy || in.inhibit || c.kind == config.GateNone:
+			return never
+		case in.force:
+			return 1
+		}
+		return max(1, int64(c.idleDetect()-c.idleCtr))
+	case StUncompensated:
+		if in.demand && c.kind == config.GateConventional {
+			return 1
+		}
+		return max(1, int64(c.betCtr))
+	case StCompensated:
+		if in.demand {
+			return 1
+		}
+		return never
+	default:
+		return max(1, int64(c.wakeCtr))
+	}
 }
 
-// AdvanceIdle advances the controller by n idle, demand-free cycles in closed
-// form, with results bit-identical to calling Tick(false) n times. The caller
-// must have established (via IdleSettled / Coordinator.IdleSettled) that the
-// state cannot change during those cycles: the controller is compensated, or
-// active with gating disabled, or active but inhibited from gating by its
-// coordinator on every one of the n cycles. Transient states (uncompensated,
-// wakeup) must be stepped per cycle and are rejected.
-func (c *Controller) AdvanceIdle(n int64) {
+// Advance applies n ticks with the installed demand and directives and the
+// given busy flag in closed form, bit-identical to installing them and
+// calling Tick(busy) n times, and leaves them installed. No state change may
+// fall inside the batch: n must stay below NextEvent(busy).
+func (c *Controller) Advance(n int64, busy bool) {
 	if n <= 0 {
+		return
+	}
+	if busy && c.state != StActive {
+		panic(fmt.Sprintf("gating: unit busy while %v", c.state))
+	}
+	if n >= c.NextEvent(busy) {
+		panic(fmt.Sprintf("gating: Advance(%d) crosses a %v transition", n, c.state))
+	}
+	if busy {
+		c.st.BusyCycles += uint64(n)
+		c.st.PoweredCycles += uint64(n)
+		c.endIdleRun()
+		c.idleCtr = 0
 		return
 	}
 	c.st.IdleCycles += uint64(n)
 	c.curIdleRun += int(n)
 	switch c.state {
 	case StActive:
-		// Per-cycle equivalent: idleCtr grows every cycle; either the kind
-		// never gates (GateNone skips the threshold check entirely) or the
-		// coordinator's inhibit directive overrides shouldGate each cycle.
 		c.st.PoweredCycles += uint64(n)
 		c.idleCtr += int(n)
+	case StUncompensated:
+		c.st.GatedCycles += uint64(n)
+		c.st.UncompCycles += uint64(n)
+		c.betCtr -= int(n)
+		if c.next.demand {
+			c.st.DeniedWakeups += uint64(n)
+		}
 	case StCompensated:
-		// No demand, so the controller stays compensated; the first
-		// compensated cycle (if this is it) passes without a critical wakeup.
 		c.st.GatedCycles += uint64(n)
 		c.st.CompCycles += uint64(n)
 		c.firstCompCycle = false
-	default:
-		panic(fmt.Sprintf("gating: AdvanceIdle in transient state %v", c.state))
+	case StWakeup:
+		c.st.PoweredCycles += uint64(n)
+		c.wakeCtr -= int(n)
 	}
-	// Tick clears the per-cycle inputs at the end of every cycle; replicate
-	// that so a stale directive cannot leak past the batch.
-	c.demand = false
-	c.inhibitGate = false
-	c.forceGate = false
 }
 
 // endIdleRun closes the in-progress idle run and records it.

@@ -122,8 +122,8 @@ func (m *MSHR) Patch(line Line, completeAt int64) {
 // NoteMerge counts a secondary miss merged into an existing entry.
 func (m *MSHR) NoteMerge() { m.merges++ }
 
-// NoteFull records a structural stall caused by a full table.
-func (m *MSHR) NoteFull() { m.full++ }
+// NoteFull records n structural stalls caused by a full table.
+func (m *MSHR) NoteFull(n uint64) { m.full += n }
 
 // ExpireBefore releases every entry whose fill returned at or before now.
 // Quiescent calls — no entry can have expired yet — are O(1) via the minFill

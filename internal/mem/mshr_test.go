@@ -77,7 +77,7 @@ func TestMSHRStats(t *testing.T) {
 	m.Allocate(1, 5)
 	m.NoteMerge()
 	m.NoteMerge()
-	m.NoteFull()
+	m.NoteFull(1)
 	allocs, merges, fulls := m.Stats()
 	if allocs != 1 || merges != 2 || fulls != 1 {
 		t.Fatalf("stats = %d/%d/%d", allocs, merges, fulls)

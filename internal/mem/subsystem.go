@@ -293,10 +293,21 @@ func (p *SMPort) MSHRGen() uint64 { return p.mshr.gen }
 
 // NoteRefused books one admission refusal, exactly as a refusing
 // CanIssueGlobal does; callers that cached a refusal under MSHRGen use it.
-func (p *SMPort) NoteRefused() {
-	p.mshr.NoteFull()
-	p.stallsMSHR++
+func (p *SMPort) NoteRefused() { p.NoteRefusals(1) }
+
+// NoteRefusals books n admission refusals at once, as n NoteRefused calls do.
+func (p *SMPort) NoteRefusals(n uint64) {
+	p.mshr.NoteFull(n)
+	p.stallsMSHR += n
 }
+
+// Refusals returns the admission refusals booked so far.
+func (p *SMPort) Refusals() uint64 { return p.stallsMSHR }
+
+// NextExpiry returns a cycle no later than the earliest one at which Expire
+// can release an entry (math.MaxInt64 when none can): until then the MSHR,
+// and with it every admission verdict, stays as it is.
+func (p *SMPort) NextExpiry() int64 { return p.mshr.minFill }
 
 // StageGlobal performs the SM-private half of one warp global access issued
 // at cycle now: L1 lookups and fills, MSHR merge accounting and occupancy

@@ -183,10 +183,10 @@ func TestStageResolveMatchesInlineAccess(t *testing.T) {
 	inline := NewSMPort(cfg, NewGPUMem(cfg))
 	staged := NewSMPort(cfg, NewGPUMem(cfg))
 	accesses := [][]Line{
-		{7},          // cold DRAM miss
-		{7},          // same-cycle merge with the staged entry
-		{8, 9, 8},    // fan-out with a duplicate
-		{1 << 41},    // different region
+		{7},       // cold DRAM miss
+		{7},       // same-cycle merge with the staged entry
+		{8, 9, 8}, // fan-out with a duplicate
+		{1 << 41}, // different region
 	}
 	var want []Result
 	for _, lines := range accesses {

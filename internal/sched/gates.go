@@ -1,6 +1,10 @@
 package sched
 
-import "warpedgates/internal/isa"
+import (
+	"math"
+
+	"warpedgates/internal/isa"
+)
 
 // GATES is the paper's Gating-Aware Two-level Scheduler (§4). It keeps the
 // two-level active/pending split but adds a dynamic type priority: one of
@@ -63,56 +67,24 @@ func (g *GATES) UpdatePriority(st *SMState) {
 	g.hold++
 }
 
-// AdvanceIdle applies n consecutive UpdatePriority calls in closed form, for
-// stretches in which no warp is ready (every RDY counter zero) and the ACTV
-// counters are frozen — the situation during the simulator's idle
-// fast-forward. It is bit-identical to calling UpdatePriority(st) n times
-// under those inputs. Three observations make the closed form possible:
-// the drain rule (ACTV[hi]==0, ACTV[lo]>0) can fire at most once, because
-// after the swap the new highest type has active warps; the blackout rule
-// needs RDY[lo] > 0 and is therefore dead; and the MaxHold rule, when live,
-// swaps with a fixed period of MaxHold+1 calls since both types keep active
-// warps across the swaps.
-func (g *GATES) AdvanceIdle(n int64, st *SMState) {
-	if n <= 0 {
-		return
-	}
+// NextSwap returns k such that, under the fixed state st, the next k-1
+// UpdatePriority calls leave the priority alone and the k-th swaps it, or
+// math.MaxInt64 when none does. The drain and blackout rules fire at the
+// next call or never; the MaxHold rule fires once the hold reaches the bound.
+func (g *GATES) NextSwap(st *SMState) int64 {
 	hi, lo := g.highLow()
-	if st.ACTV[hi] == 0 && st.ACTV[lo] > 0 {
-		g.highIsINT = !g.highIsINT
-		g.hold = 0
-		g.switches++
-		n--
-		if n == 0 {
-			return
-		}
-		hi, lo = g.highLow()
+	switch {
+	case st.ACTV[hi] == 0 && st.ACTV[lo] > 0, st.AllBlackout[hi] && st.RDY[lo] > 0:
+		return 1
+	case g.MaxHold > 0 && st.ACTV[lo] > 0:
+		return max(1, int64(g.MaxHold-g.hold)+1)
 	}
-	if g.MaxHold <= 0 || st.ACTV[lo] == 0 {
-		// No rule can fire: every remaining call just extends the hold.
-		g.hold += int(n)
-		return
-	}
-	// ACTV[lo] > 0 here implies ACTV[hi] > 0 too (otherwise the drain rule
-	// above would have fired), so the forced swaps oscillate indefinitely.
-	// A swap consumes the call it fires on and resets hold to zero; the
-	// first swap happens on the call entered with hold >= MaxHold.
-	period := int64(g.MaxHold) + 1
-	first := int64(g.MaxHold-g.hold) + 1
-	if first < 1 {
-		first = 1
-	}
-	if n < first {
-		g.hold += int(n)
-		return
-	}
-	swaps := 1 + (n-first)/period
-	g.hold = int((n - first) % period)
-	g.switches += uint64(swaps)
-	if swaps%2 == 1 {
-		g.highIsINT = !g.highIsINT
-	}
+	return math.MaxInt64
 }
+
+// Advance applies n UpdatePriority calls that swap nothing (n must stay below
+// NextSwap for the state they see): each only extends the hold.
+func (g *GATES) Advance(n int64) { g.hold += int(n) }
 
 // highLow returns the current highest- and lowest-priority ALU types.
 func (g *GATES) highLow() (hi, lo isa.Class) {

@@ -85,9 +85,9 @@ func (g *GPU) RunCtx(ctx context.Context) (*Report, error) {
 	// flag at the transition point (last warp of its last CTA finishing, in
 	// commitIssue), and Run only maintains the count of SMs still holding
 	// work. The clock advances to the minimum wake-up cycle the live SMs
-	// report, so when every live SM has fast-forwarded across an idle
-	// stretch, the whole device jumps in one step; SMs whose target lies
-	// further out return it again unchanged until the clock catches up.
+	// report, so when every live SM has jumped across a stall, the whole
+	// device jumps in one step; SMs whose target lies further out return it
+	// again unchanged until the clock catches up.
 	live := 0
 	for _, sm := range g.sms {
 		if sm.done() {
@@ -133,7 +133,7 @@ func (g *GPU) RunCtx(ctx context.Context) (*Report, error) {
 		} else {
 			g.cycle = next
 		}
-		// Clamp the jump: an idle fast-forward target past the cap must not
+		// Clamp the jump: a wake-up target past the cap must not
 		// leave a RanOut report claiming more cycles than MaxCycles allows
 		// (sm.step clamps its own targets, but the cap is a report-level
 		// invariant, so it is enforced where the clock is written).

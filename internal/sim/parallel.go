@@ -19,7 +19,7 @@ import (
 // Compute phase. Workers step disjoint SM sets. By default the sets are not
 // fixed shards: each window, workers claim SM indices one at a time from a
 // shared atomic counter (reset by the coordinator when it opens the window),
-// so a worker whose claimed SMs all fast-forwarded or drained keeps claiming
+// so a worker whose claimed SMs all jumped ahead or drained keeps claiming
 // live SMs instead of spinning at the barrier while another worker steps a
 // long shard alone. Claiming only decides *which goroutine* steps an SM —
 // every per-SM observable (pos, pendingAt, staged ops) lives in per-SM slots
@@ -34,7 +34,7 @@ import (
 // the worker finishes it locally and keeps stepping; a cycle that needs the
 // device parks the SM (pendingAt[i]) until an arbitration phase replays its
 // ops. Stepping SMs at their own positions rather than a global clock is
-// exact because a serial step below an SM's fast-forward horizon is a no-op:
+// exact because a serial step below an SM's jump target is a no-op:
 // the serial clock only ever lands on some SM's wake cycle, and cycles where
 // only *other* SMs wake are invisible to this one.
 //

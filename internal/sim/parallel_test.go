@@ -70,7 +70,7 @@ func sameReport(a, b *Report) bool {
 // TestParallelEngineMatchesSerial pins the tentpole contract on a fixed
 // matrix: every report field, probe stream and issue stream of the parallel
 // engine is identical to the serial engine's, at several worker counts (even
-// and odd shard splits, one-SM-per-worker), with the idle fast-forward both
+// and odd shard splits, one-SM-per-worker), with the fast-forward both
 // on and off.
 func TestParallelEngineMatchesSerial(t *testing.T) {
 	type tech struct {

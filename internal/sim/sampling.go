@@ -25,7 +25,7 @@ import (
 // simulated detailed — and the skipped waves are statistically identical
 // (same body, same geometry, different seeds) to the waves the windows
 // measure. Every engine invariant — scoreboard, retire ring, gating
-// controller state machines, the idle fast-forward — holds unchanged.
+// controller state machines, the stall jump — holds unchanged.
 //
 // The estimate's rate basis is the *entire* post-warm-up detailed run, not
 // the windows in which splices happened to land: boundary() accumulates
@@ -125,15 +125,29 @@ func newSampler(g *GPU) *sampler {
 		carrySM:      make([]float64, len(g.sms)),
 		warmup:       3 * int64(g.cfg.SamplePeriod),
 	}
-	s.next = s.detail
+	s.setNext(s.detail)
 	s.snapshot(&s.prev)
 	return s
+}
+
+// setNext moves the next window boundary to cycle at and caps every SM's
+// jumps there, so each window ends with every SM's counters accounted up to
+// exactly its boundary, as stepping every cycle would leave them.
+func (s *sampler) setNext(at int64) {
+	s.next = at
+	for _, sm := range s.g.sms {
+		sm.stepLimit = at
+		if mc := int64(s.g.cfg.MaxCycles); mc > 0 && mc < at {
+			sm.stepLimit = mc
+		}
+	}
 }
 
 // snapshot fills dst with the device's current cumulative counters.
 func (s *sampler) snapshot(dst *sampleCounters) {
 	*dst = sampleCounters{deviceCycles: float64(s.g.cycle)}
 	for _, sm := range s.g.sms {
+		sm.settleGating()
 		st := &sm.st
 		dst.smCycles += float64(st.Cycles)
 		dst.warpSum += float64(st.ActiveWarpSum)
@@ -170,9 +184,8 @@ func (s *sampler) snapshot(dst *sampleCounters) {
 // boundary closes the detailed window ending at the current device cycle:
 // it measures the window's deltas, splices out the proportional amount of
 // future work, and folds the spliced work's estimated contribution into the
-// running totals. Called from the serial loop whenever the clock crosses
-// s.next (idle fast-forward can overshoot a boundary; the window then simply
-// covers the actual elapsed cycles).
+// running totals. Called from the serial loop when the clock reaches s.next
+// (no SM jumps past it).
 func (s *sampler) boundary() {
 	var cur sampleCounters
 	s.snapshot(&cur)
@@ -181,7 +194,7 @@ func (s *sampler) boundary() {
 		if issuedDelta > 0 {
 			// Every post-warm-up window that issued feeds the rate basis,
 			// splice or not. Issue-free windows are excluded: they are idle
-			// regions the fast-forward jumped over, and their cycles are a
+			// regions where every SM waited on memory, and their cycles are a
 			// fixed structural cost of the resident machine, not per-wave
 			// work a skipped CTA would have multiplied.
 			addScaled(&s.cum, &cur, &s.prev, 1)
@@ -207,7 +220,7 @@ func (s *sampler) boundary() {
 		}
 	}
 	s.prev = cur
-	s.next = s.g.cycle + s.detail
+	s.setNext(s.g.cycle + s.detail)
 }
 
 // splice dequeues up to budget instructions' worth of whole unlaunched CTAs

@@ -242,9 +242,9 @@ func TestHistogramJSONEmpty(t *testing.T) {
 
 func TestHistogramJSONRejectsMalformed(t *testing.T) {
 	for _, bad := range []string{
-		`{"values":[1,2],"counts":[1]}`,  // length mismatch
-		`{"values":[-1],"counts":[1]}`,   // negative value
-		`{"values":[1],"counts":[0]}`,    // zero count
+		`{"values":[1,2],"counts":[1]}`, // length mismatch
+		`{"values":[-1],"counts":[1]}`,  // negative value
+		`{"values":[1],"counts":[0]}`,   // zero count
 		`not json`,
 	} {
 		h := NewHistogram()
