@@ -44,7 +44,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
 	"warpedgates/internal/config"
@@ -122,19 +121,19 @@ func usage() {
                     [-floor X] [-makespan-floor X] [-calibrate FILE]
   warpedgates benchcmp OLD.json NEW.json
   warpedgates benchcmp -history DIR [-regress PCT]
-  warpedgates characterize [-sms N] [-scale F] [-j N] [-workers N] [-store DIR]
-  warpedgates compare [-sms N] [-scale F] [-j N] [-workers N] [-store DIR]
+  warpedgates characterize [-sms N] [-scale F] [-j N] [-workers N] [-sched MODE] [-store DIR]
+  warpedgates compare [-sms N] [-scale F] [-j N] [-workers N] [-sched MODE] [-store DIR]
   warpedgates sweep [-spec FILE] [-benches a,b] [-techniques a,b] [-sms 4,8]
                     [-scales 1,2] [-seeds 0,1] [-idle-detects N,M] [-break-evens N,M]
                     [-wakeup-delays N,M] [-sample detail/period] [-shard i/n]
-                    [-j N] [-store DIR] [-out REPORT.json] [-n] [-v]
+                    [-j N] [-workers N] [-sched MODE] [-store DIR] [-out REPORT.json] [-n] [-v]
   warpedgates store verify -store DIR
 
 -j bounds the simulation worker pool (0, the default, uses every core);
 figure regeneration is deterministic at any -j. -workers sets how many
-goroutines step SMs inside each simulation (default 1, or the
-WARPEDGATES_WORKERS environment variable; results are bit-identical at any
-value — the runner shrinks its -j budget so jobs x workers stays within -j).
+goroutines step SMs inside each simulation (default 1; results are
+bit-identical at any value — the runner shrinks its -j budget so jobs x
+workers stays within -j).
 -sched picks the job-level schedule: adaptive (default) orders jobs by the
 calibrated cost model, longest first, and grants drained workers' budget to
 still-running simulations; static keeps submission order and a fixed split.
@@ -155,14 +154,12 @@ exit codes: 0 success; 1 error; 2 usage; 3 bench -floor gate skipped
 (single-core host cannot measure parallel scaling).`)
 }
 
-// addWorkersFlag registers the shared -workers flag. Its default comes from
-// the WARPEDGATES_WORKERS environment knob (mirroring the WARPEDGATES_J
-// convention of the bench harness), falling back to 1 — the serial engine.
-// Values above 1 select the phase-split parallel engine, which is
-// bit-identical to serial at any worker count, so this is purely a
+// addWorkersFlag registers the shared -workers flag, defaulting to 1 — the
+// serial engine. Values above 1 select the phase-split parallel engine, which
+// is bit-identical to serial at any worker count, so this is purely a
 // wall-clock knob.
 func addWorkersFlag(fs *flag.FlagSet) *int {
-	return fs.Int("workers", envWorkers(),
+	return fs.Int("workers", 1,
 		"goroutines stepping SMs inside each simulation (1 = serial engine; identical results at any value)")
 }
 
@@ -175,17 +172,6 @@ func addWorkersFlag(fs *flag.FlagSet) *int {
 func addSchedFlag(fs *flag.FlagSet) *string {
 	return fs.String("sched", "adaptive",
 		"job scheduling: adaptive (cost-model LPT + tail worker reallocation) or static (submission order, fixed split); identical output either way")
-}
-
-// envWorkers parses WARPEDGATES_WORKERS; unset, malformed or negative values
-// mean the serial default.
-func envWorkers() int {
-	if v := os.Getenv("WARPEDGATES_WORKERS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
 }
 
 func cmdList() error {

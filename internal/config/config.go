@@ -135,31 +135,12 @@ type Config struct {
 	// counters), so this knob exists only for equivalence testing and
 	// debugging; the zero value leaves them enabled.
 	DisableFastForward bool
-	// DisableShardSteal pins each parallel-engine worker to a fixed
-	// contiguous SM shard instead of letting workers claim SM batches from a
-	// shared index each compute window. Stealing only changes which goroutine
-	// steps an SM — never the cycle its effects resolve at — so the knob is
-	// bit-exact either way and exists for equivalence testing and overhead
-	// measurement; the zero value leaves stealing enabled. Like
-	// IntraRunWorkers it never affects results and is excluded from the
-	// experiment runner's cache key.
-	DisableShardSteal bool
 
 	// --- Intra-run parallel engine tuning ---
 	//
-	// BatchCycles and MemBanks tune the exact parallel engine and can never
-	// change a result, only wall-clock time (like IntraRunWorkers they are
-	// excluded from the experiment runner's cache key). EpochRelaxedCycles
-	// changes observable timing and is part of the cache key.
+	// MemBanks can never change a result, only wall-clock time; like
+	// IntraRunWorkers it is excluded from the experiment runner's cache key.
 
-	// BatchCycles bounds how many device cycles workers may step their SM
-	// shards between arbitration points when no shard has a staged global
-	// access pending. Staging mid-batch stops the staging SM at that cycle,
-	// so any value is bit-identical to the serial engine; the knob only
-	// trades barrier frequency against re-alignment granularity. 0 selects
-	// the default (128, tuned from the bench overhead curve — see
-	// EXPERIMENTS.md "Parallel-engine tuning data").
-	BatchCycles int
 	// MemBanks shards the device-level L2/DRAM arbitration by address bank
 	// (line % MemBanks) so the resolve phase itself runs on the workers.
 	// Must be a power of two dividing both L2Sets and DRAMSlots, which makes
@@ -168,17 +149,6 @@ type Config struct {
 	// the sharding is timing-invisible at any value. 0 selects the largest
 	// power of two <= 8 that divides both.
 	MemBanks int
-	// EpochRelaxedCycles, when positive, opts the parallel engine into
-	// bounded cycle skew: SM shards run full epochs of this many cycles
-	// between arbitration points without stopping at staged accesses, and
-	// staged requests drain at epoch end in (SM, staging-order) rather than
-	// cycle order. Results are still deterministic for a fixed configuration
-	// but are no longer bit-identical to the serial engine; the error is
-	// bounded and measured against the golden corpus (see EXPERIMENTS.md).
-	// Must not exceed L1HitLatency (the shortest staged completion), which
-	// guarantees every deferred writeback still lands ahead of the shard's
-	// frontier. 0 (the default) keeps the engine exact.
-	EpochRelaxedCycles int
 
 	// --- Interval-sampled simulation ---
 	//
@@ -193,8 +163,7 @@ type Config struct {
 	// invariant holds; only the estimated totals differ from a full run.
 	// Results change (the report carries a per-run error estimate), so both
 	// knobs are part of the experiment runner's cache key. Sampling always
-	// runs on the serial engine and is mutually exclusive with
-	// EpochRelaxedCycles. Both zero (the default) disables sampling.
+	// runs on the serial engine. Both zero (the default) disables sampling.
 	SampleDetailCycles int
 	SamplePeriod       int
 }
@@ -284,18 +253,6 @@ func (c *Config) EffectiveIntraRunWorkers() int {
 	return w
 }
 
-// EffectiveBatchCycles resolves the BatchCycles knob (0 means the default
-// 128). The default was retuned from 64 using the bench barrier-overhead
-// curve: halving the barrier rounds recovered ~2% wall on the stepped matrix
-// with no accuracy cost (the knob is bit-exact), while 256 bought little
-// more and coarsens re-alignment after staged accesses.
-func (c *Config) EffectiveBatchCycles() int {
-	if c.BatchCycles > 0 {
-		return c.BatchCycles
-	}
-	return 128
-}
-
 // Validate checks the configuration for internal consistency.
 func (c *Config) Validate() error {
 	check := func(ok bool, format string, args ...interface{}) error {
@@ -324,17 +281,12 @@ func (c *Config) Validate() error {
 		check(c.MaxCycles >= 0, "MaxCycles must be non-negative, got %d", c.MaxCycles),
 		check(c.IntraRunWorkers >= 0, "IntraRunWorkers must be non-negative, got %d", c.IntraRunWorkers),
 		check(c.GATESMaxHold >= 0, "GATESMaxHold must be non-negative, got %d", c.GATESMaxHold),
-		check(c.BatchCycles >= 0, "BatchCycles must be non-negative, got %d", c.BatchCycles),
 		check(c.MemBanks >= 0, "MemBanks must be non-negative, got %d", c.MemBanks),
 		check(c.MemBanks == 0 || c.MemBanks&(c.MemBanks-1) == 0,
 			"MemBanks must be a power of two, got %d", c.MemBanks),
 		check(c.MemBanks == 0 || (c.L2Sets%c.MemBanks == 0 && c.DRAMSlots%c.MemBanks == 0),
 			"MemBanks (%d) must divide L2Sets (%d) and DRAMSlots (%d) for an exact partition",
 			c.MemBanks, c.L2Sets, c.DRAMSlots),
-		check(c.EpochRelaxedCycles >= 0, "EpochRelaxedCycles must be non-negative, got %d", c.EpochRelaxedCycles),
-		check(c.EpochRelaxedCycles <= c.L1HitLatency,
-			"EpochRelaxedCycles (%d) must not exceed L1HitLatency (%d): the skew bound rests on the shortest staged completion outrunning the epoch",
-			c.EpochRelaxedCycles, c.L1HitLatency),
 		check(c.SampleDetailCycles >= 0, "SampleDetailCycles must be non-negative, got %d", c.SampleDetailCycles),
 		check(c.SamplePeriod >= 0, "SamplePeriod must be non-negative, got %d", c.SamplePeriod),
 		check((c.SampleDetailCycles == 0) == (c.SamplePeriod == 0),
@@ -343,9 +295,6 @@ func (c *Config) Validate() error {
 		check(c.SamplePeriod == 0 || c.SamplePeriod > c.SampleDetailCycles,
 			"SamplePeriod (%d) must exceed SampleDetailCycles (%d): each period is one detailed window plus the work it stands in for",
 			c.SamplePeriod, c.SampleDetailCycles),
-		check(c.SampleDetailCycles == 0 || c.EpochRelaxedCycles == 0,
-			"sampling (SampleDetailCycles=%d) and relaxed epochs (EpochRelaxedCycles=%d) are mutually exclusive",
-			c.SampleDetailCycles, c.EpochRelaxedCycles),
 	}
 	for _, err := range checks {
 		if err != nil {

@@ -357,26 +357,25 @@ func TestRunnerStoreDecodeFailureIsMiss(t *testing.T) {
 }
 
 // TestJobKeyAxes pins which configuration axes key the durable store: engine
-// tuning knobs (worker count, batch size, banks, fast-forward) must NOT key —
-// they are result-invariant — while every result-determining axis MUST.
+// tuning knobs (worker count, banks, fast-forward) must NOT key — they are
+// result-invariant — while every result-determining axis MUST. The full key
+// string is pinned byte for byte: changing it moves every stored report.
 func TestJobKeyAxes(t *testing.T) {
 	base := config.Small()
 	key := JobKey("hotspot", base, 0.1)
+	const want = "wg-job v2 bench=hotspot sched=TwoLevel gate=None adaptive=false idle=5 bet=14 wake=3 sms=2 clusters=2 maxhold=0 auxbo=false seed=24301 scale=0.1 relaxed=0 sample=0/0"
+	if key != want {
+		t.Fatalf("job key moved:\n got %s\nwant %s", key, want)
+	}
 
 	invariant := base
 	invariant.IntraRunWorkers = 7
-	invariant.BatchCycles = 99
 	invariant.MemBanks = 3
 	invariant.DisableFastForward = true
 	if got := JobKey("hotspot", invariant, 0.1); got != key {
 		t.Fatalf("engine-tuning axes leaked into the job key:\n %s\n %s", key, got)
 	}
 
-	relaxed := base
-	relaxed.EpochRelaxedCycles = 64
-	if JobKey("hotspot", relaxed, 0.1) == key {
-		t.Fatal("EpochRelaxedCycles does not key, but relaxed mode changes results")
-	}
 	sampled := base
 	sampled.SampleDetailCycles = 1000
 	sampled.SamplePeriod = 5000

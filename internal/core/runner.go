@@ -134,13 +134,12 @@ type cacheEntry struct {
 	elem     *list.Element
 }
 
-// runKey identifies a unique simulation. IntraRunWorkers, BatchCycles and
-// MemBanks are deliberately absent: the exact parallel engine is bit-identical
-// to the serial one at any worker count, batch size or bank count, so runs
-// that differ only in those share one cache slot. EpochRelaxedCycles is
-// present: relaxed mode changes results, so it must key separately — and so
-// are SampleDetailCycles/SamplePeriod, because a sampled report is an
-// estimate, never interchangeable with the detailed run it approximates.
+// runKey identifies a unique simulation. IntraRunWorkers and MemBanks are
+// deliberately absent: the parallel engine is bit-identical to the serial one
+// at any worker or bank count, so runs that differ only in those share one
+// cache slot. SampleDetailCycles/SamplePeriod are present, because a sampled
+// report is an estimate, never interchangeable with the detailed run it
+// approximates.
 type runKey struct {
 	bench        string
 	scheduler    config.SchedulerKind
@@ -155,7 +154,6 @@ type runKey struct {
 	auxBO        bool
 	seed         uint64
 	scale        float64
-	relaxed      int
 	sampleDetail int
 	samplePeriod int
 }
@@ -176,7 +174,6 @@ func makeRunKey(bench string, cfg config.Config, scale float64) runKey {
 		auxBO:        cfg.BlackoutAux,
 		seed:         cfg.Seed,
 		scale:        scale,
-		relaxed:      cfg.EpochRelaxedCycles,
 		sampleDetail: cfg.SampleDetailCycles,
 		samplePeriod: cfg.SamplePeriod,
 	}
@@ -188,11 +185,12 @@ func makeRunKey(bench string, cfg config.Config, scale float64) runKey {
 // store entries would be served for jobs they no longer describe. The float
 // scale uses the shortest exact round-trip form, like the fingerprints.
 func (k runKey) canonical() string {
+	// relaxed=0 stays: dropping it would move every stored report and digest.
 	return fmt.Sprintf(
-		"wg-job v2 bench=%s sched=%s gate=%s adaptive=%t idle=%d bet=%d wake=%d sms=%d clusters=%d maxhold=%d auxbo=%t seed=%d scale=%s relaxed=%d sample=%d/%d",
+		"wg-job v2 bench=%s sched=%s gate=%s adaptive=%t idle=%d bet=%d wake=%d sms=%d clusters=%d maxhold=%d auxbo=%t seed=%d scale=%s relaxed=0 sample=%d/%d",
 		k.bench, k.scheduler, k.gating, k.adaptive, k.idleDetect, k.breakEven,
 		k.wakeup, k.numSMs, k.clusters, k.maxHold, k.auxBO, k.seed,
-		fmtFloat(k.scale), k.relaxed, k.sampleDetail, k.samplePeriod)
+		fmtFloat(k.scale), k.sampleDetail, k.samplePeriod)
 }
 
 // JobKey returns the canonical durable-store key for one job at the given
@@ -261,7 +259,7 @@ func (r *Runner) RunCfg(bench string, cfg config.Config) (*sim.Report, error) {
 // first one (the leader) and share its report. Failed runs are not cached,
 // so a later call may retry.
 //
-// ctx cancels the simulation at its next epoch boundary (one batch window at
+// ctx cancels the simulation at its next epoch boundary (one compute window at
 // most). Waiters sharing a leader share the leader's fate: if the leader's
 // context dies, every waiter gets the cancellation error, and the key is
 // immediately retryable. Cancellation and watchdog errors are never cached.

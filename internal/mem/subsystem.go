@@ -138,14 +138,11 @@ const (
 )
 
 // stagedOp is one line of a staged access that the arbitration phase must
-// still act on. at is the cycle the access was staged: under the exact engine
-// every op of one resolve shares it, under the relaxed engine ops of one
-// epoch carry different cycles. For a merge, fill is the outstanding entry's
-// completion cycle captured at stage time — the entry may expire before the
-// access is assembled (the relaxed engine keeps stepping the SM through the
-// fill) — or the pending sentinel when the primary miss sits unresolved in
-// this same buffer, in which case the real value is read after it is patched
-// (a sentinel can never expire).
+// still act on. at is the cycle the access was staged; every op of one
+// resolve round shares it. For a merge, fill is the outstanding entry's
+// completion cycle captured at stage time, or the pending sentinel when the
+// primary miss sits unresolved in this same buffer, in which case the real
+// value is read after it is patched (a sentinel can never expire).
 type stagedOp struct {
 	line Line
 	at   int64
@@ -172,7 +169,7 @@ type stagedAccess struct {
 // lines against the L2/DRAM model. The serial engine resolves immediately
 // after staging (GlobalAccess); the parallel engine stages from worker
 // goroutines and resolves in canonical order — either inline from a serial
-// section (ResolveStaged) or split into a bank phase (ResolveBankOrdered, one worker
+// section (ResolveStaged) or split into a bank phase (ResolveBank, one worker
 // per bank partition, recording per-line outcomes) followed by an SM-local
 // assembly (FinishStaged). All paths share one assembly routine, so the
 // engines drive the device through the same code in the same order.
@@ -356,40 +353,19 @@ func (p *SMPort) appendOp(o stagedOp) {
 	}
 }
 
-// ResolveBankOrdered replays several ports' staged device ops for one bank in
-// global (cycle, port, staging-index) order, recording each line's completion
-// cycle and L2 outcome for FinishStaged. ports must be in canonical (SM id)
-// order; cur is caller scratch of length >= len(ports). Each port's per-bank
-// list is cycle-sorted already (ops are staged in step order), so a k-way
-// min-merge reproduces the serial device order: without it, a late op from a
-// low-numbered SM would occupy a DRAM channel ahead of an earlier op from a
-// higher SM, and in relaxed mode that queue inflation compounds window after
-// window. Different banks may resolve concurrently (disjoint doneAt/doneMiss
-// indices, bank-local device state).
-func ResolveBankOrdered(ports []*SMPort, bank int, cur []int32) {
-	for i := range ports {
-		cur[i] = 0
-	}
-	for {
-		best := -1
-		var bestAt int64
-		for i, p := range ports {
-			lst := p.stagedByBank[bank]
-			if int(cur[i]) >= len(lst) {
-				continue
-			}
-			if at := p.stagedOps[lst[cur[i]]].at; best < 0 || at < bestAt {
-				best, bestAt = i, at
-			}
+// ResolveBank replays several ports' staged device ops for one bank in
+// (port, staging-index) order, recording each line's completion cycle and L2
+// outcome for FinishStaged. ports must be in canonical (SM id) order and all
+// of their ops must share one staging cycle, as in the parallel engine's
+// resolve rounds, so this order is the bank's projection of the serial
+// device order. Different banks may resolve concurrently (disjoint
+// doneAt/doneMiss indices, bank-local device state).
+func ResolveBank(ports []*SMPort, bank int) {
+	for _, p := range ports {
+		for _, idx := range p.stagedByBank[bank] {
+			o := &p.stagedOps[idx]
+			p.doneAt[idx], p.doneMiss[idx] = p.gpu.AccessBank(bank, o.at, o.line)
 		}
-		if best < 0 {
-			return
-		}
-		p := ports[best]
-		idx := p.stagedByBank[bank][cur[best]]
-		o := &p.stagedOps[idx]
-		p.doneAt[idx], p.doneMiss[idx] = p.gpu.AccessBank(bank, o.at, o.line)
-		cur[best]++
 	}
 }
 

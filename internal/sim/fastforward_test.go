@@ -87,15 +87,14 @@ func runHashed(t *testing.T, cfg config.Config, k *kernels.Kernel) (*Report, []u
 // event-driven step: across randomized schedulers, gating policies, gating
 // parameters, MSHR sizes and benchmarks (the memory-bound ones included,
 // where warps stall longest on a full MSHR), blackout on the SFU and LDST
-// units, on the serial and the phase-split engine, exact and relaxed, and
-// with interval sampling (whose window boundaries cap every jump), a run
-// that jumps and ticks lazily must produce the
-// same report, the same per-SM, per-cycle gating-state stream and the same
-// per-SM memory-port and MSHR counters as a run that steps and ticks every
-// cycle.
+// units, on the serial and the phase-split engine, and with interval
+// sampling (whose window boundaries cap every jump), a run that jumps and
+// ticks lazily must produce the same report, the same per-SM, per-cycle
+// gating-state stream and the same per-SM memory-port and MSHR counters as a
+// run that steps and ticks every cycle.
 func TestFastForwardBitExact(t *testing.T) {
 	benchNames := []string{"nw", "hotspot", "bfs", "mri", "btree", "MUM", "gaussian", "lbm"}
-	f := func(benchRaw, schedRaw, gateRaw, idRaw, betRaw, wakeRaw, holdRaw, mshrRaw, relaxRaw uint8, adaptive, aux, parallel, sampled bool) bool {
+	f := func(benchRaw, schedRaw, gateRaw, idRaw, betRaw, wakeRaw, holdRaw, mshrRaw uint8, adaptive, aux, parallel, sampled bool) bool {
 		cfg := config.Small()
 		cfg.Scheduler = []config.SchedulerKind{
 			config.SchedLRR, config.SchedTwoLevel, config.SchedGATES,
@@ -118,8 +117,6 @@ func TestFastForwardBitExact(t *testing.T) {
 		if sampled {
 			cfg.SampleDetailCycles = 200
 			cfg.SamplePeriod = 800
-		} else if relaxRaw%3 != 0 {
-			cfg.EpochRelaxedCycles = 4 + int(relaxRaw)%25 // at most L1HitLatency
 		}
 
 		bench := benchNames[int(benchRaw)%len(benchNames)]
@@ -132,8 +129,8 @@ func TestFastForwardBitExact(t *testing.T) {
 
 		ffRep, ffHash, ffPorts := runHashed(t, ffCfg, k)
 		stRep, stHash, stPorts := runHashed(t, stepCfg, k)
-		name := fmt.Sprintf("%s %v/%v mshr=%d aux=%t parallel=%t relax=%d sampled=%t", bench, cfg.Scheduler, cfg.Gating,
-			cfg.MSHRPerSM, aux, parallel, cfg.EpochRelaxedCycles, sampled)
+		name := fmt.Sprintf("%s %v/%v mshr=%d aux=%t parallel=%t sampled=%t", bench, cfg.Scheduler, cfg.Gating,
+			cfg.MSHRPerSM, aux, parallel, sampled)
 		// The config is part of the report; blank the knob under test before
 		// comparing the rest.
 		ffRep.Config.DisableFastForward = false

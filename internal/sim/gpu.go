@@ -59,15 +59,12 @@ func (g *GPU) canceled(ctx context.Context) error {
 
 // RunCtx executes the workload to completion (or cfg.MaxCycles) and returns
 // the final report. With cfg.IntraRunWorkers > 1 the phase-split parallel
-// engine (runParallel) steps the SM array on several goroutines; in exact
-// mode its results are bit-identical to the serial loop below. Relaxed mode
-// (cfg.EpochRelaxedCycles > 0) always uses the windowed engine — even with
-// one worker — because its windows, not the worker count, define the result:
-// any worker count then reproduces the same relaxed run byte for byte.
+// engine (runParallel) steps the SM array on several goroutines; its results
+// are bit-identical to the serial loop below.
 //
 // Cancellation is polled at epoch boundaries: once per device step in the
 // serial loop and once per barrier round in the parallel engine, so a
-// canceled context stops the simulation within one batch window. A canceled
+// canceled context stops the simulation within one compute window. A canceled
 // run returns a nil report and an error wrapping context.Cause(ctx); the
 // device's partial state is not meaningful and no report is assembled.
 func (g *GPU) RunCtx(ctx context.Context) (*Report, error) {
@@ -78,7 +75,7 @@ func (g *GPU) RunCtx(ctx context.Context) (*Report, error) {
 	// of the runner's cache key, so a sampled result must not depend on it,
 	// and the splice points need the single globally ordered clock.
 	smp := newSampler(g)
-	if w := g.workerCount(); smp == nil && (w > 1 || g.cfg.EpochRelaxedCycles > 0 || g.pool != nil) {
+	if w := g.workerCount(); smp == nil && (w > 1 || g.pool != nil) {
 		return g.runParallel(ctx, w)
 	}
 	// Completion is event-driven rather than scanned: an SM flips its drained

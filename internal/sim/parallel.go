@@ -16,41 +16,42 @@ import (
 // The engine alternates two kinds of phases, separated by a sense-reversing
 // barrier whose last arriver runs a short coordinator section (advance).
 //
-// Compute phase. Workers step disjoint SM sets. By default the sets are not
-// fixed shards: each window, workers claim SM indices one at a time from a
-// shared atomic counter (reset by the coordinator when it opens the window),
-// so a worker whose claimed SMs all jumped ahead or drained keeps claiming
-// live SMs instead of spinning at the barrier while another worker steps a
-// long shard alone. Claiming only decides *which goroutine* steps an SM —
-// every per-SM observable (pos, pendingAt, staged ops) lives in per-SM slots
-// written solely by the claiming worker within the window and handed across
-// the barrier, so any claim interleaving produces byte-identical results.
-// cfg.DisableShardSteal restores the fixed contiguous shards. Each SM runs at
-// its own position pos[i] through a window of up to winEnd: sm.step touches
-// only SM-private state (warp tables, pipes, gating controllers, L1, MSHR)
-// and *stages* global-memory requests on its port (sm.memStage) instead of
-// calling the shared L2/DRAM inline. A staging cycle whose lines all hit the
-// L1 or merge with the SM's own outstanding fills touches nothing shared, so
-// the worker finishes it locally and keeps stepping; a cycle that needs the
-// device parks the SM (pendingAt[i]) until an arbitration phase replays its
-// ops. Stepping SMs at their own positions rather than a global clock is
-// exact because a serial step below an SM's jump target is a no-op:
-// the serial clock only ever lands on some SM's wake cycle, and cycles where
-// only *other* SMs wake are invisible to this one.
+// Compute phase. Workers step disjoint SM sets, which are not fixed shards:
+// each window, workers claim SM indices one at a time from a shared atomic
+// counter (reset by the coordinator when it opens the window), so a worker
+// whose claimed SMs all jumped ahead or drained keeps claiming live SMs
+// instead of spinning at the barrier while another worker steps a long shard
+// alone. Claiming only decides *which goroutine* steps an SM — every per-SM
+// observable (pos, pendingAt, staged ops) lives in per-SM slots written
+// solely by the claiming worker within the window and handed across the
+// barrier, so any claim interleaving produces byte-identical results. Each
+// SM runs at its own position pos[i] through a window ending at winEnd (at
+// most windowCycles past the frontier): sm.step touches only SM-private
+// state (warp tables, pipes, gating controllers, L1, MSHR) and *stages*
+// global-memory requests on its port (sm.memStage) instead of calling the
+// shared L2/DRAM inline. A staging cycle whose lines all hit the L1 or merge
+// with the SM's own outstanding fills touches nothing shared, so the worker
+// finishes it locally and keeps stepping; a cycle that needs the device
+// parks the SM (pendingAt[i]) until an arbitration phase replays its ops.
+// Stepping SMs at their own positions rather than a global clock is exact
+// because a serial step below an SM's jump target is a no-op: the serial
+// clock only ever lands on some SM's wake cycle, and cycles where only
+// *other* SMs wake are invisible to this one.
 //
 // Arbitration phase. Staged device ops must hit the shared L2/DRAM in the
 // serial engine's order: ascending (cycle, SM id, staging index). Two
 // mechanisms provide it without a serial section. First, ordering: an op
 // staged at cycle c is resolvable only once every live unparked SM has
-// advanced past c (c < frontier) — nothing can stage at ≤ c anymore — and
-// the resolvable set is sorted by (cycle, SM id). The earliest parked op is
-// always resolvable, so the engine cannot stall. Second, bank sharding: the
-// device state is partitioned by address bank (mem.GPUMem), lines of
-// different banks share no cache set, channel or counter, so the per-bank
-// projections of the canonical order are independent and each worker drains
-// the banks of its own bank range concurrently. The parked SMs' deferred
-// writebacks are then booked by their owning workers (finishMemory) at the
-// start of the next compute phase.
+// advanced past c (c < frontier) — nothing can stage at ≤ c anymore — and a
+// round resolves only the SMs parked at the earliest such cycle, pmin, in
+// SM-id order, so every op of a round shares one cycle. The earliest parked
+// op is always resolvable, so the engine cannot stall. Second, bank
+// sharding: the device state is partitioned by address bank (mem.GPUMem),
+// lines of different banks share no cache set, channel or counter, so the
+// per-bank projections of the canonical order are independent and each
+// worker drains the banks of its own bank range concurrently. The parked
+// SMs' deferred writebacks are then booked by whichever worker claims each
+// SM (finishMemory) at the start of the next compute phase.
 //
 // The determinism argument rests on the same three properties of sm.step as
 // before — it touches nothing outside its SM once memory is staged, its
@@ -69,18 +70,15 @@ import (
 // bank ranges only; like stealing it cannot move any op's resolve cycle, so
 // results stay byte-identical at any allocation history. Leases are returned
 // to the pool when the run exits.
-//
-// Relaxed mode (cfg.EpochRelaxedCycles = R > 0) trades exactness for fewer
-// barriers: SMs do not park on device staging but run freely through a
-// window of R cycles, and every window ends with one arbitration phase that
-// drains all staged ops in (SM id, staging index) order, each op at its own
-// staging cycle. Device access *interleaving across SMs* within a window can
-// therefore differ from serial by at most R cycles — the quantified error
-// bound — while each SM's own stream stays internally exact. Windows are cut
-// at deterministic cycles (frontier + R), so relaxed runs are reproducible
-// and independent of worker count; R ≤ L1HitLatency (config.Validate)
-// guarantees every staged access completes at or after its window's end, so
-// deferred writebacks are always booked ahead of the retire-ring scan.
+
+// windowCycles bounds how many device cycles workers may step their SMs past
+// the frontier between arbitration points when no SM has a staged device
+// access pending. Staging mid-window parks the staging SM at that cycle, so
+// any length is bit-identical to the serial engine; the length only trades
+// barrier frequency against re-alignment granularity. 128 was tuned from the
+// bench barrier-overhead curve: halving the barrier rounds from 64 recovered
+// ~2% wall on the stepped matrix, while 256 bought little more.
+const windowCycles = 128
 
 // spinYield is how many barrier polls a worker burns before yielding the
 // processor. Small enough to stay polite on oversubscribed machines, large
@@ -92,20 +90,18 @@ const spinYield = 64
 type parOp int32
 
 const (
-	opCompute parOp = iota // step SM shards through the window
+	opCompute parOp = iota // step claimed SMs through the window
 	opResolve              // drain resolveList's staged ops, bank-sharded
 	opExit                 // run over; workers return
 )
 
 // shardResult is one worker's per-compute-phase contribution, padded to a
-// cache line so workers never write-share: how many of its SMs drained, the
-// latest cycle one drained at, and whether any parked on a staged device
-// access (the flag that tells the coordinator an arbitration phase is due).
+// cache line so workers never write-share: how many of its SMs drained and
+// the latest cycle one drained at.
 type shardResult struct {
 	drained  int64
 	maxDrain int64
-	staged   bool
-	_        [47]byte
+	_        [48]byte
 }
 
 // parRun is the shared state of one parallel run. The scalar fields and
@@ -131,10 +127,7 @@ type parRun struct {
 	wg         *sync.WaitGroup
 
 	maxCycles int64
-	batch     int64 // exact-mode window length (cfg.EffectiveBatchCycles)
-	relax     int64 // relaxed-mode window length, 0 = exact
 	nBanks    int
-	steal     bool // claim SM indices per window instead of fixed shards
 	shards    []shardResult
 
 	arrived atomic.Int32
@@ -152,8 +145,8 @@ type parRun struct {
 	resolve   []int32 // SM ids to drain this arbitration phase, canonical order
 
 	// resolvePorts mirrors resolve as memory ports (same order); it is the
-	// merge input for the bank phase, built by the coordinator when it
-	// schedules opResolve.
+	// bank phase's input, built by the coordinator when it schedules
+	// opResolve.
 	resolvePorts []*mem.SMPort
 
 	live     int
@@ -181,10 +174,7 @@ func (g *GPU) runParallel(ctx context.Context, workers int) (*Report, error) {
 			maxWorkers: int32(maxW),
 			pool:       g.pool,
 			maxCycles:  int64(g.cfg.MaxCycles),
-			batch:      int64(g.cfg.EffectiveBatchCycles()),
-			relax:      int64(g.cfg.EpochRelaxedCycles),
 			nBanks:     g.gmem.NumBanks(),
-			steal:      !g.cfg.DisableShardSteal,
 			shards:     make([]shardResult, maxW),
 			pos:        make([]int64, len(g.sms)),
 			pendingAt:  make([]int64, len(g.sms)),
@@ -202,15 +192,11 @@ func (g *GPU) runParallel(ctx context.Context, workers int) (*Report, error) {
 			}
 		}
 		pr.workers.Store(int32(workers))
-		win := pr.batch
-		if pr.relax > 0 {
-			win = pr.relax
-		}
 		for i := range g.sms {
 			pr.pos[i] = g.cycle
 			pr.pendingAt[i] = -1
 		}
-		pr.winEnd = g.cycle + win
+		pr.winEnd = g.cycle + windowCycles
 		if pr.maxCycles > 0 && pr.winEnd > pr.maxCycles {
 			pr.winEnd = pr.maxCycles
 		}
@@ -244,23 +230,22 @@ func (g *GPU) runParallel(ctx context.Context, workers int) (*Report, error) {
 }
 
 // worker runs whichever phase the coordinator scheduled — claiming SM
-// indices from the shared steal counter (or stepping the fixed contiguous
-// shard [w*n/W, (w+1)*n/W) with stealing disabled) in compute phases, and
-// draining the bank range [w*B/W, (w+1)*B/W) in arbitration phases. The last
-// worker to arrive at the barrier runs the coordinator section and releases
-// the others by advancing the epoch. sentinel is the epoch value that opened
-// the worker's first phase: 0 for the initial population, the joining epoch
-// for workers a pool grew in later. Ranges are recomputed per phase because
-// growth changes W at epoch boundaries.
+// indices from the shared steal counter in compute phases, and draining the
+// bank range [w*B/W, (w+1)*B/W) in arbitration phases. The last worker to
+// arrive at the barrier runs the coordinator section and releases the others
+// by advancing the epoch. sentinel is the epoch value that opened the
+// worker's first phase: 0 for the initial population, the joining epoch for
+// workers a pool grew in later. The bank range is recomputed per phase
+// because growth changes W at epoch boundaries.
 func (pr *parRun) worker(w int, sentinel uint32) {
-	n := len(pr.g.sms)
-	cur := make([]int32, n) // bank-merge cursors, one slot per possible port
 	for {
 		if pr.op == opCompute {
 			pr.compute(w)
 		} else {
 			W := int(pr.workers.Load())
-			pr.resolveBanks(w*pr.nBanks/W, (w+1)*pr.nBanks/W, cur)
+			for b := w * pr.nBanks / W; b < (w+1)*pr.nBanks/W; b++ {
+				mem.ResolveBank(pr.resolvePorts, b)
+			}
 		}
 		if pr.arrived.Add(1) == pr.workers.Load() {
 			pr.advance()
@@ -293,30 +278,30 @@ func (pr *parRun) join(w int, start uint32) {
 	pr.worker(w, start)
 }
 
-// compute steps SMs through the current window — claimed one at a time from
-// the shared steal index, or the worker's fixed shard with stealing off. Each
-// SM first books writebacks left from the previous arbitration phase
-// (finishMemory), then steps from its own position until the window ends, it
-// drains, or — in exact mode — it stages a device access and parks. Pure-L1
-// staging cycles are finished inline: they read nothing shared, and the merge
-// fills they look up cannot be unpatched sentinels because the SM parks
-// (exact) or the window drains (relaxed) before any unresolved device op
-// could linger.
+// compute steps SMs through the current window, claimed one at a time from
+// the shared steal index. Each SM first books writebacks left from the
+// previous arbitration phase (finishMemory), then steps from its own position
+// until the window ends, it drains, or it stages a device access and parks.
+// Pure-L1 staging cycles are finished inline: they read nothing shared, and
+// the merge fills they look up cannot be unpatched sentinels because the SM
+// parks before any unresolved device op could linger.
 func (pr *parRun) compute(w int) {
 	g := pr.g
 	end := pr.winEnd
-	relax := pr.relax > 0
 	var drained int64
 	maxDrain := int64(-1)
-	anyStaged := false
-	stepSM := func(i int) {
+	for n := len(g.sms); ; {
+		i := int(pr.claim.Add(1)) - 1
+		if i >= n {
+			break
+		}
 		sm := g.sms[i]
 		if pr.needFinal[i] {
 			pr.needFinal[i] = false
 			sm.finishMemory()
 		}
 		if sm.drained || pr.pendingAt[i] >= 0 {
-			return
+			continue
 		}
 		c := pr.pos[i]
 		for c < end {
@@ -325,10 +310,9 @@ func (pr *parRun) compute(w int) {
 			if len(sm.stagedRet) > 0 && !sm.memPort.HasStagedDevice() {
 				sm.finishMemory()
 			}
-			parked := !relax && sm.memPort.HasStagedDevice()
+			parked := sm.memPort.HasStagedDevice()
 			if parked {
 				pr.pendingAt[i] = stepped
-				anyStaged = true
 			}
 			if sm.drained {
 				drained++
@@ -341,44 +325,10 @@ func (pr *parRun) compute(w int) {
 				break
 			}
 		}
-		if relax && sm.memPort.HasStagedDevice() {
-			pr.pendingAt[i] = sm.stagedRet[0].at
-			anyStaged = true
-		}
 		pr.pos[i] = c
 	}
-	n := len(g.sms)
-	if pr.steal {
-		for {
-			i := int(pr.claim.Add(1)) - 1
-			if i >= n {
-				break
-			}
-			stepSM(i)
-		}
-	} else {
-		W := int(pr.workers.Load())
-		for i := w * n / W; i < (w+1)*n/W; i++ {
-			stepSM(i)
-		}
-	}
 	s := &pr.shards[w]
-	s.drained, s.maxDrain, s.staged = drained, maxDrain, anyStaged
-}
-
-// resolveBanks drains the scheduled SMs' staged device ops for the worker's
-// bank range. Within each bank, the ports' cycle-sorted op lists are merged
-// so ops replay in ascending (staging cycle, SM id, staging index) — exactly
-// the per-bank projection of the serial engine's device access order. (In
-// exact mode every scheduled op shares one cycle, pmin; in relaxed mode the
-// window's ops span up to R cycles and the merge is what keeps DRAM queue
-// accounting in cycle order.) Banks share no state, so workers proceed
-// without synchronization; per-op outcomes land in each port's own buffers
-// at disjoint indices. cur is the worker's merge-cursor scratch.
-func (pr *parRun) resolveBanks(bankLo, bankHi int, cur []int32) {
-	for b := bankLo; b < bankHi; b++ {
-		mem.ResolveBankOrdered(pr.resolvePorts, b, cur)
-	}
+	s.drained, s.maxDrain = drained, maxDrain
 }
 
 // advance is the coordinator section, run once per barrier with every worker
@@ -440,27 +390,19 @@ func (pr *parRun) advance() {
 			}
 		}
 		if pendingN > 0 {
-			// Exact mode drains only the ops at the earliest parked cycle:
-			// no unparked SM can stage at or before it (frontier), and every
-			// other parked SM resumes after its own later cycle — whereas a
+			// Drain only the ops at the earliest parked cycle: no unparked
+			// SM can stage at or before it (frontier), and every other
+			// parked SM resumes after its own later cycle — whereas a
 			// later-cycle op is not safe yet, because the SM parked at pmin
-			// resumes at pmin+1 and may stage again in between. Relaxed mode
-			// drains everything: windows end with no carry-over, and the
-			// bounded reordering is the mode's contract.
-			if pr.relax > 0 {
-				for i := range g.sms {
-					if pr.pendingAt[i] >= 0 {
-						pr.resolve = append(pr.resolve, int32(i))
-					}
-				}
-			} else if pmin < frontier {
+			// resumes at pmin+1 and may stage again in between.
+			if pmin < frontier {
 				for i := range g.sms {
 					if pr.pendingAt[i] == pmin {
 						pr.resolve = append(pr.resolve, int32(i))
 					}
 				}
 			}
-			if len(pr.resolve) == 1 && pr.relax == 0 {
+			if len(pr.resolve) == 1 {
 				// One parked SM: a bank phase would spend a barrier round to
 				// parallelize work one goroutine can do here in place.
 				idx := pr.resolve[0]
@@ -497,15 +439,11 @@ func (pr *parRun) advance() {
 			return
 		}
 		g.cycle = frontier
-		win := pr.batch
-		if pr.relax > 0 {
-			win = pr.relax
-		}
-		end := frontier + win
+		end := frontier + windowCycles
 		if pendingN > 0 && pmin+1 < end {
 			// An SM is still parked beyond the frontier: its ops unblock the
 			// moment every other SM passes its cycle, so stop the window
-			// right there instead of letting the leaders run a full batch
+			// right there instead of letting the leaders run a full window
 			// while it idles. (pmin >= frontier here — anything earlier was
 			// resolved above — so the window still advances.)
 			end = pmin + 1

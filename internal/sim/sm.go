@@ -35,8 +35,7 @@ type retireEvent struct {
 
 // stagedRetire is the SM-side record of one staged global access: the warp
 // whose load writeback must be booked once the arbitration phase computes the
-// access's completion cycle, and the cycle the access was issued (under
-// batched epochs one resolve may cover accesses staged at different cycles).
+// access's completion cycle, and the cycle the access was issued.
 // Stores stage too (they occupy MSHR entries and reach the device) but have
 // no destination, so their dstMask is zero.
 type stagedRetire struct {
@@ -452,11 +451,12 @@ func (sm *SM) step(now int64) int64 {
 // is nothing to skip). Each repeat books now's stall and MSHR-refusal
 // deltas. A class whose controller event falls due on the last repeat ticks
 // it for real: the event changes state only at the end of that cycle. An SM
-// with accesses staged but not yet resolved (the relaxed engine) has
-// writebacks its retire ring does not know yet, so it does not jump, nor
-// does one whose next cycle would still attempt a CTA launch.
+// whose next cycle would still attempt a CTA launch does not jump. (A
+// cycle that staged a global access issued, so it never jumps either, and
+// the parallel engine books every staged writeback before the SM steps
+// again.)
 func (sm *SM) jump(now int64, dMem, dGate, dRefused uint64) int64 {
-	if len(sm.stagedRet) > 0 || (sm.ctasRemaining > 0 && sm.emptySlots > 0) {
+	if sm.ctasRemaining > 0 && sm.emptySlots > 0 {
 		return now + 1
 	}
 	h := sm.horizon(now)

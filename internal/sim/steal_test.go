@@ -77,49 +77,13 @@ func poolDigests(t *testing.T, cfg config.Config, k *kernels.Kernel, pool Worker
 	return gpu.Run(), probeD
 }
 
-// TestShardStealDisabledMatchesSerial pins the steal opt-out: with
-// DisableShardSteal set the engine falls back to fixed shards and must still
-// reproduce the serial engine's reports and per-SM streams at every worker
-// count. (Stealing itself — the default — is covered by every other parallel
-// test.)
-func TestShardStealDisabledMatchesSerial(t *testing.T) {
-	for _, bench := range []string{"hotspot", "bfs"} {
-		k := kernels.MustBenchmark(bench).Scale(0.08)
-		for _, noFF := range []bool{false, true} {
-			cfg := config.Small()
-			cfg.NumSMs = 4
-			cfg.Scheduler = config.SchedGATES
-			cfg.Gating = config.GateCoordBlackout
-			cfg.AdaptiveIdleDetect = true
-			cfg.DisableFastForward = noFF
-			cfg.MaxCycles = 30000
-			cfg.IntraRunWorkers = 1
-			wantRep, wantProbe, wantIssue := runDigests(t, cfg, k)
-			for _, workers := range []int{2, 3, 4} {
-				pcfg := cfg
-				pcfg.IntraRunWorkers = workers
-				pcfg.DisableShardSteal = true
-				gotRep, gotProbe, gotIssue := runDigests(t, pcfg, k)
-				if !sameReport(wantRep, gotRep) {
-					t.Errorf("%s noFF=%v workers=%d steal-off: report diverged\nserial: %v\ngot:    %v",
-						bench, noFF, workers, wantRep, gotRep)
-				}
-				if !reflect.DeepEqual(wantProbe, gotProbe) || !reflect.DeepEqual(wantIssue, gotIssue) {
-					t.Errorf("%s noFF=%v workers=%d steal-off: streams diverged", bench, noFF, workers)
-				}
-			}
-		}
-	}
-}
-
 // TestWorkerGrowthMidRunMatchesSerial pins tail reallocation: a pool that
 // refuses the first several polls and then grants workers forces the engine
 // to grow its worker set at a compute-window boundary mid-run. The result
 // must still match the serial engine byte for byte, the growth must actually
 // happen (granted > 0), and every granted lease must be returned. Covered
-// with stealing on and off (growth recomputes static shard splits) and from
-// a one-worker start (a pool-equipped run uses the parallel engine even at
-// IntraRunWorkers=1 so it can absorb grants).
+// from a two-worker and a one-worker start (a pool-equipped run uses the
+// parallel engine even at IntraRunWorkers=1 so it can absorb grants).
 func TestWorkerGrowthMidRunMatchesSerial(t *testing.T) {
 	for _, bench := range []string{"hotspot", "bfs"} {
 		k := kernels.MustBenchmark(bench).Scale(0.08)
@@ -133,20 +97,17 @@ func TestWorkerGrowthMidRunMatchesSerial(t *testing.T) {
 		scfg.IntraRunWorkers = 1
 		wantRep, wantProbe, _ := runDigests(t, scfg, k)
 		for _, tc := range []struct {
-			name     string
-			workers  int
-			stealOff bool
-			refuse   int
-			tokens   int
+			name    string
+			workers int
+			refuse  int
+			tokens  int
 		}{
-			{"grow-2to4-steal", 2, false, 5, 8},
-			{"grow-2to4-static", 2, true, 5, 8},
-			{"grow-1to4-steal", 1, false, 3, 8},
-			{"late-grow", 2, false, 40, 8},
+			{"grow-2to4", 2, 5, 8},
+			{"grow-1to4", 1, 3, 8},
+			{"late-grow", 2, 40, 8},
 		} {
 			cfg := scfg
 			cfg.IntraRunWorkers = tc.workers
-			cfg.DisableShardSteal = tc.stealOff
 			pool := newCountdownPool(tc.refuse, tc.tokens)
 			gotRep, gotProbe := poolDigests(t, cfg, k, pool)
 			if !sameReport(wantRep, gotRep) {
