@@ -27,17 +27,13 @@ race:
 # off) gates the intra-run scaling curve — `make bench-short FLOOR=1.5`
 # exits 1 if 2 workers don't reach a 1.5x speedup. On single-core hosts the
 # gate cannot be measured: it logs the reason to stderr and exits 3, so CI
-# can tell a skipped gate from a passed (0) or failed (1) one. MAKESPAN
-# (default 0 = off) gates the adaptive-vs-static full-matrix wall time the
-# same way — `make bench-short FLOOR=1.5 MAKESPAN=1.2` — enforced at >= 4
-# cores, informational at 2-3, exit 3 below 2.
+# can tell a skipped gate from a passed (0) or failed (1) one.
 FLOOR ?= 0
-MAKESPAN ?= 0
 bench:
-	$(GO) run ./cmd/warpedgates bench -sms 6 -scale 0.25 -floor $(FLOOR) -makespan-floor $(MAKESPAN) -out BENCH_sim.json
+	$(GO) run ./cmd/warpedgates bench -sms 6 -scale 0.25 -floor $(FLOOR) -out BENCH_sim.json
 
 bench-short:
-	$(GO) run ./cmd/warpedgates bench -sms 2 -scale 0.1 -floor $(FLOOR) -makespan-floor $(MAKESPAN) -out BENCH_sim.json
+	$(GO) run ./cmd/warpedgates bench -sms 2 -scale 0.1 -floor $(FLOOR) -out BENCH_sim.json
 
 # Regenerate the committed cost-model calibration table. Deterministic: a
 # diff against the committed file means the simulator's cycle counts moved

@@ -78,18 +78,14 @@ type benchReport struct {
 	// anchors the speedups.
 	MemBanksScaling []memBanksPoint `json:"mem_banks_scaling,omitempty"`
 
-	// Makespan times the full benchmark × technique matrix through the
-	// job-level runner twice — static split vs the adaptive two-level
-	// schedule (cost-model LPT + tail worker reallocation) — on fresh
-	// runners, so it measures scheduling, not caching. Speedup is
-	// static_ms/adaptive_ms; interpret against "gomaxprocs" (a single-core
-	// host can only measure scheduling overhead).
+	// Makespan is the full benchmark × technique matrix's wall time through
+	// the job-level runner (LPT admission, fixed budget split) on a fresh
+	// runner, so it measures simulation and scheduling, not caching.
+	// Interpret it against "gomaxprocs".
 	Makespan struct {
 		Jobs       int     `json:"jobs"`
 		JobWorkers int     `json:"job_workers"`
-		StaticMS   float64 `json:"static_ms"`
-		AdaptiveMS float64 `json:"adaptive_ms"`
-		Speedup    float64 `json:"speedup"`
+		MS         float64 `json:"ms"`
 	} `json:"makespan"`
 
 	Totals struct {
@@ -118,7 +114,6 @@ func cmdBench(args []string) error {
 	workers := addWorkersFlag(fs)
 	out := fs.String("out", "BENCH_sim.json", "output JSON path")
 	floor := fs.Float64("floor", 0, "minimum intra-run speedup at 2 workers; exit nonzero below it (0 disables; exit 3 on single-core hosts that cannot measure it)")
-	makespanFloor := fs.Float64("makespan-floor", 0, "minimum adaptive-vs-static matrix makespan speedup; enforced at >=4 cores, informational at 2-3, exit 3 on single-core hosts (0 disables)")
 	calibrate := fs.String("calibrate", "", "write the cost-model calibration table to this file and exit (canonical path: internal/core/costdata.json)")
 	storeDir := addStoreFlag(fs)
 	prof := addProfileFlags(fs)
@@ -300,47 +295,27 @@ func cmdBench(args []string) error {
 		rep.MemBanksScaling = append(rep.MemBanksScaling, pt)
 	}
 
-	// Makespan: the full matrix through the job-level runner, static split
-	// vs adaptive two-level scheduling. Fresh runner per mode (empty cache,
-	// no store) so both time real simulation; IntraRunWorkers=1 gives the
-	// static mode the widest job-level split, and under adaptive the lease
-	// pool grows tail runs beyond it.
-	runMatrix := func(mode core.SchedMode) (float64, error) {
-		mb := base
-		mb.IntraRunWorkers = 1
-		r := core.NewRunner(mb)
-		r.Scale = *scale
-		r.Sched = mode
-		jobs := make([]core.Job, 0, len(kernels.BenchmarkNames)*len(techs))
-		for _, bench := range kernels.BenchmarkNames {
-			for _, tech := range techs {
-				jobs = append(jobs, core.Job{Bench: bench, Cfg: tech.Apply(mb)})
-			}
+	// Makespan: the full matrix through the job-level runner on a fresh
+	// runner (empty cache, no store), so it times real simulation;
+	// IntraRunWorkers=1 gives the widest job-level split.
+	mb := base
+	mb.IntraRunWorkers = 1
+	mr := core.NewRunner(mb)
+	mr.Scale = *scale
+	jobs := make([]core.Job, 0, len(kernels.BenchmarkNames)*len(techs))
+	for _, bench := range kernels.BenchmarkNames {
+		for _, tech := range techs {
+			jobs = append(jobs, core.Job{Bench: bench, Cfg: tech.Apply(mb)})
 		}
-		runtime.GC()
-		t0 := time.Now()
-		if _, err := r.RunMany(jobs); err != nil {
-			return 0, err
-		}
-		return float64(time.Since(t0).Nanoseconds()) / 1e6, nil
 	}
-	rep.Makespan.Jobs = len(kernels.BenchmarkNames) * len(techs)
-	rep.Makespan.JobWorkers = rep.GOMAXPROCS
-	if rep.Makespan.JobWorkers > rep.Makespan.Jobs {
-		rep.Makespan.JobWorkers = rep.Makespan.Jobs
-	}
-	staticMS, err := runMatrix(core.SchedStatic)
-	if err != nil {
+	rep.Makespan.Jobs = len(jobs)
+	rep.Makespan.JobWorkers = min(core.JobWorkers(0, mb), len(jobs))
+	runtime.GC()
+	t0 := time.Now()
+	if _, err := mr.RunMany(jobs); err != nil {
 		return err
 	}
-	adaptiveMS, err := runMatrix(core.SchedAdaptive)
-	if err != nil {
-		return err
-	}
-	rep.Makespan.StaticMS, rep.Makespan.AdaptiveMS = staticMS, adaptiveMS
-	if rep.Makespan.AdaptiveMS > 0 {
-		rep.Makespan.Speedup = rep.Makespan.StaticMS / rep.Makespan.AdaptiveMS
-	}
+	rep.Makespan.MS = float64(time.Since(t0).Nanoseconds()) / 1e6
 
 	// Steady-state hot-loop cost: a busy SM under the full proposal. Ten
 	// retire-ring revolutions of warmup let the event arena reach its
@@ -382,13 +357,10 @@ func cmdBench(args []string) error {
 		fmt.Printf(" b%d=%.2fx", pt.Banks, pt.Speedup)
 	}
 	fmt.Println()
-	fmt.Printf("makespan (%d jobs, %d job workers): static %.0f ms, adaptive %.0f ms, speedup %.2fx\n",
-		rep.Makespan.Jobs, rep.Makespan.JobWorkers, rep.Makespan.StaticMS, rep.Makespan.AdaptiveMS, rep.Makespan.Speedup)
+	fmt.Printf("makespan (%d jobs, %d job workers): %.0f ms\n",
+		rep.Makespan.Jobs, rep.Makespan.JobWorkers, rep.Makespan.MS)
 	fmt.Printf("wrote %s (%d cells)\n", *out, len(rep.Cells))
-	if err := checkScalingFloor(&rep, *floor); err != nil {
-		return err
-	}
-	return checkMakespanFloor(&rep, *makespanFloor)
+	return checkScalingFloor(&rep, *floor)
 }
 
 // writeCalibration regenerates the committed cost-model calibration table by
@@ -447,39 +419,4 @@ func checkScalingFloor(rep *benchReport, floor float64) error {
 		return nil
 	}
 	return fmt.Errorf("bench: -floor %.2f set but the scaling curve has no 2-worker point", floor)
-}
-
-// checkMakespanFloor enforces the -makespan-floor gate: adaptive scheduling
-// must beat the static split on full-matrix wall time by the given factor.
-// The 20% target assumes enough cores for both job-level parallelism and a
-// tail to reallocate, so the gate self-scales: below 2 cores it skips with
-// errFloorSkipped (exit 3) exactly like the scaling-floor gate, at 2-3 cores
-// it reports the measurement without enforcing (the tail is too short to
-// guarantee the target), and at >=4 cores it fails hard below the floor.
-// WARPEDGATES_FORCE_FLOOR=1 promotes every tier to hard enforcement.
-func checkMakespanFloor(rep *benchReport, floor float64) error {
-	if floor <= 0 {
-		return nil
-	}
-	forced := os.Getenv("WARPEDGATES_FORCE_FLOOR") == "1"
-	m := rep.Makespan
-	if rep.GOMAXPROCS < 2 && !forced {
-		fmt.Fprintf(os.Stderr, "bench: -makespan-floor %.2f skipped — GOMAXPROCS=%d cannot run jobs in parallel\n",
-			floor, rep.GOMAXPROCS)
-		return fmt.Errorf("%w: GOMAXPROCS=%d < 2, cannot measure makespan scheduling", errFloorSkipped, rep.GOMAXPROCS)
-	}
-	if m.StaticMS <= 0 || m.AdaptiveMS <= 0 {
-		return fmt.Errorf("bench: -makespan-floor %.2f set but the makespan section was not measured", floor)
-	}
-	if rep.GOMAXPROCS < 4 && !forced {
-		fmt.Printf("makespan gate: %.2fx at %d cores — informational only, enforced at >=4 cores (floor %.2fx)\n",
-			m.Speedup, rep.GOMAXPROCS, floor)
-		return nil
-	}
-	if m.Speedup < floor {
-		return fmt.Errorf("bench: adaptive makespan speedup is %.2fx, below the %.2fx floor (static %.0f ms, adaptive %.0f ms)",
-			m.Speedup, floor, m.StaticMS, m.AdaptiveMS)
-	}
-	fmt.Printf("makespan gate: %.2fx >= %.2fx\n", m.Speedup, floor)
-	return nil
 }

@@ -107,9 +107,9 @@ func cmdBenchcmp(args []string) error {
 		name string
 		rep  *benchReport
 	}{{args[0], oldRep}, {args[1], newRep}} {
-		if m := which.rep.Makespan; m.StaticMS > 0 && m.AdaptiveMS > 0 {
-			fmt.Printf("makespan in %s (%d cores): static %.0f ms, adaptive %.0f ms, %.2fx\n",
-				which.name, which.rep.GOMAXPROCS, m.StaticMS, m.AdaptiveMS, m.Speedup)
+		if m := which.rep.Makespan; m.MS > 0 {
+			fmt.Printf("makespan in %s (%d cores, %d jobs): %.0f ms\n",
+				which.name, which.rep.GOMAXPROCS, m.Jobs, m.MS)
 		}
 	}
 	fmt.Printf("compared %d cells\n", matched)

@@ -20,13 +20,8 @@ func cmdCompare(args []string) error {
 	scale := fs.Float64("scale", 1.0, "workload scale factor")
 	jobs := fs.Int("j", 0, "max concurrent simulations (0 = all cores)")
 	workers := addWorkersFlag(fs)
-	schedFlag := addSchedFlag(fs)
 	storeDir := addStoreFlag(fs)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	sched, err := core.ParseSchedMode(*schedFlag)
-	if err != nil {
 		return err
 	}
 	cfg := config.GTX480()
@@ -35,7 +30,6 @@ func cmdCompare(args []string) error {
 	r := core.NewRunner(cfg)
 	r.Scale = *scale
 	r.Parallelism = *jobs
-	r.Sched = sched
 	st, err := attachStore(r, *storeDir)
 	if err != nil {
 		return err

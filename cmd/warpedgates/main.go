@@ -113,20 +113,20 @@ func exitCode(err error) int {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   warpedgates list
-  warpedgates run -bench <name> -tech <technique> [-sms N] [-scale F] [-j N] [-workers N] [-sched MODE] [-store DIR]
-  warpedgates figure -id <figure|all> [-sms N] [-scale F] [-j N] [-workers N] [-sched MODE] [-csv DIR] [-store DIR] [-v]
+  warpedgates run -bench <name> -tech <technique> [-sms N] [-scale F] [-j N] [-workers N] [-store DIR]
+  warpedgates figure -id <figure|all> [-sms N] [-scale F] [-j N] [-workers N] [-csv DIR] [-store DIR] [-v]
   warpedgates trace -bench <name> -tech <technique> [-from C] [-cycles N]
-  warpedgates verify [-sms N] [-scale F] [-j N] [-workers N] [-sched MODE] [-bench <name>] [-tech <technique>] [-store DIR] [-v]
+  warpedgates verify [-sms N] [-scale F] [-j N] [-workers N] [-bench <name>] [-tech <technique>] [-store DIR] [-v]
   warpedgates bench [-sms N] [-scale F] [-workers N] [-out BENCH_sim.json] [-store DIR]
-                    [-floor X] [-makespan-floor X] [-calibrate FILE]
+                    [-floor X] [-calibrate FILE]
   warpedgates benchcmp OLD.json NEW.json
   warpedgates benchcmp -history DIR [-regress PCT]
-  warpedgates characterize [-sms N] [-scale F] [-j N] [-workers N] [-sched MODE] [-store DIR]
-  warpedgates compare [-sms N] [-scale F] [-j N] [-workers N] [-sched MODE] [-store DIR]
+  warpedgates characterize [-sms N] [-scale F] [-j N] [-workers N] [-store DIR]
+  warpedgates compare [-sms N] [-scale F] [-j N] [-workers N] [-store DIR]
   warpedgates sweep [-spec FILE] [-benches a,b] [-techniques a,b] [-sms 4,8]
                     [-scales 1,2] [-seeds 0,1] [-idle-detects N,M] [-break-evens N,M]
                     [-wakeup-delays N,M] [-sample detail/period] [-shard i/n]
-                    [-j N] [-workers N] [-sched MODE] [-store DIR] [-out REPORT.json] [-n] [-v]
+                    [-j N] [-workers N] [-store DIR] [-out REPORT.json] [-n] [-v]
   warpedgates store verify -store DIR
 
 -j bounds the simulation worker pool (0, the default, uses every core);
@@ -134,14 +134,11 @@ figure regeneration is deterministic at any -j. -workers sets how many
 goroutines step SMs inside each simulation (default 1; results are
 bit-identical at any value — the runner shrinks its -j budget so jobs x
 workers stays within -j).
--sched picks the job-level schedule: adaptive (default) orders jobs by the
-calibrated cost model, longest first, and grants drained workers' budget to
-still-running simulations; static keeps submission order and a fixed split.
-Both produce byte-identical reports — scheduling is a wall-clock knob.
+Batches dispatch longest-predicted job first, by the committed cost table;
+the order is a wall-clock matter only.
 `+"`bench -calibrate FILE`"+` regenerates the committed cost table
 (internal/core/costdata.json) and must produce no diff on an unchanged
-simulator. bench -makespan-floor gates adaptive-vs-static matrix wall time
-(enforced at >=4 cores, informational at 2-3, exit 3 on single-core).
+simulator.
 -store DIR persists every report in a crash-safe checksummed on-disk store;
 later runs at any -j/-workers serve byte-identical results from it without
 simulating. `+"`store verify`"+` scrubs a store (checksums every entry,
@@ -161,17 +158,6 @@ exit codes: 0 success; 1 error; 2 usage; 3 bench -floor gate skipped
 func addWorkersFlag(fs *flag.FlagSet) *int {
 	return fs.Int("workers", 1,
 		"goroutines stepping SMs inside each simulation (1 = serial engine; identical results at any value)")
-}
-
-// addSchedFlag registers the shared -sched flag selecting the runner's job
-// scheduling mode. Adaptive (the default) orders jobs longest-predicted-first
-// by the calibrated cost model and hands drained workers' budget to
-// still-running simulations as extra intra-run workers; static keeps
-// submission order and a fixed split. Scheduling never changes results, so
-// output is byte-identical either way.
-func addSchedFlag(fs *flag.FlagSet) *string {
-	return fs.String("sched", "adaptive",
-		"job scheduling: adaptive (cost-model LPT + tail worker reallocation) or static (submission order, fixed split); identical output either way")
 }
 
 func cmdList() error {
@@ -201,7 +187,6 @@ func cmdRun(args []string) error {
 	scale := fs.Float64("scale", 1.0, "workload scale factor")
 	jobs := fs.Int("j", 0, "max concurrent simulations (0 = all cores)")
 	workers := addWorkersFlag(fs)
-	schedFlag := addSchedFlag(fs)
 	storeDir := addStoreFlag(fs)
 	prof := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -215,17 +200,12 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	sched, err := core.ParseSchedMode(*schedFlag)
-	if err != nil {
-		return err
-	}
 	cfg := config.GTX480()
 	cfg.NumSMs = *sms
 	cfg.IntraRunWorkers = *workers
 	r := core.NewRunner(cfg)
 	r.Scale = *scale
 	r.Parallelism = *jobs
-	r.Sched = sched
 	st, err := attachStore(r, *storeDir)
 	if err != nil {
 		return err
@@ -258,7 +238,6 @@ func cmdFigure(args []string) error {
 	scale := fs.Float64("scale", 1.0, "workload scale factor")
 	jobs := fs.Int("j", 0, "max concurrent simulations (0 = all cores)")
 	workers := addWorkersFlag(fs)
-	schedFlag := addSchedFlag(fs)
 	verbose := fs.Bool("v", false, "print progress")
 	csvDir := fs.String("csv", "", "also write each figure as CSV into this directory")
 	storeDir := addStoreFlag(fs)
@@ -270,10 +249,6 @@ func cmdFigure(args []string) error {
 		return err
 	}
 	defer prof.stop()
-	sched, err := core.ParseSchedMode(*schedFlag)
-	if err != nil {
-		return err
-	}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			return err
@@ -285,7 +260,6 @@ func cmdFigure(args []string) error {
 	r := core.NewRunner(cfg)
 	r.Scale = *scale
 	r.Parallelism = *jobs
-	r.Sched = sched
 	st, err := attachStore(r, *storeDir)
 	if err != nil {
 		return err

@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"warpedgates/internal/config"
-	"warpedgates/internal/core"
 	"warpedgates/internal/store"
 	"warpedgates/internal/sweep"
 )
@@ -34,7 +33,6 @@ func cmdSweep(args []string) error {
 	shard := fs.String("shard", "", "run only shard i/n of the sorted job-key space, e.g. 0/4")
 	jobs := fs.Int("j", 0, "max concurrent cells (0 = all cores)")
 	workers := addWorkersFlag(fs)
-	schedFlag := addSchedFlag(fs)
 	storeDir := addStoreFlag(fs)
 	out := fs.String("out", "", "write the full sweep report as JSON to this file")
 	verbose := fs.Bool("v", false, "print per-cell progress")
@@ -130,15 +128,10 @@ func cmdSweep(args []string) error {
 			return err
 		}
 	}
-	sched, err := core.ParseSchedMode(*schedFlag)
-	if err != nil {
-		return err
-	}
 	eng := &sweep.Engine{
 		Base:        base,
 		Store:       st,
 		Parallelism: *jobs,
-		Sched:       sched,
 	}
 	if *verbose {
 		eng.Progress = func(done, total int, res sweep.CellResult) {

@@ -30,7 +30,6 @@ func cmdVerify(args []string) error {
 	scale := fs.Float64("scale", 1.0, "workload scale factor")
 	jobs := fs.Int("j", 0, "max concurrent simulations (0 = all cores)")
 	workers := addWorkersFlag(fs)
-	schedFlag := addSchedFlag(fs)
 	bench := fs.String("bench", "", "verify a single benchmark (default: all)")
 	tech := fs.String("tech", "", "verify a single technique (default: all)")
 	verbose := fs.Bool("v", false, "print progress")
@@ -43,10 +42,6 @@ func cmdVerify(args []string) error {
 		return err
 	}
 	defer prof.stop()
-	sched, err := core.ParseSchedMode(*schedFlag)
-	if err != nil {
-		return err
-	}
 
 	benches := kernels.BenchmarkNames
 	if *bench != "" {
@@ -70,7 +65,6 @@ func cmdVerify(args []string) error {
 	r := core.NewRunner(cfg)
 	r.Scale = *scale
 	r.Parallelism = *jobs
-	r.Sched = sched
 	// The checked pass deliberately runs without the store attached: a store
 	// hit bypasses instrumentation, so pre-existing entries would silently
 	// skip invariant checking. Every cell simulates fresh here; the store

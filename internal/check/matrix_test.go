@@ -91,29 +91,28 @@ func TestCheckedMatrixIntraRunWorkers(t *testing.T) {
 	t.Logf("verified %d parallel-engine simulations, %d invariant evaluations", runs, checks)
 }
 
-// TestCheckedMatrixAdaptiveSched runs the full matrix as one batch under the
-// adaptive two-level schedule — cost-model LPT order, a lease pool seeded so
-// running simulations absorb drained workers' budget mid-run, work-stealing
-// SM shards — with the invariant checker attached, and requires every report
-// to fingerprint identical to a static serial runner's. Under `go test -race`
-// this is the data-race acceptance gate for tail reallocation and stealing.
-func TestCheckedMatrixAdaptiveSched(t *testing.T) {
+// TestCheckedMatrixWorkerShapes runs the full matrix as one batch through
+// the job schedule — LPT dispatch on four job-level workers, each simulation
+// on the phase-split engine with one worker per SM and work-stealing SM
+// claims — with the invariant checker attached, and requires every report to
+// fingerprint identical to a serial runner's (Parallelism=1, serial engine).
+// Under `go test -race` this is the data-race acceptance gate for concurrent
+// jobs running concurrent engines.
+func TestCheckedMatrixWorkerShapes(t *testing.T) {
 	base := config.Small()
 	base.IntraRunWorkers = base.NumSMs
 	var sum check.Summary
 	r := checkedRunner(base, matrixScale, &sum)
 	r.Parallelism = 4
-	r.Sched = core.SchedAdaptive
 	serial := checkedRunner(config.Small(), matrixScale, nil)
 	serial.Parallelism = 1
-	serial.Sched = core.SchedStatic
 	jobs := make([]core.Job, 0, len(kernels.BenchmarkNames)*len(core.AllTechniques()))
 	for _, b := range kernels.BenchmarkNames {
 		for _, tech := range core.AllTechniques() {
 			jobs = append(jobs, core.Job{Bench: b, Cfg: tech.Apply(base)})
 		}
 	}
-	adaptive, err := r.RunMany(jobs)
+	got, err := r.RunMany(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +126,10 @@ func TestCheckedMatrixAdaptiveSched(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range jobs {
-		fa, fs := core.FingerprintReport(adaptive[i]), core.FingerprintReport(want[i])
-		if fa != fs {
-			t.Errorf("%s/%s-%s: adaptive schedule diverged:\n  static serial: %s\n  adaptive:      %s",
-				jobs[i].Bench, jobs[i].Cfg.Scheduler, jobs[i].Cfg.Gating, fs, fa)
+		fg, fs := core.FingerprintReport(got[i]), core.FingerprintReport(want[i])
+		if fg != fs {
+			t.Errorf("%s/%s-%s: -j 4 -workers %d diverged:\n  serial: %s\n  got:    %s",
+				jobs[i].Bench, jobs[i].Cfg.Scheduler, jobs[i].Cfg.Gating, base.IntraRunWorkers, fs, fg)
 		}
 	}
 	runs, checks := sum.Snapshot()
@@ -140,7 +139,7 @@ func TestCheckedMatrixAdaptiveSched(t *testing.T) {
 	if checks == 0 {
 		t.Fatal("checker performed zero invariant evaluations")
 	}
-	t.Logf("verified %d adaptive-schedule simulations, %d invariant evaluations", runs, checks)
+	t.Logf("verified %d -j 4 simulations, %d invariant evaluations", runs, checks)
 }
 
 // TestMetamorphicSeedDeterminism: the same configuration simulated twice on

@@ -5,23 +5,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
-	"time"
 
 	"warpedgates/internal/config"
 	"warpedgates/internal/kernels"
 )
 
-// The cost model behind the makespan-aware scheduler: a per-job wall-time
-// prediction keyed by (bench, sms, scale, sampling), used only to *order* and
-// *provision* work (LPT admission, tail reallocation) — never to change what
-// a job computes, so a wrong prediction costs wall time, not correctness.
+// The cost model behind the job schedule: a per-job cost prediction keyed by
+// (bench, sms, scale, sampling), used only to *order* work (LPT admission) —
+// never to change what a job computes, so a wrong prediction costs wall
+// time, not correctness.
 //
-// Predictions are seeded from a committed calibration table (costdata.json,
+// Predictions come from a committed calibration table (costdata.json,
 // regenerated deterministically by `warpedgates bench -calibrate`): the
 // device cycles each benchmark runs at one reference point. Device cycles are
-// deterministic, so the table is reproducible on any machine; the machine-
-// dependent part — nanoseconds per predicted unit — is learned online as a
-// per-benchmark EWMA from completed simulations.
+// deterministic, so the table — and with it the dispatch order — is the same
+// on any machine and for every batch of a process.
 
 // Calibration reference point. The committed table is measured at this
 // geometry and scale; predictions extrapolate linearly from it. Two SMs keeps
@@ -30,11 +28,6 @@ const (
 	CalCostSMS   = 2
 	CalCostScale = 0.1
 )
-
-// costEWMAAlpha weights the newest wall-time observation; 0.3 converges
-// within a few repeats of a bench while riding out scheduler noise from
-// concurrent jobs sharing the machine.
-const costEWMAAlpha = 0.3
 
 // CostCell is one benchmark's calibration measurement at the reference point.
 type CostCell struct {
@@ -98,9 +91,8 @@ var (
 	defaultCost     *CostModel
 )
 
-// DefaultCostModel returns the process-wide model seeded from the committed
-// calibration table. Runners without an explicit Cost share it, so wall-time
-// observations from one matrix refine the next one's ordering.
+// DefaultCostModel returns the process-wide model over the committed
+// calibration table, decoded on first use.
 func DefaultCostModel() *CostModel {
 	defaultCostOnce.Do(func() {
 		var t CostTable
@@ -114,21 +106,16 @@ func DefaultCostModel() *CostModel {
 	return defaultCost
 }
 
-// CostModel predicts per-job wall time. Safe for concurrent use.
+// CostModel predicts per-job cost. It is immutable once built, so it is safe
+// for concurrent use.
 type CostModel struct {
 	calSMS   float64
 	calScale float64
-
-	mu sync.Mutex
 	// base is the calibration prior: reference-point device cycles per bench.
 	base map[string]float64
 	// mean is the prior for benches absent from the table, so ordering stays
 	// total even for workloads the committed table predates.
 	mean float64
-	// factor is the learned ns-per-predicted-unit EWMA per bench (1.0 until
-	// the first observation; relative order is all LPT needs, so the unitless
-	// start is harmless).
-	factor map[string]float64
 }
 
 // NewCostModel builds a model over a calibration table.
@@ -137,7 +124,6 @@ func NewCostModel(t *CostTable) *CostModel {
 		calSMS:   float64(t.SMS),
 		calScale: t.Scale,
 		base:     make(map[string]float64, len(t.Cells)),
-		factor:   make(map[string]float64),
 		mean:     1,
 	}
 	if m.calSMS <= 0 {
@@ -157,17 +143,16 @@ func NewCostModel(t *CostTable) *CostModel {
 	return m
 }
 
-// prior extrapolates the calibration cycles to the job's geometry: work
+// Predict extrapolates the calibration cycles to the job's geometry: work
 // scales with the kernel scale (iterations and CTAs) and with the SM count
 // (CTAsPerSM is per-SM, so a bigger array carries proportionally more work);
-// a sampled run simulates roughly its detail fraction of the cycles.
-func (m *CostModel) prior(bench string, cfg config.Config, scale float64) float64 {
-	m.mu.Lock()
+// a sampled run simulates roughly its detail fraction of the cycles. The unit
+// is calibration cycles — relative order is all LPT needs.
+func (m *CostModel) Predict(bench string, cfg config.Config, scale float64) float64 {
 	cycles, ok := m.base[bench]
 	if !ok {
 		cycles = m.mean
 	}
-	m.mu.Unlock()
 	p := cycles * (scale / m.calScale) * (float64(cfg.NumSMs) / m.calSMS)
 	if cfg.Sampling() {
 		frac := float64(cfg.SampleDetailCycles) / float64(cfg.SamplePeriod)
@@ -177,35 +162,4 @@ func (m *CostModel) prior(bench string, cfg config.Config, scale float64) float6
 		p *= frac
 	}
 	return p
-}
-
-// Predict estimates the job's wall cost. The unit is nanoseconds once the
-// bench has been observed, and calibration units before that; either way the
-// scale is consistent per bench, which is all ordering and reallocation need.
-func (m *CostModel) Predict(bench string, cfg config.Config, scale float64) float64 {
-	p := m.prior(bench, cfg, scale)
-	m.mu.Lock()
-	if f, ok := m.factor[bench]; ok {
-		p *= f
-	}
-	m.mu.Unlock()
-	return p
-}
-
-// Observe folds one completed simulation's measured wall time into the
-// bench's EWMA correction factor. Wall times under concurrency include
-// contention — that is the point: the model predicts cost on the machine as
-// it is actually loaded.
-func (m *CostModel) Observe(bench string, cfg config.Config, scale float64, wall time.Duration) {
-	p := m.prior(bench, cfg, scale)
-	if p <= 0 || wall <= 0 {
-		return
-	}
-	f := float64(wall.Nanoseconds()) / p
-	m.mu.Lock()
-	if prev, ok := m.factor[bench]; ok {
-		f = costEWMAAlpha*f + (1-costEWMAAlpha)*prev
-	}
-	m.factor[bench] = f
-	m.mu.Unlock()
 }

@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"warpedgates/internal/config"
+	"warpedgates/internal/kernels"
 	"warpedgates/internal/sim"
 	"warpedgates/internal/store"
 )
@@ -119,6 +121,54 @@ func TestRunManyCtxCancelDrainsWorkers(t *testing.T) {
 	if n := r.CacheSize(); n != 0 {
 		t.Fatalf("canceled batch left %d cache entries", n)
 	}
+}
+
+// settleGoroutines waits, up to a short deadline, for the goroutine count to
+// fall back to base, and fails with every live stack if it does not.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines live, started with %d:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestRunManyCancelLeaksNoGoroutines: cancellation leaks no goroutines —
+// neither the dispatcher, job workers and phase-split engine workers of a
+// RunManyCtx canceled mid-batch, nor the engine workers of a canceled
+// phase-split GPU.RunCtx.
+func TestRunManyCancelLeaksNoGoroutines(t *testing.T) {
+	t.Run("RunManyCtx", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		r := slowRunner(2)
+		r.Parallelism = 2
+		jobs := techniqueJobs(r.Base, []string{"hotspot", "bfs", "kmeans", "srad"}, WarpedGates)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+		defer cancel()
+		if reps, err := r.RunManyCtx(ctx, jobs); reps != nil || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("RunManyCtx = %v, %v; want nil slice and context.DeadlineExceeded", reps, err)
+		}
+		settleGoroutines(t, base)
+	})
+	t.Run("GPU.RunCtx", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		cfg := config.Small()
+		cfg.IntraRunWorkers = 2
+		gpu, err := sim.NewGPU(cfg, kernels.MustBenchmark("hotspot").Scale(50))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+		defer cancel()
+		if rep, err := gpu.RunCtx(ctx); rep != nil || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("RunCtx = %v, %v; want nil and context.DeadlineExceeded", rep, err)
+		}
+		settleGoroutines(t, base)
+	})
 }
 
 // TestRunManyErrorAbortsSlowSiblings: a failing job does not just win the

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
-	"runtime"
 	"sync"
 
 	"warpedgates/internal/config"
@@ -30,35 +28,6 @@ func techniqueJobs(base config.Config, benches []string, techs ...Technique) []J
 	return jobs
 }
 
-// budget returns the total core budget: -j when set, GOMAXPROCS otherwise.
-func (r *Runner) budget() int {
-	w := r.Parallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	return w
-}
-
-// workers returns the effective job-level worker-pool bound. When the base
-// configuration runs each simulation on several goroutines
-// (Base.IntraRunWorkers > 1), the job budget shrinks so that
-// jobs × intra-run workers stays within the -j budget: the two axes multiply,
-// and oversubscribing cores makes both slower. The divisor is the *effective*
-// intra-run worker count — the engine clamps IntraRunWorkers to NumSMs, so
-// dividing by the raw knob would starve the job pool for goroutines that
-// never exist (e.g. -j 8 with IntraRunWorkers=64 on a 2-SM machine must
-// yield 4 job workers, not 1).
-func (r *Runner) workers() int {
-	w := r.budget()
-	if iw := r.Base.EffectiveIntraRunWorkers(); iw > 1 {
-		w /= iw
-		if w < 1 {
-			w = 1
-		}
-	}
-	return w
-}
-
 // RunMany simulates every job on a bounded worker pool; it is RunManyCtx
 // under a background context.
 func (r *Runner) RunMany(jobs []Job) ([]*sim.Report, error) {
@@ -71,14 +40,10 @@ func (r *Runner) RunMany(jobs []Job) ([]*sim.Report, error) {
 // Results are positional, so output assembled from them is identical to a
 // serial loop over jobs.
 //
-// Under SchedAdaptive (the default) the dispatcher admits jobs in LPT order —
-// longest predicted first, by the cost model — and the budget is elastic at
-// the tail: surplus cores the batch could not use as job-level workers seed a
-// WorkerLeases pool, each worker returns its share when the queue drains, and
-// still-running simulations absorb the tokens as extra intra-run workers at
-// their next epoch boundary. Neither mechanism can change a result: results
-// are positional, jobs deterministic at any worker count. SchedStatic keeps
-// submission order and a fixed split.
+// The dispatcher admits jobs in LPT order — longest predicted first, by the
+// committed calibration table (see LPTOrder) — onto a fixed budget split
+// (see JobWorkers). The order cannot change a result: results are
+// positional, jobs deterministic at any worker count.
 //
 // Cancellation and failure share one mechanism: the job context. The first
 // job error cancels it with that error as the cause, which stops the
@@ -88,7 +53,7 @@ func (r *Runner) RunMany(jobs []Job) ([]*sim.Report, error) {
 // has drained, with a nil slice and the first-cause error.
 func (r *Runner) RunManyCtx(ctx context.Context, jobs []Job) ([]*sim.Report, error) {
 	out := make([]*sim.Report, len(jobs))
-	workers := r.workers()
+	workers := JobWorkers(r.Parallelism, r.Base)
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
@@ -103,34 +68,9 @@ func (r *Runner) RunManyCtx(ctx context.Context, jobs []Job) ([]*sim.Report, err
 		return out, nil
 	}
 
-	order := make([]int, len(jobs))
-	for i := range order {
-		order[i] = i
-	}
-	var leases *WorkerLeases
-	iw := r.Base.EffectiveIntraRunWorkers()
-	if r.Sched == SchedAdaptive {
-		cost := r.costModel()
-		pred := make([]float64, len(jobs))
-		for i, j := range jobs {
-			// A job that will fail its cheap validation (unknown benchmark,
-			// invalid config) sorts ahead of everything: LPT must not bury a
-			// doomed job behind long simulations, or the batch's fail-fast
-			// guarantee becomes fail-after-the-longest-cell. The job still
-			// runs normally — this only restores its dispatch position.
-			if _, err := kernels.Benchmark(j.Bench); err != nil {
-				pred[i] = math.Inf(1)
-			} else if err := j.Cfg.Validate(); err != nil {
-				pred[i] = math.Inf(1)
-			} else {
-				pred[i] = cost.Predict(j.Bench, j.Cfg, r.Scale)
-			}
-		}
-		order = lptOrder(pred)
-		leases = NewWorkerLeases(r.budget() - workers*iw)
-		ctx = WithWorkerLeases(ctx, leases)
-	}
-
+	order := LPTOrder(len(jobs), func(i int) (string, config.Config, float64) {
+		return jobs[i].Bench, jobs[i].Cfg, r.Scale
+	})
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
 	next := make(chan int)
@@ -149,11 +89,6 @@ func (r *Runner) RunManyCtx(ctx context.Context, jobs []Job) ([]*sim.Report, err
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if leases != nil {
-				// The worker's budget share outlives it as lease tokens for
-				// the jobs still running (tail reallocation).
-				defer leases.Release(iw)
-			}
 			for i := range next {
 				rep, err := r.RunCfgCtx(ctx, jobs[i].Bench, jobs[i].Cfg)
 				if err != nil {

@@ -73,18 +73,6 @@ type Runner struct {
 	// entry points, so the hook must be safe for concurrent use — attach
 	// per-run state (e.g. one check.Checker per GPU), never share probes.
 	Instrument Instrumenter
-	// Sched selects how RunMany/RunAllParallel/Prefetch order and provision
-	// jobs: SchedAdaptive (the zero value) applies the cost model's LPT
-	// admission order and lends drained workers' budget to still-running
-	// simulations; SchedStatic keeps submission order and a fixed split.
-	// Scheduling never changes results (jobs are deterministic, outputs
-	// positional), only wall time, so the mode is not part of any cache key.
-	Sched SchedMode
-	// Cost, when non-nil, overrides the cost model the adaptive schedule
-	// orders jobs by. Nil uses the process-wide DefaultCostModel, seeded from
-	// the committed calibration table and refined by every runner's measured
-	// wall times.
-	Cost *CostModel
 
 	mu    sync.Mutex
 	cache map[runKey]*cacheEntry
@@ -347,14 +335,10 @@ func (r *Runner) resolve(ctx context.Context, bench string, cfg config.Config, k
 			// Treat as a miss; the fresh simulation's commit overwrites it.
 		}
 	}
-	start := time.Now()
 	rep, err := r.simulate(ctx, bench, cfg)
 	if err != nil {
 		return nil, err
 	}
-	// Only real simulations feed the cost model — store hits arrive in
-	// microseconds and would teach it that every job is free.
-	r.costModel().Observe(bench, cfg, r.Scale, time.Since(start))
 	if r.Store != nil {
 		if data, err := sim.EncodeReport(rep); err == nil {
 			// A failed Put is recorded in the store's health counters; the
@@ -388,13 +372,6 @@ func (r *Runner) simulate(ctx context.Context, bench string, cfg config.Config) 
 	gpu, err := sim.NewGPU(cfg, k)
 	if err != nil {
 		return nil, fmt.Errorf("core: building GPU for %s: %w", bench, err)
-	}
-	// A context carrying a worker-lease pool (planted by RunManyCtx under
-	// SchedAdaptive, or by an external driver) lets this run absorb idle
-	// budget as extra intra-run workers. Sampled runs ignore the pool — they
-	// must stay on the serial engine.
-	if p := workerLeasesFrom(ctx); p != nil {
-		gpu.SetWorkerPool(p)
 	}
 	var finish func(*sim.Report) error
 	if r.Instrument != nil {
@@ -474,15 +451,6 @@ func (r *Runner) Performance(bench string, t Technique) (float64, error) {
 		return 0, fmt.Errorf("core: %s under %s ran zero cycles", bench, t)
 	}
 	return float64(base.Cycles) / float64(rep.Cycles), nil
-}
-
-// costModel returns the model the adaptive schedule consults: the explicit
-// override, or the shared default.
-func (r *Runner) costModel() *CostModel {
-	if r.Cost != nil {
-		return r.Cost
-	}
-	return DefaultCostModel()
 }
 
 // CacheSize returns the number of memoized simulations, counting in-flight

@@ -1,122 +1,70 @@
 package core
 
 import (
-	"context"
-	"fmt"
+	"math"
+	"runtime"
 	"sort"
-	"sync/atomic"
 
-	"warpedgates/internal/sim"
+	"warpedgates/internal/config"
+	"warpedgates/internal/kernels"
 )
 
-// SchedMode selects how the runner's parallel entry points order and
-// provision jobs. Scheduling can never change a result — every job is
-// deterministic and results are positional — so the mode is not part of any
-// cache key; it trades wall time only.
-type SchedMode uint8
+// The job schedule shared by RunManyCtx and the sweep engine: a fixed split
+// of the core budget between job-level workers and intra-run workers, and
+// LPT admission — longest predicted first, by the committed calibration
+// table. Scheduling can never change a result (every job is deterministic
+// and results are positional), only wall time, so nothing about it is part
+// of any cache key.
 
-const (
-	// SchedAdaptive, the default, is the makespan-aware two-level schedule:
-	// jobs are admitted longest-predicted-first (LPT, by the cost model), and
-	// job-level workers that drain while others still run lend their budget
-	// to the running simulations as extra intra-run workers (tail
-	// reallocation, absorbed by the engine at epoch boundaries).
-	SchedAdaptive SchedMode = iota
-	// SchedStatic is the pre-cost-model behavior: submission order, fixed
-	// budget split, no reallocation.
-	SchedStatic
-)
-
-// String names the mode, lower-case to match the -sched flag values.
-func (m SchedMode) String() string {
-	switch m {
-	case SchedAdaptive:
-		return "adaptive"
-	case SchedStatic:
-		return "static"
-	default:
-		return fmt.Sprintf("SchedMode(%d)", uint8(m))
+// JobWorkers returns the job-level worker-pool bound for a batch run on
+// base under a parallelism budget (0 = GOMAXPROCS). When base runs each
+// simulation on several goroutines (IntraRunWorkers > 1), the job budget
+// shrinks so that jobs × intra-run workers stays within the budget: the two
+// axes multiply, and oversubscribing cores makes both slower. The divisor is
+// the *effective* intra-run worker count — the engine clamps IntraRunWorkers
+// to NumSMs, so dividing by the raw knob would starve the job pool for
+// goroutines that never exist (e.g. -j 8 with IntraRunWorkers=64 on a 2-SM
+// machine must yield 4 job workers, not 1).
+func JobWorkers(parallelism int, base config.Config) int {
+	w := parallelism
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
 	}
-}
-
-// ParseSchedMode parses a -sched flag value.
-func ParseSchedMode(s string) (SchedMode, error) {
-	switch s {
-	case "adaptive":
-		return SchedAdaptive, nil
-	case "static":
-		return SchedStatic, nil
-	}
-	return 0, fmt.Errorf("core: unknown sched mode %q (want adaptive or static)", s)
-}
-
-// WorkerLeases is a token pool implementing sim.WorkerPool: each token is one
-// core's worth of parallelism a drained job-level worker handed back. Running
-// simulations absorb tokens as extra intra-run workers at their next epoch
-// boundary and return them when they finish, so tokens migrate between jobs
-// until the whole batch drains. Safe for concurrent use.
-type WorkerLeases struct {
-	tokens atomic.Int64
-}
-
-// NewWorkerLeases builds a pool holding n initial tokens (surplus budget the
-// batch could not use as job-level workers, e.g. fewer jobs than cores).
-func NewWorkerLeases(n int) *WorkerLeases {
-	p := &WorkerLeases{}
-	if n > 0 {
-		p.tokens.Store(int64(n))
-	}
-	return p
-}
-
-// TryAcquire implements sim.WorkerPool.
-func (p *WorkerLeases) TryAcquire(max int) int {
-	for {
-		cur := p.tokens.Load()
-		if cur <= 0 || max <= 0 {
-			return 0
-		}
-		n := int64(max)
-		if n > cur {
-			n = cur
-		}
-		if p.tokens.CompareAndSwap(cur, cur-n) {
-			return int(n)
+	if iw := base.EffectiveIntraRunWorkers(); iw > 1 {
+		w /= iw
+		if w < 1 {
+			w = 1
 		}
 	}
+	return w
 }
 
-// Release implements sim.WorkerPool.
-func (p *WorkerLeases) Release(n int) {
-	if n > 0 {
-		p.tokens.Add(int64(n))
+// LPTOrder returns the indices of n jobs in LPT admission order, job(i)
+// naming the i'th job's benchmark, configuration and scale. Predictions come
+// from DefaultCostModel. A job that will fail its cheap validation (unknown
+// benchmark, invalid config) sorts ahead of everything: LPT must not bury a
+// doomed job behind long simulations, or a batch's fail-fast guarantee
+// becomes fail-after-the-longest-cell. The job still runs normally — this
+// only sets its dispatch position.
+func LPTOrder(n int, job func(i int) (bench string, cfg config.Config, scale float64)) []int {
+	cost := DefaultCostModel()
+	pred := make([]float64, n)
+	for i := range pred {
+		bench, cfg, scale := job(i)
+		if _, err := kernels.BenchmarkProfile(bench); err != nil {
+			pred[i] = math.Inf(1)
+		} else if err := cfg.Validate(); err != nil {
+			pred[i] = math.Inf(1)
+		} else {
+			pred[i] = cost.Predict(bench, cfg, scale)
+		}
 	}
+	return lptOrder(pred)
 }
 
-// Tokens returns the currently idle token count (for tests and diagnostics).
-func (p *WorkerLeases) Tokens() int { return int(p.tokens.Load()) }
-
-// leasesKey carries a *WorkerLeases through a job context into the runner's
-// simulate step, which installs it on the GPU.
-type leasesKey struct{}
-
-// WithWorkerLeases returns a context whose simulations may borrow extra
-// intra-run workers from the pool. RunManyCtx plants one automatically under
-// SchedAdaptive; external drivers (the sweep engine) share a pool across
-// their own worker sets the same way.
-func WithWorkerLeases(ctx context.Context, p *WorkerLeases) context.Context {
-	return context.WithValue(ctx, leasesKey{}, p)
-}
-
-// workerLeasesFrom extracts the pool, nil when absent.
-func workerLeasesFrom(ctx context.Context) *WorkerLeases {
-	p, _ := ctx.Value(leasesKey{}).(*WorkerLeases)
-	return p
-}
-
-// lptOrder returns job indices sorted by descending predicted cost — the LPT
-// admission order. The sort is stable, so equal predictions keep submission
-// order and the schedule is deterministic for a fixed model state.
+// lptOrder returns job indices sorted by descending predicted cost. The sort
+// is stable, so equal predictions keep submission order and the schedule is
+// deterministic.
 func lptOrder(pred []float64) []int {
 	order := make([]int, len(pred))
 	for i := range order {
@@ -127,6 +75,3 @@ func lptOrder(pred []float64) []int {
 	})
 	return order
 }
-
-// statically assert WorkerLeases satisfies the engine's pool contract.
-var _ sim.WorkerPool = (*WorkerLeases)(nil)

@@ -35,9 +35,7 @@ func TestWorkersBudgetSplit(t *testing.T) {
 		base := config.Small()
 		base.NumSMs = tc.sms
 		base.IntraRunWorkers = tc.iw
-		r := NewRunner(base)
-		r.Parallelism = tc.j
-		if got := r.workers(); got != tc.want {
+		if got := JobWorkers(tc.j, base); got != tc.want {
 			t.Errorf("workers(j=%d iw=%d sms=%d) = %d, want %d", tc.j, tc.iw, tc.sms, got, tc.want)
 		}
 	}
@@ -60,27 +58,17 @@ func TestLPTOrder(t *testing.T) {
 			t.Errorf("lptOrder(%v) = %v, want %v", tc.pred, got, tc.want)
 		}
 	}
-}
-
-// TestWorkerLeases pins the token-pool semantics: partial grants, exhaustion,
-// and release making tokens reusable.
-func TestWorkerLeases(t *testing.T) {
-	p := NewWorkerLeases(3)
-	if got := p.TryAcquire(2); got != 2 {
-		t.Fatalf("TryAcquire(2) = %d, want 2", got)
-	}
-	if got := p.TryAcquire(5); got != 1 {
-		t.Fatalf("TryAcquire(5) on 1 token = %d, want 1", got)
-	}
-	if got := p.TryAcquire(1); got != 0 {
-		t.Fatalf("TryAcquire on empty pool = %d, want 0", got)
-	}
-	p.Release(2)
-	if got := p.Tokens(); got != 2 {
-		t.Fatalf("Tokens after release = %d, want 2", got)
-	}
-	if got := NewWorkerLeases(-4).TryAcquire(1); got != 0 {
-		t.Fatalf("negative seed granted %d tokens, want 0", got)
+	// LPTOrder predicts from the committed table (lbm runs far longer than
+	// nw) and pins doomed jobs — unknown benchmark, invalid config — first.
+	cfg := config.Small()
+	bad := cfg
+	bad.NumSMs = 0
+	jobs := []Job{{"nw", cfg}, {"no-such-benchmark", cfg}, {"lbm", cfg}, {"nw", bad}}
+	got := LPTOrder(len(jobs), func(i int) (string, config.Config, float64) {
+		return jobs[i].Bench, jobs[i].Cfg, CalCostScale
+	})
+	if want := []int{1, 3, 2, 0}; !reflect.DeepEqual(got, want) {
+		t.Errorf("LPTOrder = %v, want %v", got, want)
 	}
 }
 
@@ -134,34 +122,6 @@ func TestCostModelPrior(t *testing.T) {
 	}
 }
 
-// TestCostModelObserve pins the EWMA refinement: one observation rescales the
-// bench's predictions to measured nanoseconds; repeated observations converge
-// toward the newest measurement without ever leaving other benches' scales.
-func TestCostModelObserve(t *testing.T) {
-	m := costTestModel()
-	cfg := config.Small()
-	cfg.NumSMs = CalCostSMS
-
-	m.Observe("short", cfg, CalCostScale, 5000*time.Nanosecond)
-	if got := m.Predict("short", cfg, CalCostScale); got != 5000 {
-		t.Fatalf("after one observation Predict = %g, want the measured 5000 ns", got)
-	}
-	if got := m.Predict("long", cfg, CalCostScale); got != 3000 {
-		t.Fatalf("observation of one bench leaked into another: long = %g, want 3000", got)
-	}
-	for i := 0; i < 40; i++ {
-		m.Observe("short", cfg, CalCostScale, 9000*time.Nanosecond)
-	}
-	if got := m.Predict("short", cfg, CalCostScale); math.Abs(got-9000) > 1 {
-		t.Fatalf("EWMA did not converge to the new regime: %g, want ~9000", got)
-	}
-	// Degenerate observations must not poison the model.
-	m.Observe("short", cfg, CalCostScale, 0)
-	if got := m.Predict("short", cfg, CalCostScale); math.Abs(got-9000) > 1 {
-		t.Fatalf("zero-wall observation changed the model: %g", got)
-	}
-}
-
 // TestCostTableCommittedFresh is the calibration acceptance check: running the
 // calibration reproduces the committed internal/core/costdata.json byte for
 // byte. A diff means either the encoder lost determinism or the simulator's
@@ -191,51 +151,51 @@ func TestCostTableCommittedFresh(t *testing.T) {
 	}
 }
 
-// schedRunner builds a fresh small-matrix runner in the given mode, with
-// intra-run workers so the adaptive path seeds a lease pool.
-func schedRunner(mode SchedMode, par, iw int) *Runner {
+// schedRunner builds a fresh small-matrix runner with the given job-level
+// and intra-run worker counts.
+func schedRunner(par, iw int) *Runner {
 	base := config.Small()
 	base.IntraRunWorkers = iw
 	r := NewRunner(base)
 	r.Scale = 0.2
 	r.Parallelism = par
-	r.Sched = mode
 	return r
 }
 
-// TestRunManyAdaptiveMatchesStatic is the tentpole's correctness contract at
-// the job level: the same batch run under the adaptive schedule (LPT order,
-// tail reallocation absorbing drained workers' budget mid-run) and under the
-// static split produces fingerprint-identical reports in identical positions.
-// Fresh runners per mode, so nothing is shared through a cache.
-func TestRunManyAdaptiveMatchesStatic(t *testing.T) {
+// TestRunManyWorkerShapesMatchSerial is the job schedule's correctness
+// contract: the same batch run at several job-level × intra-run worker
+// shapes (LPT dispatch, phase-split engine at iw > 1) produces
+// fingerprint-identical reports in identical positions to a serial loop
+// (Parallelism=1, serial engine). Fresh runners per shape, so nothing is
+// shared through a cache.
+func TestRunManyWorkerShapesMatchSerial(t *testing.T) {
 	jobs := techniqueJobs(config.Small(), kernels.BenchmarkNames, Baseline, WarpedGates)
-	static, err := schedRunner(SchedStatic, 4, 1).RunMany(jobs)
+	serial, err := schedRunner(1, 1).RunMany(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{2, 4, 8} {
-		adaptive, err := schedRunner(SchedAdaptive, par, 2).RunMany(jobs)
+	for _, tc := range []struct{ par, iw int }{{4, 1}, {2, 2}, {4, 2}, {8, 2}} {
+		got, err := schedRunner(tc.par, tc.iw).RunMany(jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(adaptive) != len(static) {
-			t.Fatalf("par=%d: %d reports, want %d", par, len(adaptive), len(static))
+		if len(got) != len(serial) {
+			t.Fatalf("-j %d -workers %d: %d reports, want %d", tc.par, tc.iw, len(got), len(serial))
 		}
 		for i := range jobs {
-			if f, g := FingerprintReport(static[i]), FingerprintReport(adaptive[i]); f != g {
-				t.Errorf("par=%d %s/%s: adaptive fingerprint diverged\nstatic:   %s\nadaptive: %s",
-					par, jobs[i].Bench, jobs[i].Cfg.Gating, f, g)
+			if f, g := FingerprintReport(serial[i]), FingerprintReport(got[i]); f != g {
+				t.Errorf("-j %d -workers %d %s/%s: fingerprint diverged\nserial: %s\ngot:    %s",
+					tc.par, tc.iw, jobs[i].Bench, jobs[i].Cfg.Gating, f, g)
 			}
 		}
 	}
 }
 
-// TestRunManyAdaptiveFailFast pins the doomed-job ordering: a job that cannot
-// pass validation sorts ahead of every simulation under LPT, so the batch
-// fails in milliseconds instead of after the longest cell.
-func TestRunManyAdaptiveFailFast(t *testing.T) {
-	r := schedRunner(SchedAdaptive, 4, 1)
+// TestRunManyFailFast pins the doomed-job ordering: a job that cannot pass
+// validation sorts ahead of every simulation under LPT, so the batch fails
+// in milliseconds instead of after the longest cell.
+func TestRunManyFailFast(t *testing.T) {
+	r := schedRunner(4, 1)
 	jobs := techniqueJobs(config.Small(), kernels.BenchmarkNames, Baseline)
 	jobs = append(jobs, Job{Bench: "no-such-benchmark", Cfg: Baseline.Apply(r.Base)})
 	t0 := time.Now()
@@ -252,40 +212,40 @@ func TestRunManyAdaptiveFailFast(t *testing.T) {
 }
 
 // TestGoldenMatrixSchedStable is the byte-stability acceptance check for the
-// scheduler: the full 108-cell corpus renders identically under the static
-// split and the adaptive schedule (which reorders dispatch and grows workers
-// at the tail). The committed corpus itself is pinned by
-// TestGoldenMatrixCorpus; this proves the mode cannot move a byte.
+// job schedule: the full 108-cell corpus renders identically at several
+// job-level × intra-run worker shapes (LPT dispatch, phase-split engine) and
+// serially (Parallelism=1, serial engine). The committed corpus itself is
+// pinned by TestGoldenMatrixCorpus; this proves the worker shape cannot move
+// a byte.
 func TestGoldenMatrixSchedStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repeated full matrices are slow; skipped with -short")
 	}
-	corpus := func(mode SchedMode, par, iw int) string {
+	corpus := func(par, iw int) string {
 		base := config.Small()
 		base.IntraRunWorkers = iw
 		r := NewRunner(base)
 		r.Scale = goldenMatrixScale
 		r.Parallelism = par
-		r.Sched = mode
 		got, err := goldenCorpus(r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return got
 	}
-	want := corpus(SchedStatic, 1, 1)
+	want := corpus(1, 1)
 	for _, tc := range []struct{ par, iw int }{{8, 1}, {4, 2}, {3, 2}} {
-		got := corpus(SchedAdaptive, tc.par, tc.iw)
+		got := corpus(tc.par, tc.iw)
 		if got == want {
 			continue
 		}
 		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if gl[i] != wl[i] {
-				t.Fatalf("adaptive(-j %d -workers %d) corpus drifted; first diff at line %d:\n  static:   %s\n  adaptive: %s",
+				t.Fatalf("-j %d -workers %d corpus drifted; first diff at line %d:\n  serial: %s\n  got:    %s",
 					tc.par, tc.iw, i+1, wl[i], gl[i])
 			}
 		}
-		t.Fatalf("adaptive(-j %d -workers %d) corpus drifted: length mismatch", tc.par, tc.iw)
+		t.Fatalf("-j %d -workers %d corpus drifted: length mismatch", tc.par, tc.iw)
 	}
 }

@@ -13,16 +13,15 @@ import (
 // and no cache or store answers a cell. There is one sub-benchmark per
 // technique, each iteration simulating its 18 cells on one worker (the
 // serial engine), and a PhaseSplit sub-benchmark that runs all 108 cells
-// through RunMany on two workers under the adaptive schedule: its lease pool
-// routes every cell through the phase-split engine, as in sweeps, the
-// service and the repository benchmark. Each reports host ns per simulated
-// SM-cycle. The names are stable, so hot-loop changes compare in seconds:
+// through RunMany with IntraRunWorkers=2 under a budget of two, so every cell
+// runs on the phase-split engine at two workers, one cell at a time. Each
+// reports host ns per simulated SM-cycle. The names are stable, so hot-loop
+// changes compare in seconds:
 //
 //	make bench-cells > new.txt   # on each commit
 //	benchstat old.txt new.txt
 func BenchmarkSmallCells(b *testing.B) {
-	base := config.Small()
-	run := func(b *testing.B, jobs []Job, workers int) {
+	run := func(b *testing.B, base config.Config, jobs []Job, workers int) {
 		var smCycles int64
 		for i := 0; i < b.N; i++ {
 			r := NewRunner(base)
@@ -38,10 +37,13 @@ func BenchmarkSmallCells(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(smCycles), "ns/SM-cycle")
 	}
+	base := config.Small()
 	for _, tech := range AllTechniques() {
 		jobs := techniqueJobs(base, kernels.BenchmarkNames, tech)
-		b.Run(tech.String(), func(b *testing.B) { run(b, jobs, 1) })
+		b.Run(tech.String(), func(b *testing.B) { run(b, base, jobs, 1) })
 	}
-	all := techniqueJobs(base, kernels.BenchmarkNames, AllTechniques()...)
-	b.Run("PhaseSplit", func(b *testing.B) { run(b, all, 2) })
+	split := base
+	split.IntraRunWorkers = 2
+	all := techniqueJobs(split, kernels.BenchmarkNames, AllTechniques()...)
+	b.Run("PhaseSplit", func(b *testing.B) { run(b, split, all, 2) })
 }

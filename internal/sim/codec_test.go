@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"testing"
 
 	"warpedgates/internal/config"
@@ -72,4 +73,47 @@ func TestReportCodecRejectsForeignVersion(t *testing.T) {
 	if _, err := DecodeReport(nil); err == nil {
 		t.Fatal("empty payload accepted")
 	}
+}
+
+// FuzzDecodeReport feeds DecodeReport arbitrary bytes — the durable store
+// hands it whatever a disk returned. It must never panic, and whatever it
+// accepts must re-encode idempotently: encode, decode and encode again gives
+// the same bytes, so a decoded report can be committed back to the store
+// without drifting.
+func FuzzDecodeReport(f *testing.F) {
+	// A tiny run: fuzz workers execute this set-up under coverage
+	// instrumentation, where simulation is slow.
+	gpu, err := NewGPU(config.Small(), kernels.MustBenchmark("hotspot").Scale(0.01))
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, err := EncodeReport(gpu.Run())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add(data[:len(data)/2])
+	f.Add([]byte(`{"version":1,"report":{}}`))
+	f.Add([]byte(`{"version":1,"report":null}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rep, err := DecodeReport(data)
+		if err != nil {
+			return
+		}
+		first, err := EncodeReport(rep)
+		if err != nil {
+			t.Fatalf("decoded report does not re-encode: %v", err)
+		}
+		again, err := DecodeReport(first)
+		if err != nil {
+			t.Fatalf("re-encoded report does not decode: %v", err)
+		}
+		second, err := EncodeReport(again)
+		if err != nil {
+			t.Fatalf("second encode failed: %v", err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("re-encoding is not idempotent:\n first  %s\n second %s", first, second)
+		}
+	})
 }

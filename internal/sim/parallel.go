@@ -58,18 +58,6 @@ import (
 // return value never depends on memory resolution, and everything resolution
 // patches is only read by a later step — plus the bank partition's exactness
 // (see mem.GPUMem) and the frontier ordering rule above.
-//
-// Worker growth. A run handed a WorkerPool (GPU.SetWorkerPool) may gain
-// workers while it runs: each time the coordinator opens a compute window it
-// polls the pool, and for every lease granted it spawns a joiner goroutine
-// parameterized with the epoch value that opens the window. The joiner spins
-// until the epoch reaches that value and then enters the normal worker loop,
-// so it participates in exactly the phases the incremented worker count
-// expects — the barrier count and the worker population change atomically at
-// one epoch boundary, never mid-phase. Growth re-partitions claim order and
-// bank ranges only; like stealing it cannot move any op's resolve cycle, so
-// results stay byte-identical at any allocation history. Leases are returned
-// to the pool when the run exits.
 
 // windowCycles bounds how many device cycles workers may step their SMs past
 // the frontier between arbitration points when no SM has a staged device
@@ -117,14 +105,8 @@ type parRun struct {
 	ctxDone  <-chan struct{}
 	canceled bool
 
-	// workers is the current worker population. It is written only inside the
-	// coordinator section (growth) but read in the barrier hot path by every
-	// worker, concurrently with that write, so it is atomic.
-	workers    atomic.Int32
-	maxWorkers int32      // growth ceiling: len(g.sms)
-	pool       WorkerPool // nil = fixed allocation
-	acquired   int        // pool leases held, returned after the run
-	wg         *sync.WaitGroup
+	// workers is the worker population, fixed for the run.
+	workers int32
 
 	maxCycles int64
 	nBanks    int
@@ -167,31 +149,19 @@ func (g *GPU) runParallel(ctx context.Context, workers int) (*Report, error) {
 	}
 	var canceled bool
 	if live > 0 {
-		maxW := len(g.sms)
 		pr := &parRun{
-			g:          g,
-			ctxDone:    ctx.Done(),
-			maxWorkers: int32(maxW),
-			pool:       g.pool,
-			maxCycles:  int64(g.cfg.MaxCycles),
-			nBanks:     g.gmem.NumBanks(),
-			shards:     make([]shardResult, maxW),
-			pos:        make([]int64, len(g.sms)),
-			pendingAt:  make([]int64, len(g.sms)),
-			needFinal:  make([]bool, len(g.sms)),
-			live:       live,
-			maxDrain:   -1,
+			g:         g,
+			ctxDone:   ctx.Done(),
+			workers:   int32(workers),
+			maxCycles: int64(g.cfg.MaxCycles),
+			nBanks:    g.gmem.NumBanks(),
+			shards:    make([]shardResult, workers),
+			pos:       make([]int64, len(g.sms)),
+			pendingAt: make([]int64, len(g.sms)),
+			needFinal: make([]bool, len(g.sms)),
+			live:      live,
+			maxDrain:  -1,
 		}
-		// A pool may top the allocation up before the first window too: jobs
-		// admitted when the job queue is already shorter than the worker
-		// budget start with the surplus instead of waiting for a boundary.
-		if pr.pool != nil && workers < maxW {
-			if got := pr.pool.TryAcquire(maxW - workers); got > 0 {
-				pr.acquired += got
-				workers += got
-			}
-		}
-		pr.workers.Store(int32(workers))
 		for i := range g.sms {
 			pr.pos[i] = g.cycle
 			pr.pendingAt[i] = -1
@@ -201,20 +171,15 @@ func (g *GPU) runParallel(ctx context.Context, workers int) (*Report, error) {
 			pr.winEnd = pr.maxCycles
 		}
 		var wg sync.WaitGroup
-		pr.wg = &wg
-		start := pr.epoch.Load()
 		for w := 1; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				pr.worker(w, start)
+				pr.worker(w)
 			}(w)
 		}
-		pr.worker(0, start)
+		pr.worker(0)
 		wg.Wait()
-		if pr.pool != nil && pr.acquired > 0 {
-			pr.pool.Release(pr.acquired)
-		}
 		canceled = pr.canceled
 	}
 	for _, sm := range g.sms {
@@ -234,20 +199,20 @@ func (g *GPU) runParallel(ctx context.Context, workers int) (*Report, error) {
 // bank range [w*B/W, (w+1)*B/W) in arbitration phases. The last worker to
 // arrive at the barrier runs the coordinator section and releases the others
 // by advancing the epoch. sentinel is the epoch value that opened the
-// worker's first phase: 0 for the initial population, the joining epoch for
-// workers a pool grew in later. The bank range is recomputed per phase
-// because growth changes W at epoch boundaries.
-func (pr *parRun) worker(w int, sentinel uint32) {
+// worker's current phase; the run starts at epoch 0.
+func (pr *parRun) worker(w int) {
+	W := int(pr.workers)
+	bankLo, bankHi := w*pr.nBanks/W, (w+1)*pr.nBanks/W
+	var sentinel uint32
 	for {
 		if pr.op == opCompute {
 			pr.compute(w)
 		} else {
-			W := int(pr.workers.Load())
-			for b := w * pr.nBanks / W; b < (w+1)*pr.nBanks/W; b++ {
+			for b := bankLo; b < bankHi; b++ {
 				mem.ResolveBank(pr.resolvePorts, b)
 			}
 		}
-		if pr.arrived.Add(1) == pr.workers.Load() {
+		if pr.arrived.Add(1) == pr.workers {
 			pr.advance()
 			pr.arrived.Store(0)
 			pr.epoch.Add(1)
@@ -263,19 +228,6 @@ func (pr *parRun) worker(w int, sentinel uint32) {
 			return
 		}
 	}
-}
-
-// join is the entry point of a worker the coordinator grew in mid-run: it
-// waits for the epoch that opens the compute window it was hired for, then
-// runs the normal loop.
-func (pr *parRun) join(w int, start uint32) {
-	defer pr.wg.Done()
-	for spins := 0; pr.epoch.Load() != start; spins++ {
-		if spins >= spinYield {
-			runtime.Gosched()
-		}
-	}
-	pr.worker(w, start)
 }
 
 // compute steps SMs through the current window, claimed one at a time from
@@ -450,26 +402,6 @@ func (pr *parRun) advance() {
 		}
 		if pr.maxCycles > 0 && end > pr.maxCycles {
 			end = pr.maxCycles
-		}
-		// A compute window is about to open: this is the only point worker
-		// growth happens. Lease whatever the pool can spare up to the SM
-		// count, spawn the joiners parameterized with the epoch that opens
-		// this window, and publish the bigger population — the joiners enter
-		// exactly when the current workers do, so the barrier count and the
-		// worker set change together at one epoch boundary.
-		if pr.pool != nil {
-			if room := int(pr.maxWorkers - pr.workers.Load()); room > 0 {
-				if got := pr.pool.TryAcquire(room); got > 0 {
-					pr.acquired += got
-					w0 := int(pr.workers.Load())
-					start := pr.epoch.Load() + 1
-					for k := 0; k < got; k++ {
-						pr.wg.Add(1)
-						go pr.join(w0+k, start)
-					}
-					pr.workers.Store(int32(w0 + got))
-				}
-			}
 		}
 		pr.claim.Store(0)
 		pr.winEnd = end

@@ -186,7 +186,10 @@ func (h *Histogram) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes a histogram produced by MarshalJSON, replacing h's
-// contents and recomputing every derived aggregate.
+// contents and recomputing every derived aggregate. Values must be strictly
+// ascending, as MarshalJSON writes them: a repeated value would merge counts
+// that can wrap to zero, which the encoder would then write as a payload
+// this decoder rejects.
 func (h *Histogram) UnmarshalJSON(data []byte) error {
 	var dec histogramJSON
 	if err := json.Unmarshal(data, &dec); err != nil {
@@ -199,6 +202,9 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 	for i, v := range dec.Values {
 		if v < 0 {
 			return fmt.Errorf("stats: histogram decode: negative value %d", v)
+		}
+		if i > 0 && v <= dec.Values[i-1] {
+			return fmt.Errorf("stats: histogram decode: value %d after %d, want strictly ascending", v, dec.Values[i-1])
 		}
 		if dec.Counts[i] == 0 {
 			return fmt.Errorf("stats: histogram decode: zero count for value %d", v)

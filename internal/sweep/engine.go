@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -31,13 +30,6 @@ type Engine struct {
 	Parallelism int
 	// MaxWallTime is the per-cell watchdog, passed to the runners.
 	MaxWallTime time.Duration
-	// Sched selects the cell scheduling mode, passed to the runners and
-	// applied to the engine's own cell pool: adaptive (the zero value) admits
-	// cells longest-predicted-first and lends drained workers' budget to
-	// still-running cells as extra intra-run workers; static keeps expansion
-	// order and a fixed split. Either way the report rows are sorted by
-	// canonical key, so sweep output is byte-identical across modes.
-	Sched core.SchedMode
 	// Progress, when non-nil, is called after each cell completes (from
 	// worker goroutines — must be safe for concurrent use).
 	Progress func(done, total int, res CellResult)
@@ -107,7 +99,6 @@ func (e *Engine) runner(scale float64) *core.Runner {
 	r.Store = e.Store
 	r.Parallelism = e.Parallelism
 	r.MaxWallTime = e.MaxWallTime
-	r.Sched = e.Sched
 	r.Progress = func(string, config.Config) { e.sims.Add(1) }
 	e.runners[scale] = r
 	return r
@@ -147,49 +138,19 @@ func (e *Engine) RunCells(ctx context.Context, cells []Cell) (*Report, error) {
 	results := make([]CellResult, len(cells))
 	var done atomic.Int64
 
-	budget := e.Parallelism
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	workers := budget
-	// Divide by the *effective* intra-run worker count (the engine clamps
-	// IntraRunWorkers to NumSMs), mirroring Runner.workers: the raw knob can
-	// exceed the goroutines that will ever exist and must not starve the
-	// cell pool.
-	iw := e.Base.EffectiveIntraRunWorkers()
-	if iw > 1 {
-		workers /= iw
-		if workers < 1 {
-			workers = 1
-		}
-	}
+	// The job schedule of core.RunManyCtx: a fixed budget split and LPT
+	// admission. Report rows are key-sorted, so the order cannot change
+	// output bytes.
+	workers := core.JobWorkers(e.Parallelism, e.Base)
 	if workers > len(cells) {
 		workers = len(cells)
 	}
 	if workers < 1 {
 		workers = 1
 	}
-
-	// Adaptive scheduling, as in core.RunManyCtx: LPT admission by predicted
-	// cost, and an elastic tail — surplus budget plus every drained worker's
-	// share becomes lease tokens that still-running cells absorb as extra
-	// intra-run workers. Report rows are key-sorted, so the mode cannot
-	// change output bytes.
-	order := make([]int, len(cells))
-	for i := range order {
-		order[i] = i
-	}
-	var leases *core.WorkerLeases
-	if e.Sched == core.SchedAdaptive && workers > 1 {
-		cost := core.DefaultCostModel()
-		pred := make([]float64, len(cells))
-		for i, c := range cells {
-			pred[i] = cost.Predict(c.Bench, c.Config(e.Base), c.Scale)
-		}
-		sort.SliceStable(order, func(a, b int) bool { return pred[order[a]] > pred[order[b]] })
-		leases = core.NewWorkerLeases(budget - workers*iw)
-		ctx = core.WithWorkerLeases(ctx, leases)
-	}
+	order := core.LPTOrder(len(cells), func(i int) (string, config.Config, float64) {
+		return cells[i].Bench, cells[i].Config(e.Base), cells[i].Scale
+	})
 
 	next := make(chan int)
 	go func() {
@@ -207,9 +168,6 @@ func (e *Engine) RunCells(ctx context.Context, cells []Cell) (*Report, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if leases != nil {
-				defer leases.Release(iw)
-			}
 			for i := range next {
 				results[i] = e.runCell(ctx, cells[i])
 				if e.Progress != nil {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"warpedgates/internal/config"
-	"warpedgates/internal/core"
 	"warpedgates/internal/store"
 )
 
@@ -97,43 +96,42 @@ func TestSweepEndToEndStoreDedup(t *testing.T) {
 		rep2.WallTime.Round(time.Millisecond), rep2.StoreHits)
 }
 
-// TestSweepSchedModesIdentical is the scheduler acceptance check at sweep
-// scale: the full 864-cell grid produces row-for-row identical reports under
-// the static split and the adaptive two-level schedule at several worker
-// shapes (including intra-run workers, which under adaptive seed a lease pool
-// that grows running cells mid-sweep). Cold engines, no store — every run
-// simulates everything — so equality is a property of the simulations, not a
-// shared cache.
-func TestSweepSchedModesIdentical(t *testing.T) {
+// TestSweepWorkerShapesIdentical is the job schedule's acceptance check at
+// sweep scale: the full 864-cell grid produces row-for-row identical reports
+// at several job-level × intra-run worker shapes (LPT dispatch, phase-split
+// engine at iw > 1) and serially (Parallelism=1, serial engine). Cold
+// engines, no store — every run simulates everything — so equality is a
+// property of the simulations, not a shared cache.
+func TestSweepWorkerShapesIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("hundreds of cells per mode; skipped with -short")
+		t.Skip("hundreds of cells per shape; skipped with -short")
 	}
-	run := func(sched core.SchedMode, par, iw int) *Report {
+	run := func(par, iw int) *Report {
 		base := sweepBase()
 		base.IntraRunWorkers = iw
-		e := &Engine{Base: base, Parallelism: par, Sched: sched}
+		e := &Engine{Base: base, Parallelism: par}
 		rep, err := e.Run(context.Background(), bigSpec(), 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rep.Failed > 0 {
-			t.Fatalf("%s par=%d iw=%d: %d cells failed", sched, par, iw, rep.Failed)
+			t.Fatalf("par=%d iw=%d: %d cells failed", par, iw, rep.Failed)
 		}
 		return rep
 	}
-	want := run(core.SchedStatic, 1, 1)
+	want := run(1, 1)
 	if want.Cells < 500 {
 		t.Fatalf("grid has %d cells, want >= 500", want.Cells)
 	}
 	for _, tc := range []struct{ par, iw int }{{4, 1}, {4, 2}, {8, sweepBase().NumSMs}} {
-		got := run(core.SchedAdaptive, tc.par, tc.iw)
+		got := run(tc.par, tc.iw)
 		if len(got.Results) != len(want.Results) {
-			t.Fatalf("adaptive par=%d iw=%d: %d rows, want %d", tc.par, tc.iw, len(got.Results), len(want.Results))
+			t.Fatalf("par=%d iw=%d: %d rows, want %d", tc.par, tc.iw, len(got.Results), len(want.Results))
 		}
 		for i := range want.Results {
 			a, b := want.Results[i], got.Results[i]
 			if a.Key != b.Key || a.Cycles != b.Cycles || a.Issued != b.Issued || a.Err != b.Err {
-				t.Fatalf("adaptive par=%d iw=%d row %d differs:\nstatic:   %+v\nadaptive: %+v",
+				t.Fatalf("par=%d iw=%d row %d differs:\nserial: %+v\ngot:    %+v",
 					tc.par, tc.iw, i, a, b)
 			}
 		}
