@@ -72,12 +72,6 @@ type benchReport struct {
 	// workers=1 point is the serial engine and anchors the speedups.
 	IntraRunScaling []scalingPoint `json:"intra_run_scaling"`
 
-	// MemBanksScaling varies the bank-sharded arbitration width on the same
-	// stepped run (fixed worker count): the multi-core tuning data the
-	// MemBanks default is judged against. The banks=1 point (unified model)
-	// anchors the speedups.
-	MemBanksScaling []memBanksPoint `json:"mem_banks_scaling,omitempty"`
-
 	// Makespan is the full benchmark × technique matrix's wall time through
 	// the job-level runner (LPT admission, fixed budget split) on a fresh
 	// runner, so it measures simulation and scheduling, not caching.
@@ -93,13 +87,6 @@ type benchReport struct {
 		SteppedMS     float64 `json:"stepped_ms"`
 		Speedup       float64 `json:"speedup"`
 	} `json:"totals"`
-}
-
-// memBanksPoint is one bank count on the arbitration-sharding curve.
-type memBanksPoint struct {
-	Banks   int     `json:"banks"`
-	WallMS  float64 `json:"wall_ms"`
-	Speedup float64 `json:"speedup"`
 }
 
 // cmdBench times the full benchmark × technique matrix serially (one
@@ -261,40 +248,6 @@ func cmdBench(args []string) error {
 		rep.IntraRunScaling = append(rep.IntraRunScaling, pt)
 	}
 
-	// Arbitration-sharding curve: the same stepped run at a fixed worker
-	// count, varying MemBanks across every power of two the GTX480 memory
-	// geometry admits. banks=1 is the unified model; the default
-	// (EffectiveMemBanks) should sit at or near the curve's minimum on a
-	// multi-core host.
-	banksWorkers := 4
-	if banksWorkers > *sms {
-		banksWorkers = *sms
-	}
-	var banks1MS float64
-	for _, b := range []int{1, 2, 4, 8} {
-		cfg := scaleCfg
-		cfg.IntraRunWorkers = banksWorkers
-		cfg.MemBanks = b
-		if err := cfg.Validate(); err != nil {
-			continue // geometry does not admit this bank count
-		}
-		runtime.GC()
-		t0 := time.Now()
-		gpu, err := sim.NewGPU(cfg, scaleKernel)
-		if err != nil {
-			return err
-		}
-		gpu.Run()
-		pt := memBanksPoint{Banks: b, WallMS: float64(time.Since(t0).Nanoseconds()) / 1e6}
-		if b == 1 {
-			banks1MS = pt.WallMS
-		}
-		if banks1MS > 0 && pt.WallMS > 0 {
-			pt.Speedup = banks1MS / pt.WallMS
-		}
-		rep.MemBanksScaling = append(rep.MemBanksScaling, pt)
-	}
-
 	// Makespan: the full matrix through the job-level runner on a fresh
 	// runner (empty cache, no store), so it times real simulation;
 	// IntraRunWorkers=1 gives the widest job-level split.
@@ -350,11 +303,6 @@ func cmdBench(args []string) error {
 	fmt.Printf("intra-run scaling (hotspot stepped, %d cores):", rep.GOMAXPROCS)
 	for _, pt := range rep.IntraRunScaling {
 		fmt.Printf(" w%d=%.2fx", pt.Workers, pt.Speedup)
-	}
-	fmt.Println()
-	fmt.Printf("mem-banks scaling (hotspot stepped, %d workers):", banksWorkers)
-	for _, pt := range rep.MemBanksScaling {
-		fmt.Printf(" b%d=%.2fx", pt.Banks, pt.Speedup)
 	}
 	fmt.Println()
 	fmt.Printf("makespan (%d jobs, %d job workers): %.0f ms\n",

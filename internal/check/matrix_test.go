@@ -50,17 +50,15 @@ func TestCheckedMatrix(t *testing.T) {
 
 // TestCheckedMatrixIntraRunWorkers re-runs the checked matrix with the
 // phase-split parallel engine stepping SMs on multiple goroutines
-// (IntraRunWorkers = NumSMs, one SM per worker), with a non-default bank
-// count so the windowed compute phases and the bank-sharded arbitration
-// phase both run under the checker. Every invariant must still hold — the
-// checker's per-SM shards see each SM's own stream, which the windows leave
-// untouched — and the reports must fingerprint identical to the serial
-// engine's. Under `go test -race` this is the
-// data-race acceptance gate for the parallel engine.
+// (IntraRunWorkers = NumSMs, one SM per worker), so the windowed compute
+// phases and the coordinator's arbitration both run under the checker. Every
+// invariant must still hold — the checker's per-SM shards see each SM's own
+// stream, which the windows leave untouched — and the reports must
+// fingerprint identical to the serial engine's. Under `go test -race` this
+// is the data-race acceptance gate for the parallel engine.
 func TestCheckedMatrixIntraRunWorkers(t *testing.T) {
 	base := config.Small()
 	base.IntraRunWorkers = base.NumSMs
-	base.MemBanks = 2
 	var sum check.Summary
 	r := checkedRunner(base, matrixScale, &sum)
 	serial := checkedRunner(config.Small(), matrixScale, nil)

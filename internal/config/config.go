@@ -122,8 +122,9 @@ type Config struct {
 	// IntraRunWorkers is the number of goroutines stepping the SM array
 	// within one simulation. 0 or 1 selects the serial engine; larger values
 	// select the phase-split parallel engine (bit-identical to serial — SMs
-	// compute in parallel against private state and the shared L2/DRAM sees
-	// staged requests in canonical SM-id order), clamped to NumSMs. The
+	// compute in parallel against private state, and at each barrier the
+	// coordinator applies their staged L2/DRAM requests to the one shared
+	// device in canonical SM-id order), clamped to NumSMs. The
 	// worker count never affects results, only wall-clock time, so it is
 	// excluded from the experiment runner's cache key.
 	IntraRunWorkers int
@@ -135,20 +136,6 @@ type Config struct {
 	// counters), so this knob exists only for equivalence testing and
 	// debugging; the zero value leaves them enabled.
 	DisableFastForward bool
-
-	// --- Intra-run parallel engine tuning ---
-	//
-	// MemBanks can never change a result, only wall-clock time; like
-	// IntraRunWorkers it is excluded from the experiment runner's cache key.
-
-	// MemBanks shards the device-level L2/DRAM arbitration by address bank
-	// (line % MemBanks) so the resolve phase itself runs on the workers.
-	// Must be a power of two dividing both L2Sets and DRAMSlots, which makes
-	// the per-bank caches and channel queues an exact partition of the
-	// unified model (identical set indexing, identical channel mapping) —
-	// the sharding is timing-invisible at any value. 0 selects the largest
-	// power of two <= 8 that divides both.
-	MemBanks int
 
 	// --- Interval-sampled simulation ---
 	//
@@ -219,21 +206,6 @@ func Small() Config {
 	return c
 }
 
-// EffectiveMemBanks resolves the MemBanks knob: the configured value, or the
-// largest power of two <= 8 that divides both L2Sets and DRAMSlots (falling
-// back to 1, which degenerates to the unified model).
-func (c *Config) EffectiveMemBanks() int {
-	if c.MemBanks > 0 {
-		return c.MemBanks
-	}
-	for b := 8; b > 1; b >>= 1 {
-		if c.L2Sets%b == 0 && c.DRAMSlots%b == 0 {
-			return b
-		}
-	}
-	return 1
-}
-
 // Sampling reports whether interval-sampled simulation is enabled.
 func (c *Config) Sampling() bool { return c.SampleDetailCycles > 0 }
 
@@ -281,12 +253,6 @@ func (c *Config) Validate() error {
 		check(c.MaxCycles >= 0, "MaxCycles must be non-negative, got %d", c.MaxCycles),
 		check(c.IntraRunWorkers >= 0, "IntraRunWorkers must be non-negative, got %d", c.IntraRunWorkers),
 		check(c.GATESMaxHold >= 0, "GATESMaxHold must be non-negative, got %d", c.GATESMaxHold),
-		check(c.MemBanks >= 0, "MemBanks must be non-negative, got %d", c.MemBanks),
-		check(c.MemBanks == 0 || c.MemBanks&(c.MemBanks-1) == 0,
-			"MemBanks must be a power of two, got %d", c.MemBanks),
-		check(c.MemBanks == 0 || (c.L2Sets%c.MemBanks == 0 && c.DRAMSlots%c.MemBanks == 0),
-			"MemBanks (%d) must divide L2Sets (%d) and DRAMSlots (%d) for an exact partition",
-			c.MemBanks, c.L2Sets, c.DRAMSlots),
 		check(c.SampleDetailCycles >= 0, "SampleDetailCycles must be non-negative, got %d", c.SampleDetailCycles),
 		check(c.SamplePeriod >= 0, "SamplePeriod must be non-negative, got %d", c.SamplePeriod),
 		check((c.SampleDetailCycles == 0) == (c.SamplePeriod == 0),

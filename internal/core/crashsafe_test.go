@@ -407,7 +407,7 @@ func TestRunnerStoreDecodeFailureIsMiss(t *testing.T) {
 }
 
 // TestJobKeyAxes pins which configuration axes key the durable store: engine
-// tuning knobs (worker count, banks, fast-forward) must NOT key — they are
+// tuning knobs (worker count, fast-forward) must NOT key — they are
 // result-invariant — while every result-determining axis MUST. The full key
 // string is pinned byte for byte: changing it moves every stored report.
 func TestJobKeyAxes(t *testing.T) {
@@ -420,7 +420,6 @@ func TestJobKeyAxes(t *testing.T) {
 
 	invariant := base
 	invariant.IntraRunWorkers = 7
-	invariant.MemBanks = 3
 	invariant.DisableFastForward = true
 	if got := JobKey("hotspot", invariant, 0.1); got != key {
 		t.Fatalf("engine-tuning axes leaked into the job key:\n %s\n %s", key, got)

@@ -122,12 +122,11 @@ type cacheEntry struct {
 	elem     *list.Element
 }
 
-// runKey identifies a unique simulation. IntraRunWorkers and MemBanks are
-// deliberately absent: the parallel engine is bit-identical to the serial one
-// at any worker or bank count, so runs that differ only in those share one
-// cache slot. SampleDetailCycles/SamplePeriod are present, because a sampled
-// report is an estimate, never interchangeable with the detailed run it
-// approximates.
+// runKey identifies a unique simulation. IntraRunWorkers is deliberately
+// absent: the parallel engine is bit-identical to the serial one at any
+// worker count, so runs that differ only in it share one cache slot.
+// SampleDetailCycles/SamplePeriod are present, because a sampled report is an
+// estimate, never interchangeable with the detailed run it approximates.
 type runKey struct {
 	bench        string
 	scheduler    config.SchedulerKind

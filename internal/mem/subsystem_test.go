@@ -174,46 +174,79 @@ func TestCanIssueGlobalDeduplicatesLines(t *testing.T) {
 	}
 }
 
+// TestStageResolveMatchesInlineAccess pins the contract the parallel
+// engine's arbitration is built on: staging a cycle's accesses on every port
+// and then resolving the ports in SM order gives exactly the timing and
+// statistics of issuing each access inline (GlobalAccess), port by port in
+// SM order, as the serial engine does.
 func TestStageResolveMatchesInlineAccess(t *testing.T) {
-	cfg := testCfg()
-	// Two ports against two identical devices: one issues inline, the other
-	// stages everything and resolves at the end of the "cycle". Timing and
-	// statistics must match exactly — this is the contract the parallel
-	// engine's arbitration phase is built on.
-	inline := NewSMPort(cfg, NewGPUMem(cfg))
-	staged := NewSMPort(cfg, NewGPUMem(cfg))
-	accesses := [][]Line{
-		{7},       // cold DRAM miss
-		{7},       // same-cycle merge with the staged entry
-		{8, 9, 8}, // fan-out with a duplicate
-		{1 << 41}, // different region
+	cases := []struct {
+		name  string
+		ports [][][]Line // per port (SM order), the accesses it issues at cycle 0
+	}{
+		{"one port", [][][]Line{{
+			{7},       // cold DRAM miss
+			{7},       // same-cycle merge with the staged entry
+			{8, 9, 8}, // fan-out with a duplicate
+			{1 << 41}, // different region
+		}}},
+		{"two ports in SM order", [][][]Line{
+			{{7}, {8, 9, 8}, {7}},
+			// The second SM hits lines the first one filled into the L2
+			// this cycle, and queues behind its DRAM requests.
+			{{9}, {7, 16}, {24}, {16}},
+		}},
 	}
-	var want []Result
-	for _, lines := range accesses {
-		want = append(want, inline.GlobalAccess(0, lines))
-	}
-	for _, lines := range accesses {
-		staged.StageGlobal(0, lines)
-	}
-	var got []Result
-	staged.ResolveStaged(func(i int, res Result) {
-		if i != len(got) {
-			t.Fatalf("resolve order: got index %d, want %d", i, len(got))
-		}
-		got = append(got, res)
-	})
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("access %d: inline %+v, staged %+v", i, want[i], got[i])
-		}
-	}
-	ia, im, _ := inline.MSHRStats()
-	sa, sm, _ := staged.MSHRStats()
-	if ia != sa || im != sm {
-		t.Fatalf("MSHR stats diverged: inline %d/%d staged %d/%d", ia, im, sa, sm)
-	}
-	if inline.Occupancy() != staged.Occupancy() {
-		t.Fatalf("occupancy diverged: %d vs %d", inline.Occupancy(), staged.Occupancy())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testCfg()
+			cfg.DRAMSlots = 8 // lines 8, 16 and 24 share a channel
+			inlineDev, stagedDev := NewGPUMem(cfg), NewGPUMem(cfg)
+			var inline, staged []*SMPort
+			for range tc.ports {
+				inline = append(inline, NewSMPort(cfg, inlineDev))
+				staged = append(staged, NewSMPort(cfg, stagedDev))
+			}
+			var want [][]Result
+			for i, accesses := range tc.ports {
+				var rs []Result
+				for _, lines := range accesses {
+					rs = append(rs, inline[i].GlobalAccess(0, lines))
+				}
+				want = append(want, rs)
+			}
+			for i, accesses := range tc.ports {
+				for _, lines := range accesses {
+					staged[i].StageGlobal(0, lines)
+				}
+			}
+			for i, p := range staged {
+				var got []Result
+				p.ResolveStaged(func(k int, res Result) {
+					if k != len(got) {
+						t.Fatalf("port %d resolve order: got index %d, want %d", i, k, len(got))
+					}
+					got = append(got, res)
+				})
+				if !slices.Equal(want[i], got) {
+					t.Fatalf("port %d: inline %+v, staged %+v", i, want[i], got)
+				}
+				ia, im, _ := inline[i].MSHRStats()
+				sa, sm, _ := p.MSHRStats()
+				if ia != sa || im != sm {
+					t.Fatalf("port %d MSHR stats diverged: inline %d/%d staged %d/%d", i, ia, im, sa, sm)
+				}
+				if inline[i].Occupancy() != p.Occupancy() {
+					t.Fatalf("port %d occupancy diverged: %d vs %d", i, inline[i].Occupancy(), p.Occupancy())
+				}
+			}
+			var wantDev, gotDev [4]uint64
+			wantDev[0], wantDev[1], wantDev[2], wantDev[3] = inlineDev.Stats()
+			gotDev[0], gotDev[1], gotDev[2], gotDev[3] = stagedDev.Stats()
+			if wantDev != gotDev {
+				t.Fatalf("device stats diverged: inline %v staged %v", wantDev, gotDev)
+			}
+		})
 	}
 }
 

@@ -49,6 +49,12 @@ func newTestServer(t *testing.T, mutate func(*Options)) (*Server, *httptest.Serv
 // smallJob is a sub-second benchmark × technique request on the test machine.
 const smallJob = `{"bench":"hotspot","technique":"WarpedGates","sms":2,"scale":0.05}`
 
+// padBody pads a valid JSON object body past maxRequestBytes with
+// whitespace after its opening brace, so only the size makes it illegal.
+func padBody(body string) string {
+	return "{" + strings.Repeat(" ", maxRequestBytes) + body[1:]
+}
+
 // doJSON issues one request and returns the response with its body read.
 func doJSON(t *testing.T, ts *httptest.Server, method, path, body string, header map[string]string) (*http.Response, string) {
 	t.Helper()
@@ -235,6 +241,29 @@ func TestAPITable(t *testing.T) {
 			body:       `{"bench":`,
 			wantStatus: http.StatusBadRequest,
 			wantBody:   []string{"malformed request body"},
+		},
+		{
+			name:       "trailing data after the body is 400",
+			method:     http.MethodPost,
+			path:       "/v1/jobs",
+			body:       smallJob + ` junk`,
+			wantStatus: http.StatusBadRequest,
+			wantBody:   []string{"trailing data"},
+		},
+		{
+			name:       "trailing whitespace is legal",
+			method:     http.MethodPost,
+			path:       "/v1/jobs",
+			body:       smallJob + "\n\t ",
+			wantStatus: http.StatusAccepted,
+		},
+		{
+			name:       "oversized body is 413",
+			method:     http.MethodPost,
+			path:       "/v1/jobs",
+			body:       padBody(smallJob),
+			wantStatus: http.StatusRequestEntityTooLarge,
+			wantBody:   []string{"request body exceeds"},
 		},
 		{
 			name:       "unknown job is 404",

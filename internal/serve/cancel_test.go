@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -33,11 +34,31 @@ func submitOne(t *testing.T, ts *httptest.Server, body string) JobStatus {
 	return st
 }
 
+// closeAndSettle shuts the service down — the HTTP front with its client
+// connections, then the server — and polls runtime.NumGoroutine back to
+// base, the count before the test built the server, as core's
+// TestRunManyCancelLeaksNoGoroutines does: a canceled job must leave no
+// simulation, watcher or timer goroutine behind.
+func closeAndSettle(t *testing.T, s *Server, ts *httptest.Server, base int) {
+	t.Helper()
+	ts.Close()
+	s.Close()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines live, started with %d:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestSSEDisconnectCancelsJob pins the stream-as-attachment semantics: a
 // watcher that opens an SSE stream on a running job and disconnects cancels
 // the job's context with ErrClientGone as the cause, and the terminal status
-// classifies it as error_kind "client_gone".
+// classifies it as error_kind "client_gone". No goroutine outlives it.
 func TestSSEDisconnectCancelsJob(t *testing.T) {
+	base := runtime.NumGoroutine()
 	s, ts := newTestServer(t, nil)
 	st := submitOne(t, ts, slowJob)
 	waitState(t, ts, st.ID, StateRunning)
@@ -101,6 +122,8 @@ func TestSSEDisconnectCancelsJob(t *testing.T) {
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Fatalf("report after cancellation: status %d, want 404", resp2.StatusCode)
 	}
+	resp.Body.Close()
+	closeAndSettle(t, s, ts, base)
 }
 
 // TestPollingNeverCancels is the counterpart: a polling client coming and
@@ -124,8 +147,10 @@ func TestPollingNeverCancels(t *testing.T) {
 
 // TestDeadlineSurfacesInStatus pins the per-job deadline path: a deadline_ms
 // far below the job's runtime fails the job with core.ErrDeadline as the
-// cause, surfaced in the terminal status JSON as error_kind "deadline".
+// cause, surfaced in the terminal status JSON as error_kind "deadline". No
+// goroutine outlives it.
 func TestDeadlineSurfacesInStatus(t *testing.T) {
+	base := runtime.NumGoroutine()
 	s, ts := newTestServer(t, nil)
 	st := submitOne(t, ts, `{"bench":"hotspot","technique":"WarpedGates","sms":2,"scale":50,"deadline_ms":100}`)
 	final := waitTerminal(t, ts, st.ID)
@@ -148,6 +173,7 @@ func TestDeadlineSurfacesInStatus(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("resubmission after deadline failure: status %d, body %s", resp.StatusCode, raw)
 	}
+	closeAndSettle(t, s, ts, base)
 }
 
 // TestMaxDeadlineClamp pins the server-side clamp: a request asking for more
@@ -168,8 +194,9 @@ func TestMaxDeadlineClamp(t *testing.T) {
 
 // TestDrainCancelsInFlight pins forced-drain semantics: when the drain grace
 // expires, in-flight jobs are canceled with ErrDraining and classified as
-// error_kind "draining".
+// error_kind "draining". No goroutine outlives it.
 func TestDrainCancelsInFlight(t *testing.T) {
+	base := runtime.NumGoroutine()
 	s, ts := newTestServer(t, nil)
 	st := submitOne(t, ts, slowJob)
 	waitState(t, ts, st.ID, StateRunning)
@@ -192,6 +219,7 @@ func TestDrainCancelsInFlight(t *testing.T) {
 	if st := j.status(); st.ErrorKind != "draining" {
 		t.Fatalf("error_kind = %q, want draining", st.ErrorKind)
 	}
+	closeAndSettle(t, s, ts, base)
 }
 
 // TestSSEStreamsToCompletion checks the happy-path stream: a fast job's

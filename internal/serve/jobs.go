@@ -321,10 +321,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed request body: %v", err)
+	if code, err := decodeRequest(w, r.Body, &req); err != nil {
+		writeError(w, code, "%v", err)
 		return
 	}
 	j, err := s.buildJob(&req)

@@ -25,6 +25,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -221,6 +222,37 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // writeError renders a JSON error envelope.
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
+}
+
+// maxRequestBytes bounds a submission body. The largest sweep a default
+// server admits — MaxSweepCells full-width seeds on one axis — encodes to
+// about 86 KB, a twelfth of it (TestRequestLimitFitsLargestSweep pins the
+// headroom).
+const maxRequestBytes = 1 << 20
+
+// decodeRequest strictly decodes a submission body into v: unknown fields,
+// a body over maxRequestBytes and anything but whitespace after the one JSON
+// value are all errors (json.Decoder alone would stop reading after the
+// first value). It returns the HTTP status the error maps to: 413 for an
+// oversized body, 400 otherwise. w may be nil outside a handler.
+func decodeRequest(w http.ResponseWriter, body io.ReadCloser, v any) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		var extra json.RawMessage
+		if err = dec.Decode(&extra); err == io.EOF {
+			return 0, nil
+		}
+		if !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("trailing data after the JSON value")
+		}
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)
+	}
+	return http.StatusBadRequest, fmt.Errorf("malformed request body: %w", err)
 }
 
 // handleHealthz is the liveness endpoint: 200 while serving, 503 while

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -160,10 +159,8 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed request body: %v", err)
+	if code, err := decodeRequest(w, r.Body, &req); err != nil {
+		writeError(w, code, "%v", err)
 		return
 	}
 	id, jobs, err := s.buildSweep(&req)

@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -9,6 +12,7 @@ import (
 	"time"
 
 	"warpedgates/internal/sim"
+	"warpedgates/internal/sweep"
 )
 
 // smallSweep expands to 4 sub-second cells on the test machine: 2 benches ×
@@ -163,6 +167,22 @@ func TestSweepValidationTable(t *testing.T) {
 			wantBody:   []string{"4 cells", "limit is 2", "shard"},
 		},
 		{
+			name:       "trailing data after the body is 400",
+			method:     http.MethodPost,
+			path:       "/v1/sweeps",
+			body:       smallSweep + `{}`,
+			wantStatus: http.StatusBadRequest,
+			wantBody:   []string{"trailing data"},
+		},
+		{
+			name:       "oversized body is 413",
+			method:     http.MethodPost,
+			path:       "/v1/sweeps",
+			body:       padBody(smallSweep),
+			wantStatus: http.StatusRequestEntityTooLarge,
+			wantBody:   []string{"request body exceeds"},
+		},
+		{
 			name:       "invalid sampling combo is 400",
 			method:     http.MethodPost,
 			path:       "/v1/sweeps",
@@ -282,4 +302,50 @@ func TestSweepDrainCancelsPendingCells(t *testing.T) {
 	if got := final.Counts[StateCanceled]; got != 4 {
 		t.Fatalf("drained sweep canceled %d of 4 cells: %+v", got, final.Counts)
 	}
+}
+
+// TestRequestLimitFitsLargestSweep checks maxRequestBytes against the largest
+// sweep a default server admits: MaxSweepCells cells on the seed axis, each a
+// full-width 20-digit uint64, with every other field set. Its body must
+// decode and build, and stay under an eighth of the limit.
+func TestRequestLimitFitsLargestSweep(t *testing.T) {
+	s, _ := newTestServer(t, nil)
+	req := SweepRequest{
+		Spec: sweep.Spec{
+			Benches:      []string{"backprop"},
+			Techniques:   []string{"WarpedGates"},
+			SMs:          []int{15},
+			Scales:       []float64{0.12345678901234567},
+			IdleDetects:  []int{5},
+			BreakEvens:   []int{14},
+			WakeupDelays: []int{3},
+			SampleDetail: 1000,
+			SamplePeriod: 5000,
+		},
+		ShardIndex: 0,
+		ShardCount: 1,
+		DeadlineMS: math.MaxInt64,
+	}
+	for i := range s.opts.MaxSweepCells {
+		req.Seeds = append(req.Seeds, math.MaxUint64-uint64(i))
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got SweepRequest
+	if code, err := decodeRequest(nil, io.NopCloser(bytes.NewReader(body)), &got); err != nil {
+		t.Fatalf("largest sweep body rejected with %d: %v", code, err)
+	}
+	_, jobs, err := s.buildSweep(&got)
+	if err != nil {
+		t.Fatalf("largest sweep does not build: %v", err)
+	}
+	if len(jobs) != s.opts.MaxSweepCells {
+		t.Fatalf("largest sweep built %d cells, want %d", len(jobs), s.opts.MaxSweepCells)
+	}
+	if 8*len(body) > maxRequestBytes {
+		t.Fatalf("largest sweep body is %d bytes, over an eighth of the %d-byte limit", len(body), maxRequestBytes)
+	}
+	t.Logf("largest sweep body: %d bytes of %d", len(body), maxRequestBytes)
 }

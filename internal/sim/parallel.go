@@ -6,15 +6,14 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"warpedgates/internal/mem"
 )
 
 // The parallel engine: the SM array is stepped by several worker goroutines
 // while every observable stays bit-identical to the serial loop in GPU.Run.
 //
-// The engine alternates two kinds of phases, separated by a sense-reversing
-// barrier whose last arriver runs a short coordinator section (advance).
+// Workers run compute phases separated by a sense-reversing barrier whose
+// last arriver runs a short coordinator section (advance) that arbitrates the
+// shared memory device and opens the next window.
 //
 // Compute phase. Workers step disjoint SM sets, which are not fixed shards:
 // each window, workers claim SM indices one at a time from a shared atomic
@@ -32,32 +31,27 @@ import (
 // shared L2/DRAM inline. A staging cycle whose lines all hit the L1 or merge
 // with the SM's own outstanding fills touches nothing shared, so the worker
 // finishes it locally and keeps stepping; a cycle that needs the device
-// parks the SM (pendingAt[i]) until an arbitration phase replays its ops.
+// parks the SM (pendingAt[i]) until the coordinator replays its ops.
 // Stepping SMs at their own positions rather than a global clock is exact
 // because a serial step below an SM's jump target is a no-op: the serial
 // clock only ever lands on some SM's wake cycle, and cycles where only
 // *other* SMs wake are invisible to this one.
 //
-// Arbitration phase. Staged device ops must hit the shared L2/DRAM in the
-// serial engine's order: ascending (cycle, SM id, staging index). Two
-// mechanisms provide it without a serial section. First, ordering: an op
-// staged at cycle c is resolvable only once every live unparked SM has
-// advanced past c (c < frontier) — nothing can stage at ≤ c anymore — and a
-// round resolves only the SMs parked at the earliest such cycle, pmin, in
-// SM-id order, so every op of a round shares one cycle. The earliest parked
-// op is always resolvable, so the engine cannot stall. Second, bank
-// sharding: the device state is partitioned by address bank (mem.GPUMem),
-// lines of different banks share no cache set, channel or counter, so the
-// per-bank projections of the canonical order are independent and each
-// worker drains the banks of its own bank range concurrently. The parked
-// SMs' deferred writebacks are then booked by whichever worker claims each
-// SM (finishMemory) at the start of the next compute phase.
+// Arbitration. Staged device ops must hit the shared L2/DRAM in the serial
+// engine's order: ascending (cycle, SM id, staging index). An op staged at
+// cycle c is resolvable only once every live unparked SM has advanced past c
+// (c < frontier) — nothing can stage at ≤ c anymore — and a round resolves
+// only the SMs parked at the earliest such cycle, pmin, so every op of a
+// round shares one cycle. The coordinator resolves them itself, one SM at a
+// time in SM-id order (resolveMemory), and books their writebacks, then
+// rescans: the resolved SMs rejoin the frontier, which may unblock the next
+// parked cycle. The earliest parked op is always resolvable, so the engine
+// cannot stall.
 //
-// The determinism argument rests on the same three properties of sm.step as
-// before — it touches nothing outside its SM once memory is staged, its
-// return value never depends on memory resolution, and everything resolution
-// patches is only read by a later step — plus the bank partition's exactness
-// (see mem.GPUMem) and the frontier ordering rule above.
+// The determinism argument rests on three properties of sm.step: it touches
+// nothing outside its SM once memory is staged, its return value never
+// depends on memory resolution, and everything resolution patches is only
+// read by a later step — plus the frontier ordering rule above.
 
 // windowCycles bounds how many device cycles workers may step their SMs past
 // the frontier between arbitration points when no SM has a staged device
@@ -74,15 +68,6 @@ const windowCycles = 128
 // hundred nanoseconds.
 const spinYield = 64
 
-// parOp is the phase the workers run next, written by the coordinator.
-type parOp int32
-
-const (
-	opCompute parOp = iota // step claimed SMs through the window
-	opResolve              // drain resolveList's staged ops, bank-sharded
-	opExit                 // run over; workers return
-)
-
 // shardResult is one worker's per-compute-phase contribution, padded to a
 // cache line so workers never write-share: how many of its SMs drained and
 // the latest cycle one drained at.
@@ -92,11 +77,11 @@ type shardResult struct {
 	_        [48]byte
 }
 
-// parRun is the shared state of one parallel run. The scalar fields and
-// resolveList are owned by the coordinator section; workers read them only
-// after observing the epoch advance that the coordinator precedes. pos,
-// pendingAt and needFinal slots are handed back and forth between an SM's
-// owning worker and the coordinator across the same barrier.
+// parRun is the shared state of one parallel run. The scalar fields are
+// owned by the coordinator section; workers read them only after observing
+// the epoch advance that the coordinator precedes. pos and pendingAt slots
+// are handed back and forth between an SM's owning worker and the
+// coordinator across the same barrier.
 type parRun struct {
 	g *GPU
 	// ctxDone is the run context's cancellation channel (nil when the context
@@ -109,7 +94,6 @@ type parRun struct {
 	workers int32
 
 	maxCycles int64
-	nBanks    int
 	shards    []shardResult
 
 	arrived atomic.Int32
@@ -118,18 +102,11 @@ type parRun struct {
 	// window. The coordinator resets it to zero when it opens a window.
 	claim atomic.Int64
 
-	op     parOp
+	exit   bool  // run over; workers return
 	winEnd int64 // first cycle past the current compute window
 
 	pos       []int64 // per SM: next cycle to step
 	pendingAt []int64 // per SM: cycle of its parked staged ops, -1 = none
-	needFinal []bool  // per SM: resolved ops await finishMemory
-	resolve   []int32 // SM ids to drain this arbitration phase, canonical order
-
-	// resolvePorts mirrors resolve as memory ports (same order); it is the
-	// bank phase's input, built by the coordinator when it schedules
-	// opResolve.
-	resolvePorts []*mem.SMPort
 
 	live     int
 	maxDrain int64
@@ -145,7 +122,6 @@ func (g *GPU) runParallel(ctx context.Context, workers int) (*Report, error) {
 			live++
 		}
 		sm.memStage = true
-		sm.memPort.SetBankStaging(true)
 	}
 	var canceled bool
 	if live > 0 {
@@ -154,11 +130,9 @@ func (g *GPU) runParallel(ctx context.Context, workers int) (*Report, error) {
 			ctxDone:   ctx.Done(),
 			workers:   int32(workers),
 			maxCycles: int64(g.cfg.MaxCycles),
-			nBanks:    g.gmem.NumBanks(),
 			shards:    make([]shardResult, workers),
 			pos:       make([]int64, len(g.sms)),
 			pendingAt: make([]int64, len(g.sms)),
-			needFinal: make([]bool, len(g.sms)),
 			live:      live,
 			maxDrain:  -1,
 		}
@@ -185,7 +159,6 @@ func (g *GPU) runParallel(ctx context.Context, workers int) (*Report, error) {
 	for _, sm := range g.sms {
 		sm.finish()
 		sm.memStage = false
-		sm.memPort.SetBankStaging(false)
 		sm.stagedRet = sm.stagedRet[:0]
 	}
 	if canceled {
@@ -194,24 +167,15 @@ func (g *GPU) runParallel(ctx context.Context, workers int) (*Report, error) {
 	return g.report(), nil
 }
 
-// worker runs whichever phase the coordinator scheduled — claiming SM
-// indices from the shared steal counter in compute phases, and draining the
-// bank range [w*B/W, (w+1)*B/W) in arbitration phases. The last worker to
-// arrive at the barrier runs the coordinator section and releases the others
-// by advancing the epoch. sentinel is the epoch value that opened the
-// worker's current phase; the run starts at epoch 0.
+// worker runs compute phases, claiming SM indices from the shared steal
+// counter. The last worker to arrive at the barrier runs the coordinator
+// section and releases the others by advancing the epoch. sentinel is the
+// epoch value that opened the worker's current phase; the run starts at
+// epoch 0.
 func (pr *parRun) worker(w int) {
-	W := int(pr.workers)
-	bankLo, bankHi := w*pr.nBanks/W, (w+1)*pr.nBanks/W
 	var sentinel uint32
 	for {
-		if pr.op == opCompute {
-			pr.compute(w)
-		} else {
-			for b := bankLo; b < bankHi; b++ {
-				mem.ResolveBank(pr.resolvePorts, b)
-			}
-		}
+		pr.compute(w)
 		if pr.arrived.Add(1) == pr.workers {
 			pr.advance()
 			pr.arrived.Store(0)
@@ -224,17 +188,16 @@ func (pr *parRun) worker(w int) {
 			}
 		}
 		sentinel++
-		if pr.op == opExit {
+		if pr.exit {
 			return
 		}
 	}
 }
 
 // compute steps SMs through the current window, claimed one at a time from
-// the shared steal index. Each SM first books writebacks left from the
-// previous arbitration phase (finishMemory), then steps from its own position
-// until the window ends, it drains, or it stages a device access and parks.
-// Pure-L1 staging cycles are finished inline: they read nothing shared, and
+// the shared steal index. Each SM steps from its own position until the
+// window ends, it drains, or it stages a device access and parks. Pure-L1
+// staging cycles are resolved in place: they read nothing shared, and
 // the merge fills they look up cannot be unpatched sentinels because the SM
 // parks before any unresolved device op could linger.
 func (pr *parRun) compute(w int) {
@@ -248,10 +211,6 @@ func (pr *parRun) compute(w int) {
 			break
 		}
 		sm := g.sms[i]
-		if pr.needFinal[i] {
-			pr.needFinal[i] = false
-			sm.finishMemory()
-		}
 		if sm.drained || pr.pendingAt[i] >= 0 {
 			continue
 		}
@@ -259,12 +218,11 @@ func (pr *parRun) compute(w int) {
 		for c < end {
 			stepped := c
 			c = sm.step(stepped)
-			if len(sm.stagedRet) > 0 && !sm.memPort.HasStagedDevice() {
-				sm.finishMemory()
-			}
 			parked := sm.memPort.HasStagedDevice()
 			if parked {
 				pr.pendingAt[i] = stepped
+			} else if len(sm.stagedRet) > 0 {
+				sm.resolveMemory()
 			}
 			if sm.drained {
 				drained++
@@ -284,7 +242,7 @@ func (pr *parRun) compute(w int) {
 }
 
 // advance is the coordinator section, run once per barrier with every worker
-// parked: fold the phase's results, schedule resolvable staged ops, decide
+// parked: fold the phase's results, resolve the resolvable staged ops, decide
 // termination, or open the next compute window. It polls the run context
 // first — one poll per barrier round bounds cancellation latency to a single
 // compute window without touching the workers' hot loops.
@@ -294,29 +252,18 @@ func (pr *parRun) advance() {
 		select {
 		case <-pr.ctxDone:
 			pr.canceled = true
-			pr.op = opExit
+			pr.exit = true
 			return
 		default:
 		}
 	}
-	if pr.op == opResolve {
-		// The bank phase covered every scheduled SM's device ops; their
-		// owning workers book the writebacks next compute phase.
-		for _, idx := range pr.resolve {
-			pr.pendingAt[idx] = -1
-			pr.needFinal[idx] = true
+	for i := range pr.shards {
+		s := &pr.shards[i]
+		pr.live -= int(s.drained)
+		if s.maxDrain > pr.maxDrain {
+			pr.maxDrain = s.maxDrain
 		}
-		pr.resolve = pr.resolve[:0]
-		pr.resolvePorts = pr.resolvePorts[:0]
-	} else {
-		for i := range pr.shards {
-			s := &pr.shards[i]
-			pr.live -= int(s.drained)
-			if s.maxDrain > pr.maxDrain {
-				pr.maxDrain = s.maxDrain
-			}
-			s.drained, s.maxDrain = 0, -1
-		}
+		s.drained, s.maxDrain = 0, -1
 	}
 	for {
 		// frontier is the earliest cycle any unparked live SM will step
@@ -341,35 +288,19 @@ func (pr *parRun) advance() {
 				frontier = pr.pos[i]
 			}
 		}
-		if pendingN > 0 {
-			// Drain only the ops at the earliest parked cycle: no unparked
-			// SM can stage at or before it (frontier), and every other
-			// parked SM resumes after its own later cycle — whereas a
-			// later-cycle op is not safe yet, because the SM parked at pmin
-			// resumes at pmin+1 and may stage again in between.
-			if pmin < frontier {
-				for i := range g.sms {
-					if pr.pendingAt[i] == pmin {
-						pr.resolve = append(pr.resolve, int32(i))
-					}
+		if pendingN > 0 && pmin < frontier {
+			// Resolve only the ops at the earliest parked cycle, in SM-id
+			// order: no unparked SM can stage at or before it (frontier),
+			// and every other parked SM resumes after its own later cycle —
+			// whereas a later-cycle op is not safe yet, because an SM parked
+			// at pmin resumes at pmin+1 and may stage again in between.
+			for i, sm := range g.sms {
+				if pr.pendingAt[i] == pmin {
+					sm.resolveMemory()
+					pr.pendingAt[i] = -1
 				}
 			}
-			if len(pr.resolve) == 1 {
-				// One parked SM: a bank phase would spend a barrier round to
-				// parallelize work one goroutine can do here in place.
-				idx := pr.resolve[0]
-				g.sms[idx].resolveMemoryInline()
-				pr.pendingAt[idx] = -1
-				pr.resolve = pr.resolve[:0]
-				continue // its ops may unblock the next parked cycle
-			}
-			if len(pr.resolve) > 0 {
-				for _, idx := range pr.resolve {
-					pr.resolvePorts = append(pr.resolvePorts, g.sms[idx].memPort)
-				}
-				pr.op = opResolve
-				return
-			}
+			continue // the resolved SMs may unblock the next parked cycle
 		}
 		// No resolvable ops and none parked below the frontier: termination
 		// has the serial loop's semantics. A run whose last SM drains is
@@ -381,13 +312,13 @@ func (pr *parRun) advance() {
 			if pr.maxCycles > 0 && g.cycle > pr.maxCycles {
 				g.cycle = pr.maxCycles
 			}
-			pr.op = opExit
+			pr.exit = true
 			return
 		}
 		if pr.maxCycles > 0 && frontier >= pr.maxCycles && pendingN == 0 {
 			g.cycle = pr.maxCycles
 			g.ranOut = true
-			pr.op = opExit
+			pr.exit = true
 			return
 		}
 		g.cycle = frontier
@@ -405,7 +336,6 @@ func (pr *parRun) advance() {
 		}
 		pr.claim.Store(0)
 		pr.winEnd = end
-		pr.op = opCompute
 		return
 	}
 }

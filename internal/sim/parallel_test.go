@@ -116,12 +116,11 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBatchedEngineInvariantToTuning pins the tentpole's tuning contract:
-// the bank count is a pure performance knob — any (workers, banks)
-// combination produces the serial engine's reports and per-SM streams byte
-// for byte, fast-forward on or off. Workers cover the degenerate
-// single-goroutine case, an uneven split, and one-SM-per-worker (NumSMs).
-// Bank 1 degenerates to the unified device.
+// TestBatchedEngineInvariantToTuning pins the engine's tuning contract: the
+// worker count is a pure performance knob — any count produces the serial
+// engine's reports and per-SM streams byte for byte, fast-forward on or off.
+// Workers cover the degenerate single-goroutine case, an uneven split, and
+// one-SM-per-worker (NumSMs).
 func TestBatchedEngineInvariantToTuning(t *testing.T) {
 	for _, bench := range []string{"hotspot", "bfs"} {
 		k := kernels.MustBenchmark(bench).Scale(0.08)
@@ -136,19 +135,15 @@ func TestBatchedEngineInvariantToTuning(t *testing.T) {
 			cfg.IntraRunWorkers = 1
 			wantRep, wantProbe, wantIssue := runDigests(t, cfg, k)
 			for _, workers := range []int{1, 2, 3, 4} {
-				for _, banks := range []int{1, 2, 4, 8} {
-					pcfg := cfg
-					pcfg.IntraRunWorkers = workers
-					pcfg.MemBanks = banks
-					gotRep, gotProbe, gotIssue := runDigests(t, pcfg, k)
-					if !sameReport(wantRep, gotRep) {
-						t.Errorf("%s noFF=%v workers=%d banks=%d: report diverged\nserial:   %v\ngot:      %v",
-							bench, noFF, workers, banks, wantRep, gotRep)
-					}
-					if !reflect.DeepEqual(wantProbe, gotProbe) || !reflect.DeepEqual(wantIssue, gotIssue) {
-						t.Errorf("%s noFF=%v workers=%d banks=%d: streams diverged",
-							bench, noFF, workers, banks)
-					}
+				pcfg := cfg
+				pcfg.IntraRunWorkers = workers
+				gotRep, gotProbe, gotIssue := runDigests(t, pcfg, k)
+				if !sameReport(wantRep, gotRep) {
+					t.Errorf("%s noFF=%v workers=%d: report diverged\nserial:   %v\ngot:      %v",
+						bench, noFF, workers, wantRep, gotRep)
+				}
+				if !reflect.DeepEqual(wantProbe, gotProbe) || !reflect.DeepEqual(wantIssue, gotIssue) {
+					t.Errorf("%s noFF=%v workers=%d: streams diverged", bench, noFF, workers)
 				}
 			}
 		}
@@ -156,9 +151,8 @@ func TestBatchedEngineInvariantToTuning(t *testing.T) {
 }
 
 // TestParallelEngineMatchesSerialQuick is the randomized version: arbitrary
-// benchmark, policies, gating parameters, fast-forward setting, worker count
-// and bank count must all produce the serial engine's exact probe digests and
-// report.
+// benchmark, policies, gating parameters, fast-forward setting and worker
+// count must all produce the serial engine's exact probe digests and report.
 func TestParallelEngineMatchesSerialQuick(t *testing.T) {
 	benchNames := []string{"nw", "hotspot", "mri", "bfs", "kmeans"}
 	f := func(benchRaw, schedRaw, gateRaw, idRaw, betRaw, wakeRaw, smRaw, workerRaw uint8, adaptive, noFF bool) bool {
@@ -184,7 +178,6 @@ func TestParallelEngineMatchesSerialQuick(t *testing.T) {
 		cfg.IntraRunWorkers = 1
 		wantRep, wantProbe, wantIssue := runDigests(t, cfg, k)
 		cfg.IntraRunWorkers = 2 + int(workerRaw)%int(cfg.NumSMs) // 2..NumSMs+1 (clamped)
-		cfg.MemBanks = []int{0, 1, 2, 8}[int(workerRaw>>4)%4]
 		gotRep, gotProbe, gotIssue := runDigests(t, cfg, k)
 		if !sameReport(wantRep, gotRep) {
 			t.Logf("report diverged: %s workers=%d noFF=%v\nserial:   %v\nparallel: %v",

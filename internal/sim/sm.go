@@ -34,7 +34,7 @@ type retireEvent struct {
 }
 
 // stagedRetire is the SM-side record of one staged global access: the warp
-// whose load writeback must be booked once the arbitration phase computes the
+// whose load writeback must be booked once resolveMemory computes the
 // access's completion cycle, and the cycle the access was issued.
 // Stores stage too (they occupy MSHR entries and reach the device) but have
 // no destination, so their dstMask is zero.
@@ -148,9 +148,8 @@ type SM struct {
 	memBlocked  bool
 
 	// memStage, set by the parallel engine, makes issueMemory stage global
-	// accesses on the port instead of resolving them inline; once the
-	// arbitration phase has drained the staged device ops (or there were
-	// none), finishMemory books the deferred load writebacks. stagedRet
+	// accesses on the port instead of resolving them inline; resolveMemory
+	// later resolves them and books the deferred load writebacks. stagedRet
 	// records one entry per staged access, in staging order (dstMask 0 for
 	// stores).
 	memStage  bool
@@ -786,33 +785,15 @@ func (sm *SM) issueMemory(now int64, w *Warp, in *isa.Instr) bool {
 	return true
 }
 
-// finishMemory completes the SM's staged global accesses: it assembles each
-// access's timing (from the bank-phase outcomes when the arbitration phase
-// ran, or directly when no access needed the shared device) and books the
-// deferred load writebacks. It touches only SM-private state, so the worker
-// that owns the SM calls it without synchronization. Deferring scheduleRetire
-// past the end of step is invisible: the retire ring is only read by a later
-// step's writeback and horizon scan, both of which run afterwards.
-func (sm *SM) finishMemory() {
-	if len(sm.stagedRet) == 0 {
-		return
-	}
-	sm.memPort.FinishStaged(func(i int, res mem.Result) {
-		r := sm.stagedRet[i]
-		sm.scheduleRetire(r.at, res.CompleteAt, r.w, r.dstMask)
-	})
-	sm.stagedRet = sm.stagedRet[:0]
-}
-
-// resolveMemoryInline drains the SM's staged accesses straight to the shared
-// device and books the writebacks, all in one call — the coordinator uses it
-// when a single SM parked, where a bank-sharded phase would cost a barrier
-// round to parallelize work one worker can do in place. Only safe while every
-// worker is parked at the barrier.
-func (sm *SM) resolveMemoryInline() {
-	if len(sm.stagedRet) == 0 {
-		return
-	}
+// resolveMemory completes the SM's staged global accesses: it resolves them
+// against the shared device (mem.SMPort.ResolveStaged) and books the deferred
+// load writebacks. With no device op staged it touches only SM-private state,
+// so the worker that owns the SM calls it without synchronization; otherwise
+// only the parallel engine's coordinator calls it, with every worker parked
+// at the barrier. Deferring scheduleRetire past the end of step is invisible:
+// the retire ring is only read by a later step's writeback and horizon scan,
+// both of which run afterwards.
+func (sm *SM) resolveMemory() {
 	sm.memPort.ResolveStaged(func(i int, res mem.Result) {
 		r := sm.stagedRet[i]
 		sm.scheduleRetire(r.at, res.CompleteAt, r.w, r.dstMask)
