@@ -57,19 +57,28 @@ func TestGoldenMatrixCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, goldenMatrixPath, got, "GoldenMatrix")
+}
+
+// checkGolden compares got against the committed golden file at path line by
+// line, or rewrites the file under -update. name is the -run pattern that
+// regenerates it, quoted in every failure.
+func checkGolden(t *testing.T, path, got, name string) {
+	t.Helper()
+	regen := "go test ./internal/core -run " + name + " -update"
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenMatrixPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenMatrixPath, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s", goldenMatrixPath)
+		t.Logf("rewrote %s", path)
 		return
 	}
-	wantBytes, err := os.ReadFile(goldenMatrixPath)
+	wantBytes, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("%v (regenerate with: go test ./internal/core -run GoldenMatrix -update)", err)
+		t.Fatalf("%v (regenerate with: %s)", err, regen)
 	}
 	want := string(wantBytes)
 	if got == want {
@@ -77,7 +86,7 @@ func TestGoldenMatrixCorpus(t *testing.T) {
 	}
 	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(want, "\n")
 	if len(gotLines) != len(wantLines) {
-		t.Errorf("corpus has %d lines, committed file has %d", len(gotLines), len(wantLines))
+		t.Errorf("%s has %d lines, committed file has %d", path, len(gotLines), len(wantLines))
 	}
 	diffs := 0
 	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
@@ -89,7 +98,7 @@ func TestGoldenMatrixCorpus(t *testing.T) {
 			t.Errorf("line %d drifted:\n  got:  %s\n  want: %s", i+1, gotLines[i], wantLines[i])
 		}
 	}
-	t.Fatalf("golden corpus drift: %d line(s) differ (intentional change? regenerate with: go test ./internal/core -run GoldenMatrix -update)", diffs)
+	t.Fatalf("%s drift: %d line(s) differ (intentional change? regenerate with: %s)", path, diffs, regen)
 }
 
 // TestGoldenMatrixParallelismStable is the byte-stability acceptance check:
