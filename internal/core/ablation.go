@@ -5,7 +5,6 @@ import (
 
 	"warpedgates/internal/config"
 	"warpedgates/internal/isa"
-	"warpedgates/internal/kernels"
 	"warpedgates/internal/power"
 	"warpedgates/internal/stats"
 )
@@ -26,6 +25,43 @@ type AblationResult struct {
 	Table  *stats.Table
 }
 
+// ablationStudy collects one ablation's labelled variants for suiteAverages.
+// Every variant is priced by the base machine's power model.
+type ablationStudy struct {
+	r        *Runner
+	name     string
+	labels   []string
+	variants []suiteVariant
+}
+
+// add appends a variant that measures cfg against base.
+func (s *ablationStudy) add(label string, base, cfg config.Config) {
+	s.labels = append(s.labels, label)
+	s.variants = append(s.variants, suiteVariant{base, cfg, power.Default(s.r.Base.BreakEven)})
+}
+
+// savingsColumn heads an ablation table's savings column per measured class.
+var savingsColumn = [isa.NumClasses]string{
+	isa.INT: "Int savings", isa.FP: "Fp savings", isa.SFU: "SFU savings", isa.LDST: "LDST savings",
+}
+
+// run measures every variant and renders the study's table. The A and B
+// class averages fill the IntSavings and FpSavings fields.
+func (s *ablationStudy) run(classA, classB isa.Class) (*AblationResult, error) {
+	avgs, err := suiteAverages(s.r, s.variants, classA, classB)
+	if err != nil {
+		return nil, err
+	}
+	res := &AblationResult{Name: s.name}
+	res.Table = stats.NewTable(s.name, "variant", savingsColumn[classA], savingsColumn[classB], "perf")
+	for i, avg := range avgs {
+		p := AblationPoint{Label: s.labels[i], IntSavings: avg.a, FpSavings: avg.b, Perf: avg.perf}
+		res.Points = append(res.Points, p)
+		res.Table.AddRowf(p.Label, p.IntSavings, p.FpSavings, p.Perf)
+	}
+	return res, nil
+}
+
 // RunAblationClusters studies the SP-cluster trend the paper's §5 points at:
 // Fermi has two INT/FP clusters per SM, Kepler six, AMD GCN four. More
 // clusters give Coordinated Blackout more sleeping peers per unit of work,
@@ -34,63 +70,18 @@ func RunAblationClusters(r *Runner, clusterCounts []int) (*AblationResult, error
 	if len(clusterCounts) == 0 {
 		return nil, fmt.Errorf("core: cluster ablation needs at least one count")
 	}
-	res := &AblationResult{Name: "Ablation — SP clusters per SM (Fermi 2, GCN 4, Kepler 6)"}
-	model := power.Default(r.Base.BreakEven)
-	var jobs []Job
+	s := &ablationStudy{r: r, name: "Ablation — SP clusters per SM (Fermi 2, GCN 4, Kepler 6)"}
 	for _, n := range clusterCounts {
 		if n <= 0 {
 			return nil, fmt.Errorf("core: invalid cluster count %d", n)
 		}
-		baseCfg := Baseline.Apply(r.Base)
-		baseCfg.NumSPClusters = n
+		base := Baseline.Apply(r.Base)
+		base.NumSPClusters = n
 		cfg := WarpedGates.Apply(r.Base)
 		cfg.NumSPClusters = n
-		for _, b := range kernels.BenchmarkNames {
-			jobs = append(jobs, Job{Bench: b, Cfg: baseCfg}, Job{Bench: b, Cfg: cfg})
-		}
+		s.add(fmt.Sprintf("%d clusters", n), base, cfg)
 	}
-	if err := r.Prefetch(jobs); err != nil {
-		return nil, err
-	}
-	for _, n := range clusterCounts {
-		baseCfg := Baseline.Apply(r.Base)
-		baseCfg.NumSPClusters = n
-		cfg := WarpedGates.Apply(r.Base)
-		cfg.NumSPClusters = n
-
-		var intSum, fpSum float64
-		var nInt, nFp float64
-		var perfs []float64
-		for _, b := range kernels.BenchmarkNames {
-			base, err := r.RunCfg(b, baseCfg)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := r.RunCfg(b, cfg)
-			if err != nil {
-				return nil, err
-			}
-			intSum += model.AnalyzeAgainst(rep, base, isa.INT).StaticSavings()
-			nInt++
-			if !kernels.IntegerOnly(b) {
-				fpSum += model.AnalyzeAgainst(rep, base, isa.FP).StaticSavings()
-				nFp++
-			}
-			perfs = append(perfs, stats.Ratio(float64(base.Cycles), float64(rep.Cycles)))
-		}
-		res.Points = append(res.Points, AblationPoint{
-			Label:      fmt.Sprintf("%d clusters", n),
-			IntSavings: intSum / nInt,
-			FpSavings:  fpSum / nFp,
-			Perf:       stats.Geomean(perfs),
-		})
-	}
-	tab := stats.NewTable(res.Name, "variant", "Int savings", "Fp savings", "perf")
-	for _, p := range res.Points {
-		tab.AddRowf(p.Label, p.IntSavings, p.FpSavings, p.Perf)
-	}
-	res.Table = tab
-	return res, nil
+	return s.run(isa.INT, isa.FP)
 }
 
 // RunAblationMaxHold studies the GATES forced-priority-switch threshold the
@@ -101,119 +92,39 @@ func RunAblationMaxHold(r *Runner, holds []int) (*AblationResult, error) {
 	if len(holds) == 0 {
 		return nil, fmt.Errorf("core: max-hold ablation needs at least one value")
 	}
-	res := &AblationResult{Name: "Ablation — GATES forced priority switch threshold"}
-	model := power.Default(r.Base.BreakEven)
-	jobs := techniqueJobs(r.Base, kernels.BenchmarkNames, Baseline)
+	s := &ablationStudy{r: r, name: "Ablation — GATES forced priority switch threshold"}
 	for _, h := range holds {
 		if h < 0 {
 			return nil, fmt.Errorf("core: invalid max hold %d", h)
 		}
 		cfg := WarpedGates.Apply(r.Base)
 		cfg.GATESMaxHold = h
-		for _, b := range kernels.BenchmarkNames {
-			jobs = append(jobs, Job{Bench: b, Cfg: cfg})
-		}
-	}
-	if err := r.Prefetch(jobs); err != nil {
-		return nil, err
-	}
-	for _, h := range holds {
-		cfg := WarpedGates.Apply(r.Base)
-		cfg.GATESMaxHold = h
-		var intSum, fpSum float64
-		var nInt, nFp float64
-		var perfs []float64
-		for _, b := range kernels.BenchmarkNames {
-			base, err := r.Run(b, Baseline)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := r.RunCfg(b, cfg)
-			if err != nil {
-				return nil, err
-			}
-			intSum += model.AnalyzeAgainst(rep, base, isa.INT).StaticSavings()
-			nInt++
-			if !kernels.IntegerOnly(b) {
-				fpSum += model.AnalyzeAgainst(rep, base, isa.FP).StaticSavings()
-				nFp++
-			}
-			perfs = append(perfs, stats.Ratio(float64(base.Cycles), float64(rep.Cycles)))
-		}
 		label := fmt.Sprintf("hold<=%d", h)
 		if h == 0 {
 			label = "unbounded (paper)"
 		}
-		res.Points = append(res.Points, AblationPoint{
-			Label:      label,
-			IntSavings: intSum / nInt,
-			FpSavings:  fpSum / nFp,
-			Perf:       stats.Geomean(perfs),
-		})
+		s.add(label, Baseline.Apply(r.Base), cfg)
 	}
-	tab := stats.NewTable(res.Name, "variant", "Int savings", "Fp savings", "perf")
-	for _, p := range res.Points {
-		tab.AddRowf(p.Label, p.IntSavings, p.FpSavings, p.Perf)
-	}
-	res.Table = tab
-	return res, nil
+	return s.run(isa.INT, isa.FP)
 }
 
 // RunAblationAuxBlackout studies extending Blackout to the SFU and LD/ST
 // units, which the paper leaves under conventional gating (§3 argues SFUs
 // are only 2.5% of execution-unit leakage). It reports suite-average static
-// savings for the auxiliary units with and without the extension.
+// savings for the auxiliary units with and without the extension: SFU
+// savings in the IntSavings field, LDST savings in FpSavings.
 func RunAblationAuxBlackout(r *Runner) (*AblationResult, error) {
-	res := &AblationResult{Name: "Ablation — Blackout on SFU/LDST units"}
-	model := power.Default(r.Base.BreakEven)
-	jobs := techniqueJobs(r.Base, kernels.BenchmarkNames, Baseline)
+	s := &ablationStudy{r: r, name: "Ablation — Blackout on SFU/LDST units"}
 	for _, aux := range []bool{false, true} {
 		cfg := WarpedGates.Apply(r.Base)
 		cfg.BlackoutAux = aux
-		for _, b := range kernels.BenchmarkNames {
-			jobs = append(jobs, Job{Bench: b, Cfg: cfg})
-		}
-	}
-	if err := r.Prefetch(jobs); err != nil {
-		return nil, err
-	}
-	for _, aux := range []bool{false, true} {
-		cfg := WarpedGates.Apply(r.Base)
-		cfg.BlackoutAux = aux
-		var sfuSum, ldstSum float64
-		var n float64
-		var perfs []float64
-		for _, b := range kernels.BenchmarkNames {
-			base, err := r.Run(b, Baseline)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := r.RunCfg(b, cfg)
-			if err != nil {
-				return nil, err
-			}
-			sfuSum += model.AnalyzeAgainst(rep, base, isa.SFU).StaticSavings()
-			ldstSum += model.AnalyzeAgainst(rep, base, isa.LDST).StaticSavings()
-			n++
-			perfs = append(perfs, stats.Ratio(float64(base.Cycles), float64(rep.Cycles)))
-		}
 		label := "conventional aux (paper)"
 		if aux {
 			label = "blackout aux (extension)"
 		}
-		res.Points = append(res.Points, AblationPoint{
-			Label:      label,
-			IntSavings: sfuSum / n,  // SFU savings in the Int column
-			FpSavings:  ldstSum / n, // LDST savings in the Fp column
-			Perf:       stats.Geomean(perfs),
-		})
+		s.add(label, Baseline.Apply(r.Base), cfg)
 	}
-	tab := stats.NewTable(res.Name, "variant", "SFU savings", "LDST savings", "perf")
-	for _, p := range res.Points {
-		tab.AddRowf(p.Label, p.IntSavings, p.FpSavings, p.Perf)
-	}
-	res.Table = tab
-	return res, nil
+	return s.run(isa.SFU, isa.LDST)
 }
 
 // RunAblationScheduler compares warp schedulers under conventional gating:
@@ -226,57 +137,13 @@ func RunAblationAuxBlackout(r *Runner) (*AblationResult, error) {
 // of this model — the pair serves as a built-in sanity check that policy
 // plumbing does not perturb results.
 func RunAblationScheduler(r *Runner) (*AblationResult, error) {
-	res := &AblationResult{Name: "Ablation — scheduler under conventional gating"}
-	model := power.Default(r.Base.BreakEven)
-	kinds := []config.SchedulerKind{config.SchedLRR, config.SchedTwoLevel, config.SchedGATES}
-	jobs := techniqueJobs(r.Base, kernels.BenchmarkNames, Baseline)
-	for _, kind := range kinds {
+	s := &ablationStudy{r: r, name: "Ablation — scheduler under conventional gating"}
+	for _, kind := range []config.SchedulerKind{config.SchedLRR, config.SchedTwoLevel, config.SchedGATES} {
 		cfg := ConvPG.Apply(r.Base)
 		cfg.Scheduler = kind
-		for _, b := range kernels.BenchmarkNames {
-			jobs = append(jobs, Job{Bench: b, Cfg: cfg})
-		}
+		s.add(kind.String(), Baseline.Apply(r.Base), cfg)
 	}
-	if err := r.Prefetch(jobs); err != nil {
-		return nil, err
-	}
-	for _, kind := range kinds {
-		cfg := ConvPG.Apply(r.Base)
-		cfg.Scheduler = kind
-		var intSum, fpSum, idleSum float64
-		var nInt, nFp float64
-		var perfs []float64
-		for _, b := range kernels.BenchmarkNames {
-			base, err := r.Run(b, Baseline)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := r.RunCfg(b, cfg)
-			if err != nil {
-				return nil, err
-			}
-			intSum += model.AnalyzeAgainst(rep, base, isa.INT).StaticSavings()
-			idleSum += rep.Domains[isa.INT].IdleFraction()
-			nInt++
-			if !kernels.IntegerOnly(b) {
-				fpSum += model.AnalyzeAgainst(rep, base, isa.FP).StaticSavings()
-				nFp++
-			}
-			perfs = append(perfs, stats.Ratio(float64(base.Cycles), float64(rep.Cycles)))
-		}
-		res.Points = append(res.Points, AblationPoint{
-			Label:      kind.String(),
-			IntSavings: intSum / nInt,
-			FpSavings:  fpSum / nFp,
-			Perf:       stats.Geomean(perfs),
-		})
-	}
-	tab := stats.NewTable(res.Name, "variant", "Int savings", "Fp savings", "perf")
-	for _, p := range res.Points {
-		tab.AddRowf(p.Label, p.IntSavings, p.FpSavings, p.Perf)
-	}
-	res.Table = tab
-	return res, nil
+	return s.run(isa.INT, isa.FP)
 }
 
 // RunAblationIdleDetect studies the static idle-detect window for
@@ -286,56 +153,14 @@ func RunAblationIdleDetect(r *Runner, windows []int) (*AblationResult, error) {
 	if len(windows) == 0 {
 		return nil, fmt.Errorf("core: idle-detect ablation needs at least one value")
 	}
-	res := &AblationResult{Name: "Ablation — static idle-detect window under ConvPG"}
-	model := power.Default(r.Base.BreakEven)
-	jobs := techniqueJobs(r.Base, kernels.BenchmarkNames, Baseline)
+	s := &ablationStudy{r: r, name: "Ablation — static idle-detect window under ConvPG"}
 	for _, w := range windows {
 		if w < 0 {
 			return nil, fmt.Errorf("core: invalid idle-detect %d", w)
 		}
 		cfg := ConvPG.Apply(r.Base)
 		cfg.IdleDetect = w
-		for _, b := range kernels.BenchmarkNames {
-			jobs = append(jobs, Job{Bench: b, Cfg: cfg})
-		}
+		s.add(fmt.Sprintf("idle-detect %d", w), Baseline.Apply(r.Base), cfg)
 	}
-	if err := r.Prefetch(jobs); err != nil {
-		return nil, err
-	}
-	for _, w := range windows {
-		cfg := ConvPG.Apply(r.Base)
-		cfg.IdleDetect = w
-		var intSum, fpSum float64
-		var nInt, nFp float64
-		var perfs []float64
-		for _, b := range kernels.BenchmarkNames {
-			base, err := r.Run(b, Baseline)
-			if err != nil {
-				return nil, err
-			}
-			rep, err := r.RunCfg(b, cfg)
-			if err != nil {
-				return nil, err
-			}
-			intSum += model.AnalyzeAgainst(rep, base, isa.INT).StaticSavings()
-			nInt++
-			if !kernels.IntegerOnly(b) {
-				fpSum += model.AnalyzeAgainst(rep, base, isa.FP).StaticSavings()
-				nFp++
-			}
-			perfs = append(perfs, stats.Ratio(float64(base.Cycles), float64(rep.Cycles)))
-		}
-		res.Points = append(res.Points, AblationPoint{
-			Label:      fmt.Sprintf("idle-detect %d", w),
-			IntSavings: intSum / nInt,
-			FpSavings:  fpSum / nFp,
-			Perf:       stats.Geomean(perfs),
-		})
-	}
-	tab := stats.NewTable(res.Name, "variant", "Int savings", "Fp savings", "perf")
-	for _, p := range res.Points {
-		tab.AddRowf(p.Label, p.IntSavings, p.FpSavings, p.Perf)
-	}
-	res.Table = tab
-	return res, nil
+	return s.run(isa.INT, isa.FP)
 }

@@ -26,8 +26,7 @@ func RunFig10(r *Runner) (*Fig10Result, error) {
 		append([]Technique{Baseline}, GatedTechniques()...)...)); err != nil {
 		return nil, err
 	}
-	res := &Fig10Result{Geomean: map[Technique]float64{}}
-	series := map[Technique][]float64{}
+	res := &Fig10Result{}
 	for _, b := range kernels.BenchmarkNames {
 		row := Fig10Row{Benchmark: b, Performance: map[Technique]float64{}}
 		for _, tech := range GatedTechniques() {
@@ -36,31 +35,11 @@ func RunFig10(r *Runner) (*Fig10Result, error) {
 				return nil, err
 			}
 			row.Performance[tech] = p
-			series[tech] = append(series[tech], p)
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	for _, tech := range GatedTechniques() {
-		res.Geomean[tech] = stats.Geomean(series[tech])
-	}
-
-	header := []string{"benchmark"}
-	for _, t := range GatedTechniques() {
-		header = append(header, t.String())
-	}
-	tab := stats.NewTable("Fig. 10 — normalized performance (1.0 = baseline)", header...)
-	for _, row := range res.Rows {
-		cells := []interface{}{row.Benchmark}
-		for _, t := range GatedTechniques() {
-			cells = append(cells, row.Performance[t])
-		}
-		tab.AddRowf(cells...)
-	}
-	cells := []interface{}{"geomean"}
-	for _, t := range GatedTechniques() {
-		cells = append(cells, res.Geomean[t])
-	}
-	tab.AddRowf(cells...)
-	res.Table = tab
+	res.Table, res.Geomean = techPanel("Fig. 10 — normalized performance (1.0 = baseline)",
+		GatedTechniques(), res.Rows, func(row Fig10Row) (string, map[Technique]float64) { return row.Benchmark, row.Performance },
+		"geomean", stats.Geomean)
 	return res, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"warpedgates/internal/isa"
 	"warpedgates/internal/kernels"
+	"warpedgates/internal/sim"
 	"warpedgates/internal/stats"
 )
 
@@ -48,27 +49,19 @@ var (
 // integer units.
 func RunFig8(r *Runner) (*Fig8Result, error) {
 	// Union of the three panels' series plus the two normalization runs.
-	if err := r.Prefetch(techniqueJobs(r.Base, kernels.BenchmarkNames,
-		Baseline, ConvPG, GATESTech, CoordBlackout, WarpedGates)); err != nil {
+	techs := []Technique{Baseline, ConvPG, GATESTech, CoordBlackout, WarpedGates}
+	if err := r.Prefetch(techniqueJobs(r.Base, kernels.BenchmarkNames, techs...)); err != nil {
 		return nil, err
 	}
-	res := &Fig8Result{
-		GeomeanIdle:    map[Technique]float64{},
-		GeomeanComp:    map[Technique]float64{},
-		GeomeanWakeups: map[Technique]float64{},
-	}
-	series := map[Technique][]float64{}
-	compSeries := map[Technique][]float64{}
-	wakeSeries := map[Technique][]float64{}
-
+	var res Fig8Result
 	for _, b := range kernels.BenchmarkNames {
-		base, err := r.Run(b, Baseline)
-		if err != nil {
-			return nil, err
-		}
-		conv, err := r.Run(b, ConvPG)
-		if err != nil {
-			return nil, err
+		d := make(map[Technique]*sim.DomainStats, len(techs))
+		for _, tech := range techs {
+			rep, err := r.Run(b, tech)
+			if err != nil {
+				return nil, err
+			}
+			d[tech] = &rep.Domains[isa.INT]
 		}
 		row := Fig8Row{
 			Benchmark:       b,
@@ -76,84 +69,60 @@ func RunFig8(r *Runner) (*Fig8Result, error) {
 			CompMinusUncomp: map[Technique]float64{},
 			WakeupsNorm:     map[Technique]float64{},
 		}
-		baseIdle := base.Domains[isa.INT].IdleFraction()
-		convWakeups := float64(conv.Domains[isa.INT].Wakeups)
-
-		for _, tech := range fig8aTechs {
-			rep, err := r.Run(b, tech)
-			if err != nil {
-				return nil, err
-			}
-			v := stats.Ratio(rep.Domains[isa.INT].IdleFraction(), baseIdle)
-			row.IdleFrac[tech] = v
-			series[tech] = append(series[tech], v)
+		for _, t := range fig8aTechs {
+			row.IdleFrac[t] = stats.Ratio(d[t].IdleFraction(), d[Baseline].IdleFraction())
 		}
-		for _, tech := range fig8bTechs {
-			rep, err := r.Run(b, tech)
-			if err != nil {
-				return nil, err
-			}
-			d := rep.Domains[isa.INT]
-			v := d.CompensatedFraction() - d.UncompensatedFraction()
-			row.CompMinusUncomp[tech] = v
-			compSeries[tech] = append(compSeries[tech], v)
+		for _, t := range fig8bTechs {
+			row.CompMinusUncomp[t] = d[t].CompensatedFraction() - d[t].UncompensatedFraction()
 		}
-		for _, tech := range fig8cTechs {
-			rep, err := r.Run(b, tech)
-			if err != nil {
-				return nil, err
-			}
-			v := stats.Ratio(float64(rep.Domains[isa.INT].Wakeups), convWakeups)
-			row.WakeupsNorm[tech] = v
-			wakeSeries[tech] = append(wakeSeries[tech], v)
+		for _, t := range fig8cTechs {
+			row.WakeupsNorm[t] = stats.Ratio(float64(d[t].Wakeups), float64(d[ConvPG].Wakeups))
 		}
 		res.Rows = append(res.Rows, row)
 	}
 
-	for _, tech := range fig8aTechs {
-		res.GeomeanIdle[tech] = stats.Geomean(series[tech])
-	}
-	for _, tech := range fig8bTechs {
-		// Fig. 8b values can be negative; the paper quotes the mean share of
-		// compensated cycles, so use the arithmetic mean here.
-		res.GeomeanComp[tech] = stats.Mean(compSeries[tech])
-	}
-	for _, tech := range fig8cTechs {
-		res.GeomeanWakeups[tech] = stats.Geomean(wakeSeries[tech])
-	}
-
-	res.TableA = fig8Table("Fig. 8a — normalized fraction of INT idle cycles",
-		fig8aTechs, res.Rows, func(row Fig8Row, t Technique) float64 { return row.IdleFrac[t] },
-		res.GeomeanIdle, "geomean")
-	res.TableB = fig8Table("Fig. 8b — compensated minus uncompensated cycles (fraction)",
-		fig8bTechs, res.Rows, func(row Fig8Row, t Technique) float64 { return row.CompMinusUncomp[t] },
-		res.GeomeanComp, "mean")
-	res.TableC = fig8Table("Fig. 8c — wakeups normalized to ConvPG",
-		fig8cTechs, res.Rows, func(row Fig8Row, t Technique) float64 { return row.WakeupsNorm[t] },
-		res.GeomeanWakeups, "geomean")
-	return res, nil
+	res.TableA, res.GeomeanIdle = techPanel("Fig. 8a — normalized fraction of INT idle cycles",
+		fig8aTechs, res.Rows, func(row Fig8Row) (string, map[Technique]float64) { return row.Benchmark, row.IdleFrac },
+		"geomean", stats.Geomean)
+	// Fig. 8b values can be negative; the paper quotes the mean share of
+	// compensated cycles, so aggregate with the arithmetic mean.
+	res.TableB, res.GeomeanComp = techPanel("Fig. 8b — compensated minus uncompensated cycles (fraction)",
+		fig8bTechs, res.Rows, func(row Fig8Row) (string, map[Technique]float64) { return row.Benchmark, row.CompMinusUncomp },
+		"mean", stats.Mean)
+	res.TableC, res.GeomeanWakeups = techPanel("Fig. 8c — wakeups normalized to ConvPG",
+		fig8cTechs, res.Rows, func(row Fig8Row) (string, map[Technique]float64) { return row.Benchmark, row.WakeupsNorm },
+		"geomean", stats.Geomean)
+	return &res, nil
 }
 
-// fig8Table renders one Figure 8 panel.
-func fig8Table(title string, techs []Technique, rows []Fig8Row,
-	get func(Fig8Row, Technique) float64, agg map[Technique]float64, aggName string) *stats.Table {
+// techPanel builds one benchmark × technique panel of Figs. 8–10. cells
+// yields a row's benchmark and its value per technique; the table has one
+// column per technique in techs and a last row named aggName holding agg of
+// each column. The per-technique aggregates are returned with the table.
+func techPanel[R any](title string, techs []Technique, rows []R,
+	cells func(R) (string, map[Technique]float64), aggName string, agg func([]float64) float64) (*stats.Table, map[Technique]float64) {
 
 	header := []string{"benchmark"}
 	for _, t := range techs {
 		header = append(header, t.String())
 	}
 	tab := stats.NewTable(title, header...)
+	series := make(map[Technique][]float64, len(techs))
 	for _, row := range rows {
-		cells := []interface{}{row.Benchmark}
+		bench, vals := cells(row)
+		line := []interface{}{bench}
 		for _, t := range techs {
-			cells = append(cells, get(row, t))
+			line = append(line, vals[t])
+			series[t] = append(series[t], vals[t])
 		}
-		tab.AddRowf(cells...)
+		tab.AddRowf(line...)
 	}
-	cells := []interface{}{aggName}
+	aggs := make(map[Technique]float64, len(techs))
+	line := []interface{}{aggName}
 	for _, t := range techs {
-		cells = append(cells, agg[t])
+		aggs[t] = agg(series[t])
+		line = append(line, aggs[t])
 	}
-	tab.AddRowf(cells...)
-	return tab
+	tab.AddRowf(line...)
+	return tab, aggs
 }

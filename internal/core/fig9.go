@@ -33,25 +33,19 @@ func RunFig9(r *Runner, class isa.Class) (*Fig9Result, error) {
 	if class != isa.INT && class != isa.FP {
 		return nil, fmt.Errorf("core: Fig. 9 covers INT and FP only, got %s", class)
 	}
-	var jobs []Job
+	var benches []string
 	for _, b := range kernels.BenchmarkNames {
 		if class == isa.FP && kernels.IntegerOnly(b) {
 			continue
 		}
-		jobs = append(jobs, techniqueJobs(r.Base, []string{b}, append([]Technique{Baseline}, GatedTechniques()...)...)...)
+		benches = append(benches, b)
 	}
-	if err := r.Prefetch(jobs); err != nil {
+	if err := r.Prefetch(techniqueJobs(r.Base, benches, append([]Technique{Baseline}, GatedTechniques()...)...)); err != nil {
 		return nil, err
 	}
 	model := power.Default(r.Base.BreakEven)
-	res := &Fig9Result{Class: class, Average: map[Technique]float64{}}
-	sums := map[Technique]float64{}
-	var n float64
-
-	for _, b := range kernels.BenchmarkNames {
-		if class == isa.FP && kernels.IntegerOnly(b) {
-			continue
-		}
+	res := &Fig9Result{Class: class}
+	for _, b := range benches {
 		base, err := r.Run(b, Baseline)
 		if err != nil {
 			return nil, err
@@ -62,40 +56,16 @@ func RunFig9(r *Runner, class isa.Class) (*Fig9Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			s := model.AnalyzeAgainst(rep, base, class).StaticSavings()
-			row.Savings[tech] = s
-			sums[tech] += s
+			row.Savings[tech] = model.AnalyzeAgainst(rep, base, class).StaticSavings()
 		}
 		res.Rows = append(res.Rows, row)
-		n++
-	}
-	for _, tech := range GatedTechniques() {
-		if n > 0 {
-			res.Average[tech] = sums[tech] / n
-		}
-	}
-
-	header := []string{"benchmark"}
-	for _, t := range GatedTechniques() {
-		header = append(header, t.String())
 	}
 	panel := "9a"
 	if class == isa.FP {
 		panel = "9b"
 	}
-	tab := stats.NewTable(fmt.Sprintf("Fig. %s — %s static energy savings", panel, class), header...)
-	for _, row := range res.Rows {
-		cells := []interface{}{row.Benchmark}
-		for _, t := range GatedTechniques() {
-			cells = append(cells, row.Savings[t])
-		}
-		tab.AddRowf(cells...)
-	}
-	cells := []interface{}{"average"}
-	for _, t := range GatedTechniques() {
-		cells = append(cells, res.Average[t])
-	}
-	tab.AddRowf(cells...)
-	res.Table = tab
+	res.Table, res.Average = techPanel(fmt.Sprintf("Fig. %s — %s static energy savings", panel, class),
+		GatedTechniques(), res.Rows, func(row Fig9Row) (string, map[Technique]float64) { return row.Benchmark, row.Savings },
+		"average", stats.Mean)
 	return res, nil
 }

@@ -131,10 +131,3 @@ func (r *Runner) Prefetch(jobs []Job) error {
 	_, err := r.RunMany(jobs)
 	return err
 }
-
-// PrefetchCtx is Prefetch under a context; see RunManyCtx for the
-// cancellation contract.
-func (r *Runner) PrefetchCtx(ctx context.Context, jobs []Job) error {
-	_, err := r.RunManyCtx(ctx, jobs)
-	return err
-}

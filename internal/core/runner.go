@@ -200,9 +200,6 @@ func NewRunner(base config.Config) *Runner {
 	}
 }
 
-// DefaultRunner returns a runner over the paper's GTX480 baseline.
-func DefaultRunner() *Runner { return NewRunner(config.GTX480()) }
-
 // checkScale rejects scale values that cannot key the cache or scale a
 // kernel: NaN, ±Inf and non-positive values.
 func checkScale(s float64) error {
@@ -403,21 +400,6 @@ type Instrumenter func(bench string, cfg config.Config, k *kernels.Kernel, g *si
 type NamedReport struct {
 	Benchmark string
 	Report    *sim.Report
-}
-
-// RunAll simulates every paper benchmark under technique t, returning
-// reports keyed by benchmark name. The map has no defined iteration order;
-// use RunAllOrdered or RunAllParallel when order matters.
-func (r *Runner) RunAll(t Technique) (map[string]*sim.Report, error) {
-	out := make(map[string]*sim.Report, len(kernels.BenchmarkNames))
-	for _, b := range kernels.BenchmarkNames {
-		rep, err := r.Run(b, t)
-		if err != nil {
-			return nil, err
-		}
-		out[b] = rep
-	}
-	return out, nil
 }
 
 // RunAllOrdered simulates every paper benchmark under technique t serially,

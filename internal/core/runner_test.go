@@ -117,25 +117,3 @@ func TestRunnerConcurrentAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestRunAll(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-suite run in -short mode")
-	}
-	r := testRunner()
-	reps, err := r.RunAll(Baseline)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != 18 {
-		t.Fatalf("RunAll returned %d reports, want 18", len(reps))
-	}
-	for name, rep := range reps {
-		if rep.RanOut {
-			t.Errorf("%s hit the cycle limit at test scale", name)
-		}
-		if rep.IssuedTotal == 0 {
-			t.Errorf("%s issued nothing", name)
-		}
-	}
-}
