@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,8 @@ import (
 	"time"
 
 	"warpedgates/internal/config"
+	"warpedgates/internal/sim"
+	"warpedgates/internal/store"
 )
 
 // testOptions is the shared fast-test configuration: the small 2-SM machine,
@@ -443,5 +446,41 @@ func TestStatuszJobCounts(t *testing.T) {
 	}
 	if z.Simulations != 1 {
 		t.Fatalf("statusz simulations = %d, want 1", z.Simulations)
+	}
+}
+
+// TestRunnerMapBounded pins the cap on per-scale runners: jobs at
+// maxRunners+1 distinct client-chosen scales leave at most maxRunners
+// runners resident, and every job's report is still served, the evicted
+// runner's from the store.
+func TestRunnerMapBounded(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatalf("store.Open: %v", err)
+	}
+	s, ts := newTestServer(t, func(o *Options) { o.Store = st })
+	var ids []string
+	for i := 0; i <= maxRunners; i++ {
+		body := fmt.Sprintf(`{"bench":"nw","technique":"Baseline","sms":2,"scale":%g}`, 0.05+float64(i)/1000)
+		js := submitAndWait(t, ts, body)
+		if js.State != StateDone {
+			t.Fatalf("job at scale %d ended %s (%s)", i, js.State, js.Error)
+		}
+		ids = append(ids, js.ID)
+	}
+	s.mu.Lock()
+	n := len(s.runners)
+	s.mu.Unlock()
+	if n > maxRunners {
+		t.Fatalf("%d runners resident after %d distinct scales, cap is %d", n, maxRunners+1, maxRunners)
+	}
+	for _, id := range ids {
+		resp, body := doJSON(t, ts, http.MethodGet, "/v1/reports/"+id, "", nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /v1/reports/%s = %d: %s", id, resp.StatusCode, body)
+		}
+		if _, err := sim.DecodeReport([]byte(body)); err != nil {
+			t.Fatalf("report %s does not decode: %v", id, err)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -18,6 +19,26 @@ import (
 // smallSweep expands to 4 sub-second cells on the test machine: 2 benches ×
 // 2 techniques at scale 0.05.
 const smallSweep = `{"benches":["nw","hotspot"],"techniques":["Baseline","WarpedGates"],"sms":[2],"scales":[0.05]}`
+
+// hugeGridSweep is about 220 KB of JSON whose grid has 18 × 6 × 20000 ×
+// 20000 × 100 ≈ 4.3e12 cells: it must be rejected by size before anything
+// of that size is allocated.
+var hugeGridSweep = `{"seeds":` + jsonRange(0, 19999) + `,"idle_detects":` + jsonRange(0, 19999) +
+	`,"break_evens":` + jsonRange(1, 100) + `}`
+
+// jsonRange renders the integers lo..hi as a JSON array.
+func jsonRange(lo, hi int) string {
+	var b strings.Builder
+	b.WriteByte('[')
+	for v := lo; v <= hi; v++ {
+		if v > lo {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.Itoa(v))
+	}
+	b.WriteByte(']')
+	return b.String()
+}
 
 // postSweep submits a sweep and returns the decoded status.
 func postSweep(t *testing.T, ts *httptest.Server, body string, wantStatus int) SweepStatus {
@@ -165,6 +186,14 @@ func TestSweepValidationTable(t *testing.T) {
 			body:       smallSweep,
 			wantStatus: http.StatusBadRequest,
 			wantBody:   []string{"4 cells", "limit is 2", "shard"},
+		},
+		{
+			name:       "grid too large to expand is 400",
+			method:     http.MethodPost,
+			path:       "/v1/sweeps",
+			body:       hugeGridSweep,
+			wantStatus: http.StatusBadRequest,
+			wantBody:   []string{"more than", "cells"},
 		},
 		{
 			name:       "trailing data after the body is 400",

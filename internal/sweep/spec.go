@@ -77,12 +77,18 @@ func (c Cell) Key(base config.Config) string {
 	return core.JobKey(c.Bench, c.Config(base), c.Scale)
 }
 
+// MaxGridCells caps the cross product Expand builds. Specs are untrusted
+// input (the service expands client bodies), and a few long axes multiply
+// into a grid no machine can hold, so Expand sizes the grid before it
+// allocates anything. Callers apply their own, smaller limits on top.
+const MaxGridCells = 1 << 20
+
 // Expand resolves the spec's defaults against base and returns the full
 // cross product in deterministic axis order (bench, technique, SMs, scale,
 // seed, idle-detect, break-even, wakeup). Axis values are deduplicated before
 // crossing, so the result is duplicate-free: distinct cells always differ in
 // at least one axis and therefore in their canonical key. Unknown benchmark
-// or technique names fail expansion.
+// or technique names, and grids over MaxGridCells, fail expansion.
 func Expand(spec Spec, base config.Config) ([]Cell, error) {
 	benches := spec.Benches
 	if len(benches) == 0 {
@@ -116,8 +122,16 @@ func Expand(spec Spec, base config.Config) ([]Cell, error) {
 	bets := dedupInts(defaultInts(spec.BreakEvens, base.BreakEven))
 	wakes := dedupInts(defaultInts(spec.WakeupDelays, base.WakeupDelay))
 
-	cells := make([]Cell, 0,
-		len(benches)*len(techs)*len(sms)*len(scales)*len(seeds)*len(idles)*len(bets)*len(wakes))
+	// Every axis is non-empty, and n stays at most MaxGridCells, so the
+	// products below cannot overflow.
+	n := 1
+	for _, axis := range []int{len(benches), len(techs), len(sms), len(scales), len(seeds), len(idles), len(bets), len(wakes)} {
+		if n > MaxGridCells/axis {
+			return nil, fmt.Errorf("sweep: grid expands to more than %d cells", MaxGridCells)
+		}
+		n *= axis
+	}
+	cells := make([]Cell, 0, n)
 	for _, b := range benches {
 		for ti, tech := range techs {
 			for _, nsm := range sms {

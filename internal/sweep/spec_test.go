@@ -179,3 +179,45 @@ func TestExpandZeroSpecIsPaperMatrix(t *testing.T) {
 		}
 	}
 }
+
+// TestExpandRejectsHugeGrids pins the size check Expand makes before it
+// allocates: a grid just over MaxGridCells and one whose cell count
+// overflows int both fail with an error, never a panic or a giant
+// allocation.
+func TestExpandRejectsHugeGrids(t *testing.T) {
+	base := config.Small()
+	ints := func(n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = i + 1
+		}
+		return out
+	}
+	seeds := func(n int) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = uint64(i)
+		}
+		return out
+	}
+	scales := make([]float64, 1000)
+	for i := range scales {
+		scales[i] = float64(i+1) / 1000
+	}
+	for name, spec := range map[string]Spec{
+		"one cell over the ceiling": {
+			Benches: []string{"nw"}, Techniques: []string{"Baseline"},
+			Seeds: seeds(1025), IdleDetects: ints(1024),
+		},
+		// 18 × 6 × 1000^6 ≈ 1.1e20 cells: the product overflows int64.
+		"product overflows int": {
+			SMs: ints(1000), Scales: scales, Seeds: seeds(1000),
+			IdleDetects: ints(1000), BreakEvens: ints(1000), WakeupDelays: ints(1000),
+		},
+	} {
+		cells, err := Expand(spec, base)
+		if err == nil {
+			t.Errorf("%s: expanded to %d cells, want an error", name, len(cells))
+		}
+	}
+}
