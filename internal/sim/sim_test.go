@@ -6,6 +6,7 @@ import (
 	"warpedgates/internal/config"
 	"warpedgates/internal/isa"
 	"warpedgates/internal/kernels"
+	"warpedgates/internal/stats"
 )
 
 // smallCfg returns a fast configuration for integration tests.
@@ -244,46 +245,9 @@ func TestActiveWarpStatsBounded(t *testing.T) {
 }
 
 // mergedIdle merges INT and FP idle histograms of a report.
-func mergedIdle(r *Report) *histMerge {
-	m := &histMerge{}
-	m.merge(r.Domains[isa.INT].IdlePeriods)
-	m.merge(r.Domains[isa.FP].IdlePeriods)
+func mergedIdle(r *Report) *stats.Histogram {
+	m := stats.NewHistogram()
+	m.Merge(r.Domains[isa.INT].IdlePeriods)
+	m.Merge(r.Domains[isa.FP].IdlePeriods)
 	return m
-}
-
-// histMerge is a minimal view implementing Regions3 over merged histograms.
-type histMerge struct {
-	vals   []int
-	counts []uint64
-	total  uint64
-}
-
-func (m *histMerge) merge(h interface {
-	Values() []int
-	Count(int) uint64
-}) {
-	for _, v := range h.Values() {
-		m.vals = append(m.vals, v)
-		m.counts = append(m.counts, h.Count(v))
-		m.total += h.Count(v)
-	}
-}
-
-func (m *histMerge) Regions3(idle, bet int) (r1, r2, r3 float64) {
-	if m.total == 0 {
-		return 0, 0, 0
-	}
-	var a, b, c uint64
-	for i, v := range m.vals {
-		switch {
-		case v < idle:
-			a += m.counts[i]
-		case v < idle+bet:
-			b += m.counts[i]
-		default:
-			c += m.counts[i]
-		}
-	}
-	tot := float64(m.total)
-	return float64(a) / tot, float64(b) / tot, float64(c) / tot
 }

@@ -240,18 +240,24 @@ func TestHistogramJSONEmpty(t *testing.T) {
 	}
 }
 
+// malformedHistogramJSON lists bodies UnmarshalJSON must reject; they also
+// seed FuzzHistogramJSON.
+var malformedHistogramJSON = []string{
+	`{"values":[1,2],"counts":[1]}`,   // length mismatch
+	`{"values":[-1],"counts":[1]}`,    // negative value
+	`{"values":[1],"counts":[0]}`,     // zero count
+	`{"values":[1,1],"counts":[1,1]}`, // repeated value
+	`{"values":[2,1],"counts":[1,1]}`, // descending values
+	`not json`,
+	`{"values":[1099511627776],"counts":[1099511627776]}`, // sum wraps to 0
+	`{"values":[1,2],"counts":[18446744073709551615,2]}`,  // total wraps to 1
+}
+
 func TestHistogramJSONRejectsMalformed(t *testing.T) {
-	for _, bad := range []string{
-		`{"values":[1,2],"counts":[1]}`,   // length mismatch
-		`{"values":[-1],"counts":[1]}`,    // negative value
-		`{"values":[1],"counts":[0]}`,     // zero count
-		`{"values":[1,1],"counts":[1,1]}`, // repeated value
-		`{"values":[2,1],"counts":[1,1]}`, // descending values
-		`not json`,
-	} {
+	for _, bad := range malformedHistogramJSON {
 		h := NewHistogram()
 		if err := h.UnmarshalJSON([]byte(bad)); err == nil {
-			t.Errorf("UnmarshalJSON(%s) accepted", bad)
+			t.Errorf("UnmarshalJSON(%s) accepted: total=%d sum=%d", bad, h.Total(), h.Sum())
 		}
 	}
 }
