@@ -60,6 +60,12 @@ func (k GatingKind) String() string {
 	}
 }
 
+// MaxSMs bounds NumSMs. Configurations arrive from untrusted sources (API
+// bodies, sweep specs, the CLI), and every SM costs its own state up front,
+// so an unbounded count could exhaust memory before the run starts. The
+// paper's machine has 15.
+const MaxSMs = 128
+
 // Config is the complete machine + policy description for one simulation.
 type Config struct {
 	// --- Machine geometry (GTX480 defaults) ---
@@ -234,7 +240,7 @@ func (c *Config) Validate() error {
 		return nil
 	}
 	checks := []error{
-		check(c.NumSMs > 0, "NumSMs must be positive, got %d", c.NumSMs),
+		check(c.NumSMs > 0 && c.NumSMs <= MaxSMs, "NumSMs must be in [1,%d], got %d", MaxSMs, c.NumSMs),
 		check(c.MaxWarpsPerSM > 0, "MaxWarpsPerSM must be positive, got %d", c.MaxWarpsPerSM),
 		check(c.MaxWarpsPerSM <= 64, "MaxWarpsPerSM must be at most 64 (warp-table bitset width), got %d", c.MaxWarpsPerSM),
 		check(c.WarpSize > 0 && c.WarpSize <= 32, "WarpSize must be in (0,32], got %d", c.WarpSize),

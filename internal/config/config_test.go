@@ -57,6 +57,7 @@ func TestValidateRejections(t *testing.T) {
 		frag string
 	}{
 		{"zero SMs", func(c *Config) { c.NumSMs = 0 }, "NumSMs"},
+		{"too many SMs", func(c *Config) { c.NumSMs = MaxSMs + 1 }, "NumSMs"},
 		{"zero warps", func(c *Config) { c.MaxWarpsPerSM = 0 }, "MaxWarpsPerSM"},
 		{"warp size too big", func(c *Config) { c.WarpSize = 64 }, "WarpSize"},
 		{"zero schedulers", func(c *Config) { c.NumSchedulers = 0 }, "NumSchedulers"},

@@ -222,6 +222,14 @@ func TestAPITable(t *testing.T) {
 			wantBody:   []string{"config: BreakEven must be positive"},
 		},
 		{
+			name:       "SM count over the bound is 400",
+			method:     http.MethodPost,
+			path:       "/v1/jobs",
+			body:       `{"bench":"hotspot","technique":"Baseline","sms":16777216}`,
+			wantStatus: http.StatusBadRequest,
+			wantBody:   []string{"config: NumSMs must be in [1,128], got 16777216"},
+		},
+		{
 			name:       "negative scale is 400",
 			method:     http.MethodPost,
 			path:       "/v1/jobs",

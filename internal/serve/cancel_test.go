@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -257,5 +260,100 @@ func TestSSEStreamsToCompletion(t *testing.T) {
 	}
 	if last.Report == "" {
 		t.Fatal("final streamed status carries no report path")
+	}
+}
+
+// countingCtx wraps the server's root context and counts the children
+// derived from it: context.WithCancelCause registers a child through
+// AfterFunc on a parent it cannot see a cancelCtx behind, and the child's
+// stop runs when it is canceled. derived counts registrations, live those
+// not yet stopped.
+type countingCtx struct {
+	context.Context
+	derived, live atomic.Int64
+}
+
+// Value hides the wrapped cancelCtx, which would otherwise take the child
+// directly. The root carries no values.
+func (c *countingCtx) Value(any) any { return nil }
+
+func (c *countingCtx) AfterFunc(f func()) func() bool {
+	c.derived.Add(1)
+	c.live.Add(1)
+	stop := context.AfterFunc(c.Context, f)
+	var once sync.Once
+	return func() bool {
+		once.Do(func() { c.live.Add(-1) })
+		return stop()
+	}
+}
+
+// TestJobContextsReleased pins that job contexts do not pile up on the
+// server's root: a job derives one only when it is admitted, a refused or
+// duplicate submission derives none that outlives the request, and every
+// terminal job's context is done and released.
+func TestJobContextsReleased(t *testing.T) {
+	opts := testOptions()
+	opts.Workers, opts.QueueDepth = 1, 1
+	s, err := NewServer(opts)
+	if err != nil {
+		t.Fatalf("NewServer: %v", err)
+	}
+	root := &countingCtx{Context: s.rootCtx}
+	s.rootCtx = root
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+
+	var ids []string
+	for seed := 1; seed <= 3; seed++ {
+		body := fmt.Sprintf(`{"bench":"hotspot","technique":"WarpedGates","sms":2,"scale":0.05,"seed":%d}`, seed)
+		ids = append(ids, submitAndWait(t, ts, body).ID)
+		before := root.derived.Load()
+		if resp, raw := doJSON(t, ts, http.MethodPost, "/v1/jobs", body, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("duplicate submit: status %d, body %s", resp.StatusCode, raw)
+		}
+		if n := root.derived.Load(); n != before {
+			t.Fatalf("a duplicate submission derived %d job contexts", n-before)
+		}
+	}
+	// With one worker and a one-slot queue, three slow jobs submitted back
+	// to back leave at least one refused.
+	refused := 0
+	for seed := 1; seed <= 3; seed++ {
+		body := fmt.Sprintf(`{"bench":"hotspot","technique":"WarpedGates","sms":2,"scale":50,"seed":%d,"deadline_ms":1000}`, seed)
+		resp, raw := doJSON(t, ts, http.MethodPost, "/v1/jobs", body, nil)
+		switch resp.StatusCode {
+		case http.StatusAccepted:
+			var st JobStatus
+			if err := json.Unmarshal([]byte(raw), &st); err != nil {
+				t.Fatalf("submit response %q: %v", raw, err)
+			}
+			ids = append(ids, st.ID)
+		case http.StatusTooManyRequests:
+			refused++
+		default:
+			t.Fatalf("slow submit: status %d, body %s", resp.StatusCode, raw)
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no slow submission was refused")
+	}
+	for _, id := range ids {
+		waitTerminal(t, ts, id)
+	}
+	if n, want := root.derived.Load(), int64(len(ids)+refused); n != want {
+		t.Errorf("%d job contexts derived, want %d (one per admission attempt)", n, want)
+	}
+	if n := root.live.Load(); n != 0 {
+		t.Errorf("%d job contexts still registered on the root after every job finished", n)
+	}
+	for _, id := range ids {
+		j := s.lookup(id)
+		if j.ctx.Err() == nil {
+			t.Errorf("terminal job %s (%s): context not done", id, j.State())
+		}
 	}
 }

@@ -14,14 +14,15 @@ import (
 // FuzzJobRequest feeds arbitrary POST /v1/jobs bodies through the request
 // decoder and buildJob, seeded with TestAPITable's bodies. Every input must
 // end in a 400 or 413, or in a valid job: a configuration that validates, a
-// positive finite scale, and an id that is the content address of the job's
-// canonical key. Never a panic.
+// positive finite scale, an id that is the content address of the job's
+// canonical key, and no context until the server admits it. Never a panic.
 func FuzzJobRequest(f *testing.F) {
 	for _, body := range []string{
 		smallJob,
 		`{"bench":"nosuch","technique":"WarpedGates"}`,
 		`{"bench":"hotspot","technique":"Overclock"}`,
 		`{"bench":"hotspot","technique":"Baseline","break_even":-1}`,
+		`{"bench":"hotspot","technique":"Baseline","sms":16777216}`,
 		`{"bench":"hotspot","technique":"Baseline","scale":-2}`,
 		`{"bench":"hotspot","technique":"Baseline","max_cycles":7}`,
 		`{"bench":`,
@@ -49,7 +50,9 @@ func FuzzJobRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		defer j.cancel(nil)
+		if j.ctx != nil {
+			t.Fatal("buildJob derived a context for a job it has not admitted")
+		}
 		if err := j.cfg.Validate(); err != nil {
 			t.Fatalf("built job with an invalid config: %v", err)
 		}
@@ -70,8 +73,8 @@ func FuzzJobRequest(f *testing.F) {
 // large seed would eat a short fuzz run. Every input must end in a 400 or
 // 413, or in a valid sweep: between one and MaxSweepCells cells, sorted by
 // a duplicate-free canonical key, each with a configuration that validates,
-// a positive finite scale and an id that is its key's content address.
-// Never a panic.
+// a positive finite scale, an id that is its key's content address and no
+// context before admission. Never a panic.
 func FuzzSweepRequest(f *testing.F) {
 	for _, body := range []string{
 		smallSweep,
@@ -81,6 +84,7 @@ func FuzzSweepRequest(f *testing.F) {
 		`{"seeds":` + jsonRange(0, 99) + `,"idle_detects":` + jsonRange(0, 99) + `}`,
 		smallSweep + `{}`,
 		`{"benches":["nw"],"techniques":["Baseline"],"sample_detail":500,"sample_period":500}`,
+		`{"benches":["nw"],"techniques":["Baseline"],"sms":[2,16777216]}`,
 		`{"benches":["nw","hotspot"],"techniques":["WarpedGates"],"sms":[2,4],"scales":[0.05,0.1],"shard_index":1,"shard_count":3}`,
 	} {
 		f.Add([]byte(body))
@@ -103,9 +107,6 @@ func FuzzSweepRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, j := range jobs {
-			defer j.cancel(nil)
-		}
 		if len(jobs) == 0 || len(jobs) > s.opts.MaxSweepCells {
 			t.Fatalf("built a sweep of %d cells, limit %d", len(jobs), s.opts.MaxSweepCells)
 		}
@@ -118,6 +119,9 @@ func FuzzSweepRequest(f *testing.F) {
 			}
 			if j.key != core.JobKey(j.bench, j.cfg, j.scale) || j.id != store.HashKey(j.key) {
 				t.Fatalf("cell %d id %s / key %q do not address the job", i, j.id, j.key)
+			}
+			if j.ctx != nil {
+				t.Fatalf("cell %d has a context before admission", i)
 			}
 			if i > 0 && jobs[i-1].key >= j.key {
 				t.Fatalf("cells %d and %d are out of order or duplicate: %q, %q", i-1, i, jobs[i-1].key, j.key)

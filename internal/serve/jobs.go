@@ -27,6 +27,11 @@ var ErrClientGone = errors.New("serve: client disconnected")
 // when a drain deadline expires.
 var ErrDraining = errors.New("serve: server draining")
 
+// errReleased is the cause that releases a terminal job's context. Nothing
+// reports it: the job's state and error are already final when it is
+// planted.
+var errReleased = errors.New("serve: job terminal")
+
 // State is a job's lifecycle position.
 type State string
 
@@ -107,6 +112,9 @@ type job struct {
 	runDeadline time.Duration
 
 	// ctx governs the whole job (queued and running); cancel plants a cause.
+	// Both are set when the server admits the job, so a request that is
+	// refused or collapses onto an existing job never derives one, and the
+	// terminal transition releases it.
 	ctx    context.Context
 	cancel context.CancelCauseFunc
 
@@ -156,7 +164,8 @@ func (j *job) status() JobStatus {
 
 // transition moves the job to a new state (recording err on terminal
 // failure) and publishes the fresh status to subscribers. Terminal states
-// are sticky: once done/failed/canceled, later transitions are ignored.
+// are sticky: once done/failed/canceled, later transitions are ignored, and
+// reaching one releases the job's context from the server's root.
 func (j *job) transition(state State, err error) {
 	j.mu.Lock()
 	if j.state.terminal() {
@@ -169,6 +178,9 @@ func (j *job) transition(state State, err error) {
 		close(j.done)
 	}
 	j.mu.Unlock()
+	if state.terminal() {
+		j.cancel(errReleased)
+	}
 	j.publish()
 }
 
@@ -292,7 +304,6 @@ func (s *Server) buildJob(req *JobRequest) (*job, error) {
 		subs:  make(map[chan []byte]struct{}),
 		done:  make(chan struct{}),
 	}
-	j.ctx, j.cancel = context.WithCancelCause(s.rootCtx)
 	return j, nil
 }
 
@@ -347,10 +358,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Terminal failure: fall through and replace with the fresh job.
 	}
 	j.runDeadline = deadline
+	j.ctx, j.cancel = context.WithCancelCause(s.rootCtx)
 	select {
 	case s.queue <- j:
 	default:
 		s.mu.Unlock()
+		j.cancel(errReleased)
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "admission queue full (%d jobs); retry later", cap(s.queue))
 		return

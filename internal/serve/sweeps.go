@@ -135,7 +135,6 @@ func (s *Server) buildSweep(req *SweepRequest) (string, []*job, error) {
 			subs:  make(map[chan []byte]struct{}),
 			done:  make(chan struct{}),
 		}
-		j.ctx, j.cancel = context.WithCancelCause(s.rootCtx)
 		jobs[i] = j
 	}
 	sort.Slice(jobs, func(a, b int) bool { return jobs[a].key < jobs[b].key })
@@ -192,6 +191,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 			// cell retryable exactly like a resubmitted job.
 		}
 		j.runDeadline = deadline
+		j.ctx, j.cancel = context.WithCancelCause(s.rootCtx)
 		s.jobs[j.id] = j
 		s.order = append(s.order, j)
 		fresh = append(fresh, j)

@@ -220,6 +220,14 @@ func TestSweepValidationTable(t *testing.T) {
 			wantBody:   []string{"SamplePeriod"},
 		},
 		{
+			name:       "SM count over the bound is 400",
+			method:     http.MethodPost,
+			path:       "/v1/sweeps",
+			body:       `{"benches":["nw"],"techniques":["Baseline"],"sms":[2,16777216]}`,
+			wantStatus: http.StatusBadRequest,
+			wantBody:   []string{"config: NumSMs must be in [1,128], got 16777216"},
+		},
+		{
 			name: "draining submit is 503",
 			prep: func(t *testing.T, s *Server, ts *httptest.Server) {
 				s.Close()

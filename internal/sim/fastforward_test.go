@@ -208,9 +208,9 @@ func TestFastForwardActuallySkips(t *testing.T) {
 	}
 }
 
-// TestScheduleRetirePanicsOutsideHorizon pins the retire ring's safety check:
-// scheduling a writeback at or beyond the ring size (or in the past) must
-// panic rather than alias another bucket.
+// TestScheduleRetirePanicsOutsideHorizon pins the retire booking's safety
+// check: scheduling a writeback at or before the current cycle must panic
+// rather than land in a bucket the SM has already passed.
 func TestScheduleRetirePanicsOutsideHorizon(t *testing.T) {
 	cfg := config.Small()
 	cfg.NumSMs = 1
@@ -220,7 +220,7 @@ func TestScheduleRetirePanicsOutsideHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 	sm := gpu.SMs()[0]
-	for _, at := range []int64{0, -5, retireRingSize, retireRingSize + 100} {
+	for _, at := range []int64{0, -5} {
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -229,6 +229,56 @@ func TestScheduleRetirePanicsOutsideHorizon(t *testing.T) {
 			}()
 			sm.scheduleRetire(0, at, sm.warps[0], 1)
 		}()
+	}
+}
+
+// TestScheduleRetireFarFuture books writebacks past the retire ring, into
+// the overflow heap, on an SM that has drained and retired its last ring
+// writebacks, so it has nothing else to wait for. The horizon must report
+// each booking's cycle, the SM must jump straight to it, and the scoreboard
+// bit must clear exactly there.
+func TestScheduleRetireFarFuture(t *testing.T) {
+	cfg := config.Small()
+	cfg.NumSMs = 1
+	k := kernels.MustBenchmark("nw").Scale(0.05)
+	gpu, err := NewGPU(cfg, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := gpu.Run(); rep.RanOut {
+		t.Fatal("run did not drain")
+	}
+	sm := gpu.SMs()[0]
+	for sm.retireCount > 0 {
+		sm.step(sm.skipUntil)
+	}
+	w := sm.warps[0]
+	const bit = uint64(1) << 5
+	for _, ahead := range []int64{5000, 1 << 20} {
+		now := sm.skipUntil
+		at := now + ahead
+		w.pending |= bit
+		sm.scheduleRetire(now, at, w, bit)
+		if len(sm.retireFar) != 1 || sm.retireCount != 0 {
+			t.Fatalf("%d cycles ahead: %d overflow and %d ring events, want the booking in the overflow heap",
+				ahead, len(sm.retireFar), sm.retireCount)
+		}
+		if h := sm.horizon(now); h != at {
+			t.Fatalf("%d cycles ahead: horizon %d, want %d", ahead, h, at)
+		}
+		if next := sm.step(now); next != at {
+			t.Fatalf("%d cycles ahead: step(%d) returned %d, want a jump to %d", ahead, now, next, at)
+		}
+		if w.pending&bit == 0 {
+			t.Fatalf("%d cycles ahead: scoreboard bit cleared before cycle %d", ahead, at)
+		}
+		sm.step(at)
+		if w.pending&bit != 0 {
+			t.Fatalf("%d cycles ahead: scoreboard bit still set after stepping cycle %d", ahead, at)
+		}
+		if len(sm.retireFar) != 0 {
+			t.Fatalf("%d cycles ahead: %d events left in the overflow heap", ahead, len(sm.retireFar))
+		}
 	}
 }
 
@@ -254,7 +304,7 @@ func TestStepZeroAllocsSteadyState(t *testing.T) {
 	}
 	sm := gpu.SMs()[0]
 	cyc := int64(0)
-	for cyc < 10*retireRingSize { // let every arena hit its high-water mark
+	for cyc < 163840 { // let every arena hit its high-water mark
 		cyc = sm.step(cyc)
 	}
 	const window = 100000

@@ -141,8 +141,10 @@ func TestCoordinatedKeepsOneClusterOn(t *testing.T) {
 	}
 }
 
-// TestRetireRingHorizon ensures no writeback is ever scheduled beyond the
-// retire ring's capacity, which would silently corrupt the scoreboard.
+// TestRetireRingHorizon drains a run under maximal channel queueing, which
+// books writebacks furthest ahead, and checks every instruction issued: a
+// writeback lost between the retire ring and its overflow heap would leave
+// a warp blocked forever.
 func TestRetireRingHorizon(t *testing.T) {
 	cfg := smallCfg()
 	cfg.DRAMSlots = 1 // maximal channel queueing pressure

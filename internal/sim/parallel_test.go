@@ -194,3 +194,31 @@ func TestParallelEngineMatchesSerialQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestParallelEngineFarWriteback runs memory latencies that book every DRAM
+// writeback past the retire ring, into each SM's overflow heap, on the
+// serial engine, the parallel engine and with the fast-forward off. All
+// three must drain to the same report and per-SM streams.
+func TestParallelEngineFarWriteback(t *testing.T) {
+	k := kernels.MustBenchmark("lbm").Scale(0.02)
+	for _, lat := range []int{3000, 20000} {
+		cfg := config.Small()
+		cfg.DRAMLatency = lat
+		wantRep, wantProbe, wantIssue := runDigests(t, cfg, k)
+		if wantRep.RanOut || wantRep.Cycles <= int64(lat) {
+			t.Fatalf("DRAMLatency=%d: serial run took %d cycles (ran out: %v)", lat, wantRep.Cycles, wantRep.RanOut)
+		}
+		par, noFF := cfg, cfg
+		par.IntraRunWorkers = 2
+		noFF.DisableFastForward = true
+		for name, c := range map[string]config.Config{"workers=2": par, "no fast-forward": noFF} {
+			gotRep, gotProbe, gotIssue := runDigests(t, c, k)
+			if !sameReport(wantRep, gotRep) {
+				t.Errorf("DRAMLatency=%d %s: report diverged\nserial: %v\ngot:    %v", lat, name, wantRep, gotRep)
+			}
+			if !reflect.DeepEqual(wantProbe, gotProbe) || !reflect.DeepEqual(wantIssue, gotIssue) {
+				t.Errorf("DRAMLatency=%d %s: streams diverged", lat, name)
+			}
+		}
+	}
+}

@@ -14,22 +14,26 @@ import (
 	"warpedgates/internal/stats"
 )
 
-// retireRingSize bounds how far in the future a writeback can be scheduled;
-// it must exceed the worst-case memory completion horizon (DRAM latency plus
-// maximal channel queueing). Power of two for cheap masking.
-const retireRingSize = 1 << 14
+// retireRingSize is how many cycles ahead the retire ring books a writeback
+// directly; a booking at least that far ahead waits in the SM's overflow
+// heap instead. Every benchmark writeback lands well inside it (the default
+// machines book none 512 or more cycles ahead), so the heap stays empty
+// unless a configuration stretches memory latency. Power of two for cheap
+// masking.
+const retireRingSize = 1 << 10
 
 // retireEvent is a scheduled writeback: clear dstMask in the warp's
-// scoreboard, guarded by the warp-slot generation to survive slot reuse.
-// Events live in a per-SM free-list arena (retirePool) and chain through
-// next, so scheduling one never allocates once the pool has grown to the
-// SM's maximum in-flight count — a slice-of-slices ring converges on zero
-// allocations only asymptotically, as random completion bursts keep finding
-// buckets below their high-water capacity.
+// scoreboard at cycle at, guarded by the warp-slot generation to survive
+// slot reuse. Events live in a per-SM free-list arena (retirePool) and chain
+// through next, so scheduling one never allocates once the pool has grown to
+// the SM's maximum in-flight count — a slice-of-slices ring converges on
+// zero allocations only asymptotically, as random completion bursts keep
+// finding buckets below their high-water capacity.
 type retireEvent struct {
 	warp    *Warp
-	gen     uint32
 	dstMask uint64
+	at      int64
+	gen     uint32
 	next    int32 // pool index of the next event in the same bucket, -1 ends
 }
 
@@ -125,10 +129,13 @@ type SM struct {
 	retirePool []retireEvent
 	retireFree int32
 	// retireBits marks populated retire buckets (one bit per bucket) and
-	// retireCount totals the pending events, so the horizon can locate the
-	// next writeback in a handful of word scans.
+	// retireCount totals the events pending in the ring, so the horizon can
+	// locate the next writeback in a handful of word scans.
 	retireBits  [retireRingSize / 64]uint64
 	retireCount int
+	// retireFar is a min-heap, by at, of the retirePool indices of events
+	// booked retireRingSize or more cycles ahead.
+	retireFar []int32
 
 	// ffEnabled caches !cfg.DisableFastForward. skipUntil is the first cycle
 	// the SM has not simulated: step returns it for any earlier cycle, which
@@ -428,6 +435,9 @@ func (sm *SM) step(now int64) int64 {
 	sm.st.Cycles++
 	sm.memPort.Expire(now)
 	sm.writeback(now)
+	if len(sm.retireFar) > 0 {
+		sm.writebackFar(now)
+	}
 	sm.replaceCTAs()
 	sm.refreshCounters()
 	if sm.gatesPol != nil {
@@ -488,7 +498,8 @@ func (sm *SM) jump(now int64, dMem, dGate, dRefused uint64) int64 {
 // cycle after a gating event (tickGating keeps each class's due cycle, the
 // cycle whose tick the event or a pipe's draining changes), or the first
 // cycle to start differently — at the MSHR's next fill, the next populated
-// retire bucket, a pipe's port freeing, a GATES priority swap, or stepLimit.
+// retire bucket or overflow writeback, a pipe's port freeing, a GATES
+// priority swap, or stepLimit.
 func (sm *SM) horizon(now int64) int64 {
 	h := min(sm.stepLimit, sm.memPort.NextExpiry())
 	for i := range sm.groups {
@@ -499,6 +510,9 @@ func (sm *SM) horizon(now int64) int64 {
 	}
 	if sm.retireCount > 0 {
 		h = min(h, sm.nextRetireCycle(now+1))
+	}
+	if len(sm.retireFar) > 0 {
+		h = min(h, sm.retirePool[sm.retireFar[0]].at)
 	}
 	for _, p := range sm.pipes {
 		if p.portFreeAt > now {
@@ -553,23 +567,47 @@ func (sm *SM) writeback(now int64) {
 	sm.retireBits[idx>>6] &^= 1 << uint(idx&63)
 }
 
+// writebackFar retires the overflow-heap events due at cycle now. The
+// horizon steps the SM at the heap's earliest cycle, so none can be past.
+func (sm *SM) writebackFar(now int64) {
+	for len(sm.retireFar) > 0 {
+		n := sm.retireFar[0]
+		ev := &sm.retirePool[n]
+		if ev.at > now {
+			return
+		}
+		if ev.at < now {
+			panic(fmt.Sprintf("sim: SM%d overflow retire at cycle %d missed, clock at %d", sm.id, ev.at, now))
+		}
+		if ev.gen == ev.warp.gen {
+			ev.warp.clearPending(ev.dstMask)
+			sm.refreshWarp(ev.warp.id)
+		}
+		ev.next = sm.retireFree
+		sm.retireFree = n
+		last := len(sm.retireFar) - 1
+		sm.retireFar[0] = sm.retireFar[last]
+		sm.retireFar = sm.retireFar[:last]
+		sm.siftDownFar(0)
+	}
+}
+
 // scheduleRetire books a future writeback at cycle at (scheduled at cycle
-// now). Events outside the ring horizon would silently alias a past bucket
-// and corrupt the scoreboard, and events before skipUntil would land in a
-// bucket the SM has already passed and wait a full ring wrap, so both panic.
+// now): in the ring when it is less than retireRingSize cycles ahead, in the
+// overflow heap otherwise. Events at or before now, or before skipUntil,
+// would land in a bucket the SM has already passed and wait a full ring
+// wrap, so both panic.
 func (sm *SM) scheduleRetire(now, at int64, w *Warp, dstMask uint64) {
 	if dstMask == 0 {
 		return
 	}
 	delta := at - now
-	if delta <= 0 || delta >= retireRingSize {
-		panic(fmt.Sprintf("sim: retire scheduled %d cycles ahead, outside the ring horizon [1,%d)",
-			delta, retireRingSize))
+	if delta <= 0 {
+		panic(fmt.Sprintf("sim: retire scheduled %d cycles ahead, want at least 1", delta))
 	}
 	if at < sm.skipUntil {
 		panic(fmt.Sprintf("sim: SM%d retire at cycle %d, behind its clock at %d", sm.id, at, sm.skipUntil))
 	}
-	idx := at & (retireRingSize - 1)
 	n := sm.retireFree
 	if n >= 0 {
 		sm.retireFree = sm.retirePool[n].next
@@ -582,17 +620,55 @@ func (sm *SM) scheduleRetire(now, at int64, w *Warp, dstMask uint64) {
 		n = int32(len(sm.retirePool) - 1)
 	}
 	ev := &sm.retirePool[n]
-	ev.warp, ev.gen, ev.dstMask = w, w.gen, dstMask
+	ev.warp, ev.gen, ev.dstMask, ev.at = w, w.gen, dstMask, at
+	if delta >= retireRingSize {
+		sm.retireFar = append(sm.retireFar, n)
+		sm.siftUpFar(len(sm.retireFar) - 1)
+		return
+	}
+	idx := at & (retireRingSize - 1)
 	ev.next = sm.retireHead[idx]
 	sm.retireHead[idx] = n
 	sm.retireBits[idx>>6] |= 1 << uint(idx&63)
 	sm.retireCount++
 }
 
+// siftUpFar restores the overflow heap's order after a push at i.
+func (sm *SM) siftUpFar(i int) {
+	h := sm.retireFar
+	for i > 0 {
+		p := (i - 1) / 2
+		if sm.retirePool[h[p]].at <= sm.retirePool[h[i]].at {
+			return
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+// siftDownFar restores the overflow heap's order after a pop refilled i.
+func (sm *SM) siftDownFar(i int) {
+	h := sm.retireFar
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && sm.retirePool[h[r]].at < sm.retirePool[h[c]].at {
+			c = r
+		}
+		if sm.retirePool[h[i]].at <= sm.retirePool[h[c]].at {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
 // nextRetireCycle returns the cycle of the earliest populated retire bucket
-// at or after now. Callers must ensure retireCount > 0; the scheduling
-// horizon check guarantees every pending event lies within
-// [now, now+retireRingSize), so bucket order equals cycle order.
+// at or after now. Callers must ensure retireCount > 0; scheduleRetire
+// rings only events within [now, now+retireRingSize), so bucket order
+// equals cycle order.
 func (sm *SM) nextRetireCycle(now int64) int64 {
 	start := int(now & (retireRingSize - 1))
 	wordIdx := start >> 6
@@ -791,8 +867,8 @@ func (sm *SM) issueMemory(now int64, w *Warp, in *isa.Instr) bool {
 // so the worker that owns the SM calls it without synchronization; otherwise
 // only the parallel engine's coordinator calls it, with every worker parked
 // at the barrier. Deferring scheduleRetire past the end of step is invisible:
-// the retire ring is only read by a later step's writeback and horizon scan,
-// both of which run afterwards.
+// the retire ring and its overflow heap are only read by a later step's
+// writeback and horizon scan, both of which run afterwards.
 func (sm *SM) resolveMemory() {
 	sm.memPort.ResolveStaged(func(i int, res mem.Result) {
 		r := sm.stagedRet[i]
