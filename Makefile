@@ -22,18 +22,14 @@ race:
 
 # The profiled bench harness: times the full benchmark × technique matrix
 # with and without the fast-forward, measures the steady-state
-# per-cycle cost (which must report 0 allocs/cycle), and writes
-# BENCH_sim.json. bench-short is the CI-sized variant; FLOOR (default 0 =
-# off) gates the intra-run scaling curve — `make bench-short FLOOR=1.5`
-# exits 1 if 2 workers don't reach a 1.5x speedup. On single-core hosts the
-# gate cannot be measured: it logs the reason to stderr and exits 3, so CI
-# can tell a skipped gate from a passed (0) or failed (1) one.
-FLOOR ?= 0
+# per-cycle cost (which must report 0 allocs/cycle) and the full-matrix
+# makespan through the job-level runner, and writes BENCH_sim.json.
+# bench-short is the CI-sized variant.
 bench:
-	$(GO) run ./cmd/warpedgates bench -sms 6 -scale 0.25 -floor $(FLOOR) -out BENCH_sim.json
+	$(GO) run ./cmd/warpedgates bench -sms 6 -scale 0.25 -out BENCH_sim.json
 
 bench-short:
-	$(GO) run ./cmd/warpedgates bench -sms 2 -scale 0.1 -floor $(FLOOR) -out BENCH_sim.json
+	$(GO) run ./cmd/warpedgates bench -sms 2 -scale 0.1 -out BENCH_sim.json
 
 # Regenerate the committed cost-model calibration table. Deterministic: a
 # diff against the committed file means the simulator's cycle counts moved
@@ -74,10 +70,8 @@ check: build test
 
 # The verification harness: the full benchmark × technique matrix under the
 # cycle-level invariant checker (with the race detector — the checked matrix
-# exercises both the parallel runner and, via TestCheckedMatrixIntraRunWorkers,
-# the phase-split parallel engine), the golden-corpus drift check, and checked
-# end-to-end runs of the verify subcommand on a small machine with the serial
-# and the parallel engine (-workers 2, one goroutine per SM).
+# exercises the parallel job runner), the golden-corpus drift check, and
+# checked end-to-end runs of the verify subcommand on a small machine.
 # Regenerate the corpus after an intentional model change with:
 #   go test ./internal/core -run GoldenMatrix -update
 # The -store run is the durability proof: the checked matrix populates a
@@ -87,7 +81,6 @@ verify:
 	$(GO) test -race ./internal/check/
 	$(GO) test ./internal/core -run GoldenMatrix
 	$(GO) run ./cmd/warpedgates verify -sms 2 -scale 0.1
-	$(GO) run -race ./cmd/warpedgates verify -sms 2 -scale 0.1 -workers 2
 	$(GO) run ./cmd/warpedgates verify -sms 2 -scale 0.1 -store "$$(mktemp -d)"
 
 # The crash-safety suite under the race detector: the durable report store,

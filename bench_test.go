@@ -13,10 +13,6 @@
 //	WARPEDGATES_SCALE=0.5  halve every benchmark's work
 //	WARPEDGATES_J=4        cap the simulation worker pool at 4 (default:
 //	                       all cores; figure output is identical at any J)
-//	WARPEDGATES_WORKERS=4  step SMs inside each simulation on 4 goroutines
-//	                       (default 1 = serial engine; output is identical
-//	                       at any worker count — the runner divides its J
-//	                       budget so jobs x workers stays within J)
 package warpedgates
 
 import (
@@ -44,11 +40,6 @@ func getRunner() *core.Runner {
 		if v := os.Getenv("WARPEDGATES_SMS"); v != "" {
 			if n, err := strconv.Atoi(v); err == nil && n > 0 {
 				cfg.NumSMs = n
-			}
-		}
-		if v := os.Getenv("WARPEDGATES_WORKERS"); v != "" {
-			if n, err := strconv.Atoi(v); err == nil && n > 0 {
-				cfg.IntraRunWorkers = n
 			}
 		}
 		benchRunner = core.NewRunner(cfg)

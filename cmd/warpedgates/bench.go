@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -16,11 +15,6 @@ import (
 	"warpedgates/internal/store"
 )
 
-// errFloorSkipped marks a -floor gate that could not run because the host
-// cannot schedule two workers in parallel. main maps it to exit code 3 so CI
-// can tell "gate passed" (0) from "gate could not be measured" (3).
-var errFloorSkipped = errors.New("bench: floor gate skipped")
-
 // benchCell is one benchmark × technique measurement.
 type benchCell struct {
 	Bench          string  `json:"bench"`
@@ -31,25 +25,12 @@ type benchCell struct {
 	AllocsPerCycle float64 `json:"allocs_per_cycle"`
 }
 
-// scalingPoint is one intra-run worker count on the scaling curve.
-type scalingPoint struct {
-	Workers        int     `json:"workers"`
-	WallMS         float64 `json:"wall_ms"`
-	NsPerCycle     float64 `json:"ns_per_cycle"`
-	AllocsPerCycle float64 `json:"allocs_per_cycle"`
-	// Speedup is serial wall time over this point's wall time (>1 = faster).
-	// Interpret it against "gomaxprocs": on a single-core host the parallel
-	// engine can only pay barrier overhead, so points below 1 are expected
-	// there and say nothing about multi-core scaling.
-	Speedup float64 `json:"speedup"`
-}
-
 // benchReport is the BENCH_sim.json payload.
 type benchReport struct {
 	SMs   int     `json:"sms"`
 	Scale float64 `json:"scale"`
 	// GOMAXPROCS records how many cores the measurement could actually use —
-	// required context for judging IntraRunScaling.
+	// required context for judging Makespan.
 	GOMAXPROCS int `json:"gomaxprocs"`
 
 	// SteadyState measures the hot loop alone (one busy SM, warmed buffers):
@@ -66,14 +47,8 @@ type benchReport struct {
 	// amortized over the run.
 	Cells []benchCell `json:"cells"`
 
-	// IntraRunScaling is the phase-split engine's scaling curve: hotspot
-	// under the full proposal with fast-forward disabled (so the stepped
-	// loop dominates), re-run at growing intra-run worker counts. The
-	// workers=1 point is the serial engine and anchors the speedups.
-	IntraRunScaling []scalingPoint `json:"intra_run_scaling"`
-
 	// Makespan is the full benchmark × technique matrix's wall time through
-	// the job-level runner (LPT admission, fixed budget split) on a fresh
+	// the job-level runner (LPT admission, fixed worker pool) on a fresh
 	// runner, so it measures simulation and scheduling, not caching.
 	// Interpret it against "gomaxprocs".
 	Makespan struct {
@@ -98,9 +73,7 @@ func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	sms := fs.Int("sms", 6, "number of SMs")
 	scale := fs.Float64("scale", 0.25, "workload scale factor")
-	workers := addWorkersFlag(fs)
 	out := fs.String("out", "BENCH_sim.json", "output JSON path")
-	floor := fs.Float64("floor", 0, "minimum intra-run speedup at 2 workers; exit nonzero below it (0 disables; exit 3 on single-core hosts that cannot measure it)")
 	calibrate := fs.String("calibrate", "", "write the cost-model calibration table to this file and exit (canonical path: internal/core/costdata.json)")
 	storeDir := addStoreFlag(fs)
 	prof := addProfileFlags(fs)
@@ -126,7 +99,6 @@ func cmdBench(args []string) error {
 
 	base := config.GTX480()
 	base.NumSMs = *sms
-	base.IntraRunWorkers = *workers
 
 	var rep benchReport
 	rep.SMs = *sms
@@ -206,63 +178,18 @@ func cmdBench(args []string) error {
 		rep.Totals.Speedup = rep.Totals.SteppedMS / rep.Totals.FastForwardMS
 	}
 
-	// Intra-run scaling curve: the same stepped run at growing worker
-	// counts. Candidate counts are clamped to the SM count (extra workers
-	// would shard nothing) and deduplicated; -sms 15 yields the full
-	// {1,2,4,8,15} curve of the GTX480 machine.
-	scaleCfg := core.WarpedGates.Apply(base)
-	scaleCfg.DisableFastForward = true
-	scaleKernel := kernels.MustBenchmark("hotspot").Scale(*scale)
-	var serialMS float64
-	for _, w := range []int{1, 2, 4, 8, *sms} {
-		if w > *sms {
-			continue
-		}
-		if n := len(rep.IntraRunScaling); n > 0 && rep.IntraRunScaling[n-1].Workers == w {
-			continue
-		}
-		cfg := scaleCfg
-		cfg.IntraRunWorkers = w
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		t0 := time.Now()
-		gpu, err := sim.NewGPU(cfg, scaleKernel)
-		if err != nil {
-			return err
-		}
-		r := gpu.Run()
-		wall := time.Since(t0)
-		runtime.ReadMemStats(&m1)
-		pt := scalingPoint{Workers: w, WallMS: float64(wall.Nanoseconds()) / 1e6}
-		if r.Cycles > 0 {
-			pt.NsPerCycle = float64(wall.Nanoseconds()) / float64(r.Cycles)
-			pt.AllocsPerCycle = float64(m1.Mallocs-m0.Mallocs) / float64(r.Cycles)
-		}
-		if w == 1 {
-			serialMS = pt.WallMS
-		}
-		if serialMS > 0 && pt.WallMS > 0 {
-			pt.Speedup = serialMS / pt.WallMS
-		}
-		rep.IntraRunScaling = append(rep.IntraRunScaling, pt)
-	}
-
 	// Makespan: the full matrix through the job-level runner on a fresh
-	// runner (empty cache, no store), so it times real simulation;
-	// IntraRunWorkers=1 gives the widest job-level split.
-	mb := base
-	mb.IntraRunWorkers = 1
-	mr := core.NewRunner(mb)
+	// runner (empty cache, no store), so it times real simulation.
+	mr := core.NewRunner(base)
 	mr.Scale = *scale
 	jobs := make([]core.Job, 0, len(kernels.BenchmarkNames)*len(techs))
 	for _, bench := range kernels.BenchmarkNames {
 		for _, tech := range techs {
-			jobs = append(jobs, core.Job{Bench: bench, Cfg: tech.Apply(mb)})
+			jobs = append(jobs, core.Job{Bench: bench, Cfg: tech.Apply(base)})
 		}
 	}
 	rep.Makespan.Jobs = len(jobs)
-	rep.Makespan.JobWorkers = min(core.JobWorkers(0, mb), len(jobs))
+	rep.Makespan.JobWorkers = min(core.JobWorkers(0), len(jobs))
 	runtime.GC()
 	t0 := time.Now()
 	if _, err := mr.RunMany(jobs); err != nil {
@@ -300,15 +227,10 @@ func cmdBench(args []string) error {
 	fmt.Printf("steady state: %.0f ns/cycle, %g allocs/cycle\n", ns, allocs)
 	fmt.Printf("matrix: fast-forward %.0f ms, stepped %.0f ms, speedup %.2fx\n",
 		rep.Totals.FastForwardMS, rep.Totals.SteppedMS, rep.Totals.Speedup)
-	fmt.Printf("intra-run scaling (hotspot stepped, %d cores):", rep.GOMAXPROCS)
-	for _, pt := range rep.IntraRunScaling {
-		fmt.Printf(" w%d=%.2fx", pt.Workers, pt.Speedup)
-	}
-	fmt.Println()
 	fmt.Printf("makespan (%d jobs, %d job workers): %.0f ms\n",
 		rep.Makespan.Jobs, rep.Makespan.JobWorkers, rep.Makespan.MS)
 	fmt.Printf("wrote %s (%d cells)\n", *out, len(rep.Cells))
-	return checkScalingFloor(&rep, *floor)
+	return nil
 }
 
 // writeCalibration regenerates the committed cost-model calibration table by
@@ -331,40 +253,4 @@ func writeCalibration(path string) error {
 	fmt.Printf("wrote %s (%d benchmarks at sms=%d scale=%g)\n",
 		path, len(t.Cells), core.CalCostSMS, core.CalCostScale)
 	return nil
-}
-
-// checkScalingFloor enforces the -floor gate: the 2-worker point of the
-// intra-run scaling curve must reach the given speedup. On a host where the
-// runtime cannot schedule two workers in parallel the curve measures only
-// barrier overhead, so the gate logs the skip reason to stderr and returns an
-// error wrapping errFloorSkipped — exit code 3, distinct from both a pass (0)
-// and a real failure (1) — rather than fail on a machine that cannot exhibit
-// scaling at all. WARPEDGATES_FORCE_FLOOR=1 disables the self-skip: a CI job
-// that knows it runs multi-core sets it so a misdetected GOMAXPROCS can only
-// fail loudly (exit 1), never skip silently (exit 3 reads as a warning there).
-func checkScalingFloor(rep *benchReport, floor float64) error {
-	if floor <= 0 {
-		return nil
-	}
-	if rep.GOMAXPROCS < 2 {
-		if os.Getenv("WARPEDGATES_FORCE_FLOOR") == "1" {
-			fmt.Fprintf(os.Stderr, "bench: WARPEDGATES_FORCE_FLOOR=1 — enforcing -floor %.2f despite GOMAXPROCS=%d\n",
-				floor, rep.GOMAXPROCS)
-		} else {
-			fmt.Fprintf(os.Stderr, "bench: -floor %.2f skipped — GOMAXPROCS=%d cannot run workers in parallel\n",
-				floor, rep.GOMAXPROCS)
-			return fmt.Errorf("%w: GOMAXPROCS=%d < 2, cannot measure parallel scaling", errFloorSkipped, rep.GOMAXPROCS)
-		}
-	}
-	for _, pt := range rep.IntraRunScaling {
-		if pt.Workers != 2 {
-			continue
-		}
-		if pt.Speedup < floor {
-			return fmt.Errorf("bench: intra-run speedup at 2 workers is %.2fx, below the %.2fx floor", pt.Speedup, floor)
-		}
-		fmt.Printf("floor gate: w2=%.2fx >= %.2fx\n", pt.Speedup, floor)
-		return nil
-	}
-	return fmt.Errorf("bench: -floor %.2f set but the scaling curve has no 2-worker point", floor)
 }

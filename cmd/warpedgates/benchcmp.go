@@ -15,8 +15,8 @@ import (
 
 // cmdBenchcmp compares BENCH_sim.json artifacts. With two positional
 // arguments (old first, new second) it compares cell by cell, printing
-// per-cell wall-clock speedups plus the steady-state and intra-run-scaling
-// deltas; that mode's exit status is always zero — the tool reports,
+// per-cell wall-clock speedups plus the steady-state, matrix-wall and
+// makespan figures; that mode's exit status is always zero — the tool reports,
 // thresholds are the reader's policy — but cells present in only one file
 // are called out so silent matrix drift can't hide. With -history DIR it
 // walks every BENCH_*.json snapshot in the directory instead, prints the
@@ -89,19 +89,6 @@ func cmdBenchcmp(args []string) error {
 	if o, n := oldRep.Totals, newRep.Totals; o.FastForwardMS > 0 && n.FastForwardMS > 0 {
 		fmt.Printf("matrix wall: %.0f -> %.0f ms (%.2fx)\n",
 			o.FastForwardMS, n.FastForwardMS, o.FastForwardMS/n.FastForwardMS)
-	}
-	for _, which := range []struct {
-		name string
-		rep  *benchReport
-	}{{args[0], oldRep}, {args[1], newRep}} {
-		if len(which.rep.IntraRunScaling) == 0 {
-			continue
-		}
-		fmt.Printf("intra-run scaling in %s (%d cores):", which.name, which.rep.GOMAXPROCS)
-		for _, pt := range which.rep.IntraRunScaling {
-			fmt.Printf(" w%d=%.2fx", pt.Workers, pt.Speedup)
-		}
-		fmt.Println()
 	}
 	for _, which := range []struct {
 		name string

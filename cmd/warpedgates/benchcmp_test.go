@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -114,4 +115,63 @@ func TestBenchcmpHistory(t *testing.T) {
 			t.Fatal("gate passed with no newest steady-state measurement")
 		}
 	})
+}
+
+// TestBenchcmpHistoryCommittedSnapshots runs the dashboard over the committed
+// dated snapshots. They were written while the bench report still carried an
+// intra-run scaling section, which the reader now ignores: every snapshot
+// must still render, and the gate must keep its verdict — the newest
+// snapshot's steady state sits 47.5% above the best one, so a 10% gate fails
+// and a disabled gate passes.
+func TestBenchcmpHistoryCommittedSnapshots(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("..", "..", "BENCH_20*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 4 {
+		t.Fatalf("found %d dated snapshots, want the 4 committed ones: %v", len(files), files)
+	}
+	dir := t.TempDir()
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(data), `"intra_run_scaling"`) {
+			t.Fatalf("%s no longer carries the retired section this test reads past", f)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out strings.Builder
+	err = benchcmpHistory(&out, dir, 10)
+	if err == nil || !strings.Contains(err.Error(), "steady-state regression: 2026-10-17c is 707 ns/cycle, 47.5% above the best snapshot 2026-10-17 (479 ns/cycle") {
+		t.Fatalf("10%% gate verdict = %v, want the 2026-10-17c regression", err)
+	}
+	for _, want := range []string{
+		"4 snapshots",
+		"2026-08-08               940 ns/cycle, 0 allocs/cycle",
+		"2026-10-17               479 ns/cycle, 0 allocs/cycle",
+		"2026-10-17b              497 ns/cycle, 0 allocs/cycle",
+		"2026-10-17c              707 ns/cycle, 0 allocs/cycle",
+		"WarpedGates",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("dashboard missing %q:\n%s", want, out.String())
+		}
+	}
+	if err := benchcmpHistory(io.Discard, dir, 0); err != nil {
+		t.Fatalf("-regress 0 must disable the gate: %v", err)
+	}
+}
+
+// TestExitCode pins the error → exit status mapping main uses.
+func TestExitCode(t *testing.T) {
+	if got := exitCode(nil); got != 0 {
+		t.Fatalf("exitCode(nil) = %d, want 0", got)
+	}
+	if got := exitCode(errors.New("boom")); got != 1 {
+		t.Fatalf("exitCode(plain error) = %d, want 1", got)
+	}
 }

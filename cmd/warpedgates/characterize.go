@@ -20,14 +20,12 @@ func cmdCharacterize(args []string) error {
 	sms := fs.Int("sms", 15, "number of SMs")
 	scale := fs.Float64("scale", 1.0, "workload scale factor")
 	jobs := fs.Int("j", 0, "max concurrent simulations (0 = all cores)")
-	workers := addWorkersFlag(fs)
 	storeDir := addStoreFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	cfg := config.GTX480()
 	cfg.NumSMs = *sms
-	cfg.IntraRunWorkers = *workers
 	r := core.NewRunner(cfg)
 	r.Scale = *scale
 	r.Parallelism = *jobs

@@ -39,7 +39,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -96,68 +95,50 @@ func main() {
 	}
 }
 
-// exitCode maps a command error to the process exit status. The bench floor
-// gate's self-skip gets its own code so automation can tell "measured and
-// passed" (0) from "host cannot measure" (3) from a real failure (1).
+// exitCode maps a command error to the process exit status: 0 on success,
+// 1 on any error (2, for usage, is reported before a command runs).
 func exitCode(err error) int {
-	switch {
-	case err == nil:
+	if err == nil {
 		return 0
-	case errors.Is(err, errFloorSkipped):
-		return 3
-	default:
-		return 1
 	}
+	return 1
 }
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   warpedgates list
-  warpedgates run -bench <name> -tech <technique> [-sms N] [-scale F] [-j N] [-workers N] [-store DIR]
-  warpedgates figure -id <figure|all> [-sms N] [-scale F] [-j N] [-workers N] [-csv DIR] [-store DIR] [-v]
+  warpedgates run -bench <name> -tech <technique> [-sms N] [-scale F] [-j N] [-store DIR]
+  warpedgates figure -id <figure|all> [-sms N] [-scale F] [-j N] [-csv DIR] [-store DIR] [-v]
   warpedgates trace -bench <name> -tech <technique> [-from C] [-cycles N]
-  warpedgates verify [-sms N] [-scale F] [-j N] [-workers N] [-bench <name>] [-tech <technique>] [-store DIR] [-v]
-  warpedgates bench [-sms N] [-scale F] [-workers N] [-out BENCH_sim.json] [-store DIR]
-                    [-floor X] [-calibrate FILE]
+  warpedgates verify [-sms N] [-scale F] [-j N] [-bench <name>] [-tech <technique>] [-store DIR] [-v]
+  warpedgates bench [-sms N] [-scale F] [-out BENCH_sim.json] [-store DIR]
+                    [-calibrate FILE]
   warpedgates benchcmp OLD.json NEW.json
   warpedgates benchcmp -history DIR [-regress PCT]
-  warpedgates characterize [-sms N] [-scale F] [-j N] [-workers N] [-store DIR]
-  warpedgates compare [-sms N] [-scale F] [-j N] [-workers N] [-store DIR]
+  warpedgates characterize [-sms N] [-scale F] [-j N] [-store DIR]
+  warpedgates compare [-sms N] [-scale F] [-j N] [-store DIR]
   warpedgates sweep [-spec FILE] [-benches a,b] [-techniques a,b] [-sms 4,8]
                     [-scales 1,2] [-seeds 0,1] [-idle-detects N,M] [-break-evens N,M]
                     [-wakeup-delays N,M] [-sample detail/period] [-shard i/n]
-                    [-j N] [-workers N] [-store DIR] [-out REPORT.json] [-n] [-v]
+                    [-j N] [-store DIR] [-out REPORT.json] [-n] [-v]
   warpedgates store verify -store DIR
 
 -j bounds the simulation worker pool (0, the default, uses every core);
-figure regeneration is deterministic at any -j. -workers sets how many
-goroutines step SMs inside each simulation (default 1; results are
-bit-identical at any value — the runner shrinks its -j budget so jobs x
-workers stays within -j).
+figure regeneration is deterministic at any -j. Each simulation runs on one
+goroutine.
 Batches dispatch longest-predicted job first, by the committed cost table;
 the order is a wall-clock matter only.
 `+"`bench -calibrate FILE`"+` regenerates the committed cost table
 (internal/core/costdata.json) and must produce no diff on an unchanged
 simulator.
 -store DIR persists every report in a crash-safe checksummed on-disk store;
-later runs at any -j/-workers serve byte-identical results from it without
+later runs at any -j serve byte-identical results from it without
 simulating. `+"`store verify`"+` scrubs a store (checksums every entry,
 quarantines damage, sweeps crash debris) and exits non-zero on corruption.
-trace stays on the serial engine: it renders a globally ordered event stream.
 run, figure, verify and bench also accept -cpuprofile FILE and
 -memprofile FILE for pprof output.
 
-exit codes: 0 success; 1 error; 2 usage; 3 bench -floor gate skipped
-(single-core host cannot measure parallel scaling).`)
-}
-
-// addWorkersFlag registers the shared -workers flag, defaulting to 1 — the
-// serial engine. Values above 1 select the phase-split parallel engine, which
-// is bit-identical to serial at any worker count, so this is purely a
-// wall-clock knob.
-func addWorkersFlag(fs *flag.FlagSet) *int {
-	return fs.Int("workers", 1,
-		"goroutines stepping SMs inside each simulation (1 = serial engine; identical results at any value)")
+exit codes: 0 success; 1 error; 2 usage.`)
 }
 
 func cmdList() error {
@@ -186,7 +167,6 @@ func cmdRun(args []string) error {
 	sms := fs.Int("sms", 15, "number of SMs")
 	scale := fs.Float64("scale", 1.0, "workload scale factor")
 	jobs := fs.Int("j", 0, "max concurrent simulations (0 = all cores)")
-	workers := addWorkersFlag(fs)
 	storeDir := addStoreFlag(fs)
 	prof := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -202,7 +182,6 @@ func cmdRun(args []string) error {
 	}
 	cfg := config.GTX480()
 	cfg.NumSMs = *sms
-	cfg.IntraRunWorkers = *workers
 	r := core.NewRunner(cfg)
 	r.Scale = *scale
 	r.Parallelism = *jobs
@@ -237,7 +216,6 @@ func cmdFigure(args []string) error {
 	sms := fs.Int("sms", 15, "number of SMs")
 	scale := fs.Float64("scale", 1.0, "workload scale factor")
 	jobs := fs.Int("j", 0, "max concurrent simulations (0 = all cores)")
-	workers := addWorkersFlag(fs)
 	verbose := fs.Bool("v", false, "print progress")
 	csvDir := fs.String("csv", "", "also write each figure as CSV into this directory")
 	storeDir := addStoreFlag(fs)
@@ -256,7 +234,6 @@ func cmdFigure(args []string) error {
 	}
 	cfg := config.GTX480()
 	cfg.NumSMs = *sms
-	cfg.IntraRunWorkers = *workers
 	r := core.NewRunner(cfg)
 	r.Scale = *scale
 	r.Parallelism = *jobs

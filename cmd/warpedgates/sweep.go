@@ -32,7 +32,6 @@ func cmdSweep(args []string) error {
 	sample := fs.String("sample", "", "interval sampling as detail/period cycles, e.g. 1000/5000 (empty = detailed)")
 	shard := fs.String("shard", "", "run only shard i/n of the sorted job-key space, e.g. 0/4")
 	jobs := fs.Int("j", 0, "max concurrent cells (0 = all cores)")
-	workers := addWorkersFlag(fs)
 	storeDir := addStoreFlag(fs)
 	out := fs.String("out", "", "write the full sweep report as JSON to this file")
 	verbose := fs.Bool("v", false, "print per-cell progress")
@@ -105,8 +104,6 @@ func cmdSweep(args []string) error {
 	}
 
 	base := config.GTX480()
-	base.IntraRunWorkers = *workers
-
 	if *dry {
 		cells, err := sweep.Expand(spec, base)
 		if err != nil {

@@ -29,7 +29,6 @@ func cmdVerify(args []string) error {
 	sms := fs.Int("sms", 15, "number of SMs")
 	scale := fs.Float64("scale", 1.0, "workload scale factor")
 	jobs := fs.Int("j", 0, "max concurrent simulations (0 = all cores)")
-	workers := addWorkersFlag(fs)
 	bench := fs.String("bench", "", "verify a single benchmark (default: all)")
 	tech := fs.String("tech", "", "verify a single technique (default: all)")
 	verbose := fs.Bool("v", false, "print progress")
@@ -61,7 +60,6 @@ func cmdVerify(args []string) error {
 
 	cfg := config.GTX480()
 	cfg.NumSMs = *sms
-	cfg.IntraRunWorkers = *workers
 	r := core.NewRunner(cfg)
 	r.Scale = *scale
 	r.Parallelism = *jobs

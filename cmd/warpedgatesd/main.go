@@ -57,7 +57,6 @@ func run() error {
 	maxWall := flag.Duration("max-wall", time.Hour, "runner watchdog backstop per simulation (0 = none)")
 	maxCached := flag.Int("max-cached", 256, "in-memory reports retained per workload scale (LRU)")
 	maxSweepCells := flag.Int("max-sweep-cells", 4096, "largest grid one sweep submission may expand to")
-	workers := flag.Int("workers", 1, "goroutines stepping SMs inside each simulation (results identical at any value)")
 	drainGrace := flag.Duration("drain-grace", 30*time.Second, "how long a drain waits for in-flight jobs before canceling them")
 	flag.Parse()
 
@@ -75,7 +74,6 @@ func run() error {
 		MaxWallTime:      *maxWall,
 		MaxCachedReports: *maxCached,
 		MaxSweepCells:    *maxSweepCells,
-		IntraRunWorkers:  *workers,
 	}
 	var st *store.Store
 	if *storeDir != "" {

@@ -49,13 +49,9 @@ func (v Violation) String() string {
 
 // Checker verifies one simulation. Build it with New, install with Attach,
 // run the GPU, then call Finish with the final report. Attach exactly one
-// Checker per GPU. Observation state is sharded per SM with no shared
-// mutable fields, so the probe and tracer callbacks of *different* SMs may
-// fire concurrently — which is exactly what the parallel engine
-// (config.IntraRunWorkers > 1) does, each worker goroutine stepping its own
-// SM shard. Callbacks for one SM must stay serial (the simulator guarantees
-// this: an SM is stepped by one goroutine), and Finish plus the accessors
-// must be called after the run completes.
+// Checker per GPU. Observation state is kept per SM and built lazily on the
+// SM's first callback; Finish plus the accessors must be called after the
+// run completes.
 type Checker struct {
 	cfg    config.Config
 	kernel *kernels.Kernel // may be nil: the drained-work check is then skipped
@@ -73,8 +69,8 @@ type Checker struct {
 	dropped    uint64
 }
 
-// smChecker holds one SM's observation state — including its own check and
-// violation counters, so concurrent shards never write-share.
+// smChecker holds one SM's observation state, including its own check and
+// violation counters.
 type smChecker struct {
 	id        int
 	ticks     int64
@@ -165,8 +161,7 @@ func (c *Checker) Checks() uint64 {
 }
 
 // Violations returns the recorded violations (each shard capped at
-// MaxViolations) in ascending SM-id order, device-level checks last — a
-// deterministic order regardless of how many goroutines drove the run.
+// MaxViolations) in ascending SM-id order, device-level checks last.
 func (c *Checker) Violations() []Violation {
 	var out []Violation
 	for _, s := range c.sms {
@@ -252,8 +247,7 @@ func laneName(class isa.Class, cluster int) string {
 	return fmt.Sprintf("%s%d", class, cluster)
 }
 
-// sm returns (creating on first sight) the per-SM state. Slot smID is only
-// ever touched by the goroutine stepping that SM, so creation needs no lock.
+// sm returns (creating on first sight) the per-SM state.
 func (c *Checker) sm(smID int) *smChecker {
 	if smID < 0 || smID >= len(c.sms) {
 		panic(fmt.Sprintf("check: probe from SM %d outside the configured %d SMs", smID, len(c.sms)))

@@ -48,57 +48,13 @@ func TestCheckedMatrix(t *testing.T) {
 	t.Logf("verified %d simulations, %d invariant evaluations", runs, checks)
 }
 
-// TestCheckedMatrixIntraRunWorkers re-runs the checked matrix with the
-// phase-split parallel engine stepping SMs on multiple goroutines
-// (IntraRunWorkers = NumSMs, one SM per worker), so the windowed compute
-// phases and the coordinator's arbitration both run under the checker. Every
-// invariant must still hold — the checker's per-SM shards see each SM's own
-// stream, which the windows leave untouched — and the reports must
-// fingerprint identical to the serial engine's. Under `go test -race` this
-// is the data-race acceptance gate for the parallel engine.
-func TestCheckedMatrixIntraRunWorkers(t *testing.T) {
-	base := config.Small()
-	base.IntraRunWorkers = base.NumSMs
-	var sum check.Summary
-	r := checkedRunner(base, matrixScale, &sum)
-	serial := checkedRunner(config.Small(), matrixScale, nil)
-	for _, tech := range core.AllTechniques() {
-		par, err := r.RunAllParallel(tech)
-		if err != nil {
-			t.Fatalf("%s: %v", tech, err)
-		}
-		ser, err := serial.RunAllParallel(tech)
-		if err != nil {
-			t.Fatalf("%s serial: %v", tech, err)
-		}
-		for i := range par {
-			fp, fs := core.FingerprintReport(par[i].Report), core.FingerprintReport(ser[i].Report)
-			if fp != fs {
-				t.Errorf("%s/%s: parallel engine diverged from serial:\n  serial:   %s\n  parallel: %s",
-					par[i].Benchmark, tech, fs, fp)
-			}
-		}
-	}
-	runs, checks := sum.Snapshot()
-	if want := len(kernels.BenchmarkNames) * len(core.AllTechniques()); runs != want {
-		t.Fatalf("checked %d simulations, want %d", runs, want)
-	}
-	if checks == 0 {
-		t.Fatal("checker performed zero invariant evaluations")
-	}
-	t.Logf("verified %d parallel-engine simulations, %d invariant evaluations", runs, checks)
-}
-
 // TestCheckedMatrixWorkerShapes runs the full matrix as one batch through
-// the job schedule — LPT dispatch on four job-level workers, each simulation
-// on the phase-split engine with one worker per SM and work-stealing SM
-// claims — with the invariant checker attached, and requires every report to
-// fingerprint identical to a serial runner's (Parallelism=1, serial engine).
-// Under `go test -race` this is the data-race acceptance gate for concurrent
-// jobs running concurrent engines.
+// the job schedule — LPT dispatch on four job-level workers — with the
+// invariant checker attached, and requires every report to fingerprint
+// identical to a serial runner's (Parallelism=1). Under `go test -race` this
+// is the data-race acceptance gate for concurrent checked jobs.
 func TestCheckedMatrixWorkerShapes(t *testing.T) {
 	base := config.Small()
-	base.IntraRunWorkers = base.NumSMs
 	var sum check.Summary
 	r := checkedRunner(base, matrixScale, &sum)
 	r.Parallelism = 4
@@ -114,20 +70,15 @@ func TestCheckedMatrixWorkerShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sjobs := make([]core.Job, len(jobs))
-	copy(sjobs, jobs)
-	for i := range sjobs {
-		sjobs[i].Cfg.IntraRunWorkers = 1
-	}
-	want, err := serial.RunMany(sjobs)
+	want, err := serial.RunMany(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range jobs {
 		fg, fs := core.FingerprintReport(got[i]), core.FingerprintReport(want[i])
 		if fg != fs {
-			t.Errorf("%s/%s-%s: -j 4 -workers %d diverged:\n  serial: %s\n  got:    %s",
-				jobs[i].Bench, jobs[i].Cfg.Scheduler, jobs[i].Cfg.Gating, base.IntraRunWorkers, fs, fg)
+			t.Errorf("%s/%s-%s: -j 4 diverged:\n  serial: %s\n  got:    %s",
+				jobs[i].Bench, jobs[i].Cfg.Scheduler, jobs[i].Cfg.Gating, fs, fg)
 		}
 	}
 	runs, checks := sum.Snapshot()

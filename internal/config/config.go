@@ -125,14 +125,13 @@ type Config struct {
 
 	MaxCycles int    // hard stop; 0 means run until all work drains
 	Seed      uint64 // extra entropy mixed into every PRNG stream
-	// IntraRunWorkers is the number of goroutines stepping the SM array
-	// within one simulation. 0 or 1 selects the serial engine; larger values
-	// select the phase-split parallel engine (bit-identical to serial — SMs
-	// compute in parallel against private state, and at each barrier the
-	// coordinator applies their staged L2/DRAM requests to the one shared
-	// device in canonical SM-id order), clamped to NumSMs. The
-	// worker count never affects results, only wall-clock time, so it is
-	// excluded from the experiment runner's cache key.
+	// IntraRunWorkers is ignored: every simulation runs on one serial loop.
+	//
+	// Deprecated: it once chose a multi-goroutine engine that never beat
+	// that loop on 2-core hosts. The field stays because the separate bench
+	// module still assigns it, and because every encoded report carries the
+	// config, so keeping it leaves stored and served report bytes unchanged.
+	// It is not part of the experiment runner's cache key.
 	IntraRunWorkers int
 	// DisableFastForward turns off the event-driven step: every SM steps
 	// every cycle and ticks every gating controller every cycle, instead of
@@ -145,7 +144,7 @@ type Config struct {
 
 	// --- Interval-sampled simulation ---
 	//
-	// SampleDetailCycles and SamplePeriod opt the serial engine into
+	// SampleDetailCycles and SamplePeriod opt the simulator into
 	// interval sampling: the simulator runs detailed windows of
 	// SampleDetailCycles device cycles, and at each window boundary splices
 	// out (SamplePeriod-SampleDetailCycles)/SampleDetailCycles times the
@@ -155,8 +154,8 @@ type Config struct {
 	// jumps and no architectural state is synthesized, so every engine
 	// invariant holds; only the estimated totals differ from a full run.
 	// Results change (the report carries a per-run error estimate), so both
-	// knobs are part of the experiment runner's cache key. Sampling always
-	// runs on the serial engine. Both zero (the default) disables sampling.
+	// knobs are part of the experiment runner's cache key. Both zero (the
+	// default) disables sampling.
 	SampleDetailCycles int
 	SamplePeriod       int
 }
@@ -214,22 +213,6 @@ func Small() Config {
 
 // Sampling reports whether interval-sampled simulation is enabled.
 func (c *Config) Sampling() bool { return c.SampleDetailCycles > 0 }
-
-// EffectiveIntraRunWorkers resolves the IntraRunWorkers knob to the worker
-// count the engine will actually run: at least 1, at most NumSMs (shards are
-// per-SM, so goroutines beyond NumSMs could only idle). Budget splitters must
-// divide by this, not the raw knob, or an oversized IntraRunWorkers starves
-// the job-level pool for goroutines that never exist.
-func (c *Config) EffectiveIntraRunWorkers() int {
-	w := c.IntraRunWorkers
-	if w > c.NumSMs {
-		w = c.NumSMs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
 
 // Validate checks the configuration for internal consistency.
 func (c *Config) Validate() error {

@@ -19,10 +19,8 @@ import (
 // the canvas for cancellation and watchdog tests. Scale multiplies kernel
 // work, so hotspot at a large scale runs orders of magnitude longer than the
 // deadline/cancel windows the tests use.
-func slowRunner(intraWorkers int) *Runner {
-	base := config.Small()
-	base.IntraRunWorkers = intraWorkers
-	r := NewRunner(base)
+func slowRunner() *Runner {
+	r := NewRunner(config.Small())
 	r.Scale = 50
 	return r
 }
@@ -33,12 +31,12 @@ func slowRunner(intraWorkers int) *Runner {
 func assertPrompt(t *testing.T, what string, took time.Duration) {
 	t.Helper()
 	if took > 5*time.Second {
-		t.Fatalf("%s took %v; cancellation did not take effect within an epoch window", what, took)
+		t.Fatalf("%s took %v; cancellation did not take effect within a device step", what, took)
 	}
 }
 
 func TestRunCtxPreCanceledReturnsImmediately(t *testing.T) {
-	r := slowRunner(1)
+	r := slowRunner()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	t0 := time.Now()
@@ -54,34 +52,32 @@ func TestRunCtxPreCanceledReturnsImmediately(t *testing.T) {
 	}
 }
 
-// TestRunCtxCancelMidRun covers both engines: the serial loop polls every
-// device step, the phase-split parallel engine once per barrier round.
+// TestRunCtxCancelMidRun: the simulation polls its context every device
+// step, so a mid-run cancel lands promptly.
 func TestRunCtxCancelMidRun(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		r := slowRunner(workers)
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(30 * time.Millisecond)
-			cancel()
-		}()
-		t0 := time.Now()
-		rep, err := r.RunCtx(ctx, "hotspot", WarpedGates)
-		took := time.Since(t0)
-		if rep != nil || !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: RunCtx = %v, %v; want nil, context.Canceled", workers, rep, err)
-		}
-		assertPrompt(t, "mid-run cancel", took)
-		// The key is immediately retryable: nothing poisoned in the cache.
-		if r.CacheSize() != 0 {
-			t.Fatalf("workers=%d: canceled run left a cache entry", workers)
-		}
+	r := slowRunner()
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(30 * time.Millisecond)
+		cancel()
+	}()
+	t0 := time.Now()
+	rep, err := r.RunCtx(ctx, "hotspot", WarpedGates)
+	took := time.Since(t0)
+	if rep != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunCtx = %v, %v; want nil, context.Canceled", rep, err)
+	}
+	assertPrompt(t, "mid-run cancel", took)
+	// The key is immediately retryable: nothing poisoned in the cache.
+	if r.CacheSize() != 0 {
+		t.Fatal("canceled run left a cache entry")
 	}
 }
 
 // TestMaxWallTimeWatchdog: a job exceeding MaxWallTime dies with ErrDeadline,
 // detectable with errors.Is, and distinct from a caller cancellation.
 func TestMaxWallTimeWatchdog(t *testing.T) {
-	r := slowRunner(1)
+	r := slowRunner()
 	r.MaxWallTime = 20 * time.Millisecond
 	t0 := time.Now()
 	rep, err := r.Run("hotspot", WarpedGates)
@@ -99,10 +95,10 @@ func TestMaxWallTimeWatchdog(t *testing.T) {
 }
 
 // TestRunManyCtxCancelDrainsWorkers: canceling a batch aborts in-flight
-// simulations at their next epoch boundary and RunManyCtx returns only after
+// simulations at their next device step and RunManyCtx returns only after
 // every worker exited, with the caller's cause as the error.
 func TestRunManyCtxCancelDrainsWorkers(t *testing.T) {
-	r := slowRunner(1)
+	r := slowRunner()
 	r.Parallelism = 4
 	jobs := techniqueJobs(r.Base, []string{"hotspot", "bfs", "kmeans", "srad"}, WarpedGates)
 	cause := errors.New("operator gave up")
@@ -138,13 +134,12 @@ func settleGoroutines(t *testing.T, base int) {
 }
 
 // TestRunManyCancelLeaksNoGoroutines: cancellation leaks no goroutines —
-// neither the dispatcher, job workers and phase-split engine workers of a
-// RunManyCtx canceled mid-batch, nor the engine workers of a canceled
-// phase-split GPU.RunCtx.
+// neither the dispatcher and job workers of a RunManyCtx canceled mid-batch,
+// nor a canceled GPU.RunCtx.
 func TestRunManyCancelLeaksNoGoroutines(t *testing.T) {
 	t.Run("RunManyCtx", func(t *testing.T) {
 		base := runtime.NumGoroutine()
-		r := slowRunner(2)
+		r := slowRunner()
 		r.Parallelism = 2
 		jobs := techniqueJobs(r.Base, []string{"hotspot", "bfs", "kmeans", "srad"}, WarpedGates)
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
@@ -156,9 +151,7 @@ func TestRunManyCancelLeaksNoGoroutines(t *testing.T) {
 	})
 	t.Run("GPU.RunCtx", func(t *testing.T) {
 		base := runtime.NumGoroutine()
-		cfg := config.Small()
-		cfg.IntraRunWorkers = 2
-		gpu, err := sim.NewGPU(cfg, kernels.MustBenchmark("hotspot").Scale(50))
+		gpu, err := sim.NewGPU(config.Small(), kernels.MustBenchmark("hotspot").Scale(50))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +168,7 @@ func TestRunManyCancelLeaksNoGoroutines(t *testing.T) {
 // error race (parallel_test.go pins that) — it cancels sibling simulations
 // that would otherwise run for seconds, so the batch returns promptly.
 func TestRunManyErrorAbortsSlowSiblings(t *testing.T) {
-	r := slowRunner(1)
+	r := slowRunner()
 	r.Parallelism = 2
 	jobs := techniqueJobs(r.Base, []string{"no-such-benchmark", "hotspot", "bfs"}, WarpedGates)
 	t0 := time.Now()
@@ -406,10 +399,11 @@ func TestRunnerStoreDecodeFailureIsMiss(t *testing.T) {
 	}
 }
 
-// TestJobKeyAxes pins which configuration axes key the durable store: engine
-// tuning knobs (worker count, fast-forward) must NOT key — they are
-// result-invariant — while every result-determining axis MUST. The full key
-// string is pinned byte for byte: changing it moves every stored report.
+// TestJobKeyAxes pins which configuration axes key the durable store: knobs
+// that cannot change a result (the ignored IntraRunWorkers field,
+// fast-forward) must NOT key, while every result-determining axis MUST. The
+// full key string is pinned byte for byte: changing it moves every stored
+// report.
 func TestJobKeyAxes(t *testing.T) {
 	base := config.Small()
 	key := JobKey("hotspot", base, 0.1)

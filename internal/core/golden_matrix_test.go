@@ -127,52 +127,3 @@ func TestGoldenMatrixParallelismStable(t *testing.T) {
 		t.Fatal("corpus not byte-stable across -j 1 vs -j 8 (length mismatch)")
 	}
 }
-
-// goldenWorkersRunner builds a fresh corpus runner whose base runs every
-// simulation on the given intra-run worker count.
-func goldenWorkersRunner(workers int, noFF bool) *Runner {
-	base := config.Small()
-	base.IntraRunWorkers = workers
-	base.DisableFastForward = noFF
-	r := NewRunner(base)
-	r.Scale = goldenMatrixScale
-	r.Parallelism = 1
-	return r
-}
-
-// TestGoldenMatrixIntraRunWorkersStable is the tentpole's byte-stability
-// acceptance check: the full 108-cell corpus is byte-identical between the
-// serial engine and the phase-split parallel engine at workers ∈ {4, NumSMs},
-// with the fast-forward both on and off. Fresh runners on every side —
-// and IntraRunWorkers is excluded from the cache key anyway, precisely
-// because of this equivalence.
-func TestGoldenMatrixIntraRunWorkersStable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("repeated full matrices are slow; skipped with -short")
-	}
-	for _, noFF := range []bool{false, true} {
-		serial, err := goldenCorpus(goldenWorkersRunner(1, noFF))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Workers beyond NumSMs (Small has 2) clamp to NumSMs, so 4 also
-		// exercises the clamp; 2 is the one-SM-per-worker split.
-		for _, workers := range []int{4, config.Small().NumSMs} {
-			par, err := goldenCorpus(goldenWorkersRunner(workers, noFF))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if serial == par {
-				continue
-			}
-			sl, pl := strings.Split(serial, "\n"), strings.Split(par, "\n")
-			for i := 0; i < len(sl) && i < len(pl); i++ {
-				if sl[i] != pl[i] {
-					t.Fatalf("corpus not byte-stable across workers 1 vs %d (noFF=%v); first diff at line %d:\n  serial:   %s\n  parallel: %s",
-						workers, noFF, i+1, sl[i], pl[i])
-				}
-			}
-			t.Fatalf("corpus not byte-stable across workers 1 vs %d (noFF=%v): length mismatch", workers, noFF)
-		}
-	}
-}

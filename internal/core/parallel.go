@@ -41,19 +41,19 @@ func (r *Runner) RunMany(jobs []Job) ([]*sim.Report, error) {
 // serial loop over jobs.
 //
 // The dispatcher admits jobs in LPT order — longest predicted first, by the
-// committed calibration table (see LPTOrder) — onto a fixed budget split
+// committed calibration table (see LPTOrder) — onto a fixed worker pool
 // (see JobWorkers). The order cannot change a result: results are
 // positional, jobs deterministic at any worker count.
 //
 // Cancellation and failure share one mechanism: the job context. The first
 // job error cancels it with that error as the cause, which stops the
 // dispatcher (queued jobs never start) and aborts in-flight simulations at
-// their next epoch boundary; a caller canceling ctx does exactly the same
+// their next device step; a caller canceling ctx does exactly the same
 // with its own cause. Either way RunManyCtx returns only after every worker
 // has drained, with a nil slice and the first-cause error.
 func (r *Runner) RunManyCtx(ctx context.Context, jobs []Job) ([]*sim.Report, error) {
 	out := make([]*sim.Report, len(jobs))
-	workers := JobWorkers(r.Parallelism, r.Base)
+	workers := JobWorkers(r.Parallelism)
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}

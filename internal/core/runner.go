@@ -55,7 +55,7 @@ type Runner struct {
 	// In-flight singleflight entries are never evicted.
 	MaxCachedReports int
 	// MaxWallTime, when positive, is the per-job watchdog: an uncached
-	// simulation exceeding it is canceled at its next epoch boundary and
+	// simulation exceeding it is canceled at its next device step and
 	// fails with an error wrapping ErrDeadline, instead of occupying a
 	// worker forever. Zero disables the watchdog.
 	MaxWallTime time.Duration
@@ -122,9 +122,9 @@ type cacheEntry struct {
 	elem     *list.Element
 }
 
-// runKey identifies a unique simulation. IntraRunWorkers is deliberately
-// absent: the parallel engine is bit-identical to the serial one at any
-// worker count, so runs that differ only in it share one cache slot.
+// runKey identifies a unique simulation by the axes that can change its
+// result; runs that differ only in an engine knob (fast-forward, the ignored
+// worker count) share one cache slot.
 // SampleDetailCycles/SamplePeriod are present, because a sampled report is an
 // estimate, never interchangeable with the detailed run it approximates.
 type runKey struct {
@@ -201,13 +201,16 @@ func NewRunner(base config.Config) *Runner {
 }
 
 // checkScale rejects scale values that cannot key the cache or scale a
-// kernel: NaN, ±Inf and non-positive values.
+// kernel: NaN, ±Inf, non-positive values and values above kernels.MaxScale.
 func checkScale(s float64) error {
 	if math.IsNaN(s) || math.IsInf(s, 0) {
 		return fmt.Errorf("core: runner Scale must be finite, got %v", s)
 	}
 	if s <= 0 {
 		return fmt.Errorf("core: runner Scale must be positive, got %v", s)
+	}
+	if s > kernels.MaxScale {
+		return fmt.Errorf("core: runner Scale must be at most %g, got %v", kernels.MaxScale, s)
 	}
 	return nil
 }
@@ -243,10 +246,10 @@ func (r *Runner) RunCfg(bench string, cfg config.Config) (*sim.Report, error) {
 // first one (the leader) and share its report. Failed runs are not cached,
 // so a later call may retry.
 //
-// ctx cancels the simulation at its next epoch boundary (one compute window at
-// most). Waiters sharing a leader share the leader's fate: if the leader's
-// context dies, every waiter gets the cancellation error, and the key is
-// immediately retryable. Cancellation and watchdog errors are never cached.
+// ctx cancels the simulation at its next device step. Waiters sharing a
+// leader share the leader's fate: if the leader's context dies, every waiter
+// gets the cancellation error, and the key is immediately retryable.
+// Cancellation and watchdog errors are never cached.
 func (r *Runner) RunCfgCtx(ctx context.Context, bench string, cfg config.Config) (*sim.Report, error) {
 	if err := checkScale(r.Scale); err != nil {
 		return nil, err

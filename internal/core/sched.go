@@ -9,34 +9,20 @@ import (
 	"warpedgates/internal/kernels"
 )
 
-// The job schedule shared by RunManyCtx and the sweep engine: a fixed split
-// of the core budget between job-level workers and intra-run workers, and
-// LPT admission — longest predicted first, by the committed calibration
-// table. Scheduling can never change a result (every job is deterministic
-// and results are positional), only wall time, so nothing about it is part
-// of any cache key.
+// The job schedule shared by RunManyCtx and the sweep engine: a fixed pool
+// of job-level workers, and LPT admission — longest predicted first, by the
+// committed calibration table. Scheduling can never change a result (every
+// job is deterministic and results are positional), only wall time, so
+// nothing about it is part of any cache key.
 
-// JobWorkers returns the job-level worker-pool bound for a batch run on
-// base under a parallelism budget (0 = GOMAXPROCS). When base runs each
-// simulation on several goroutines (IntraRunWorkers > 1), the job budget
-// shrinks so that jobs × intra-run workers stays within the budget: the two
-// axes multiply, and oversubscribing cores makes both slower. The divisor is
-// the *effective* intra-run worker count — the engine clamps IntraRunWorkers
-// to NumSMs, so dividing by the raw knob would starve the job pool for
-// goroutines that never exist (e.g. -j 8 with IntraRunWorkers=64 on a 2-SM
-// machine must yield 4 job workers, not 1).
-func JobWorkers(parallelism int, base config.Config) int {
-	w := parallelism
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+// JobWorkers returns the job-level worker-pool bound for a parallelism
+// budget (0 = GOMAXPROCS). Each simulation runs on one goroutine, so the
+// budget is the pool size.
+func JobWorkers(parallelism int) int {
+	if parallelism <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	if iw := base.EffectiveIntraRunWorkers(); iw > 1 {
-		w /= iw
-		if w < 1 {
-			w = 1
-		}
-	}
-	return w
+	return parallelism
 }
 
 // LPTOrder returns the indices of n jobs in LPT admission order, job(i)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -13,30 +14,20 @@ import (
 	"warpedgates/internal/kernels"
 )
 
-// TestWorkersBudgetSplit pins the budget division between job-level workers
-// and intra-run workers, in particular the clamp fix: the divisor is the
-// *effective* intra-run worker count (IntraRunWorkers clamped to NumSMs), so
-// an oversized -workers knob cannot starve the job pool for goroutines the
-// engine would never spawn.
+// TestWorkersBudgetSplit pins the job-level worker pool a parallelism budget
+// buys: every core of the budget is a job worker, and an unset budget means
+// GOMAXPROCS.
 func TestWorkersBudgetSplit(t *testing.T) {
-	for _, tc := range []struct {
-		j, iw, sms, want int
-	}{
-		{8, 1, 4, 8},   // serial engine: every core is a job worker
-		{8, 2, 4, 4},   // jobs x workers = budget
-		{8, 4, 4, 2},   //
-		{8, 64, 2, 4},  // the fix: 64 clamps to 2 SMs, so 8/2, not 8/64->1
-		{8, 64, 16, 1}, // genuinely wide runs do starve down to one job
-		{2, 4, 8, 1},   // never below one job-level worker
-		{3, 2, 4, 1},   // integer division floors
-		{1, 8, 8, 1},
-		{8, 0, 4, 8}, // unset knob means serial engine
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ j, want int }{
+		{8, 8},
+		{3, 3},
+		{1, 1},
+		{0, procs},
+		{-1, procs},
 	} {
-		base := config.Small()
-		base.NumSMs = tc.sms
-		base.IntraRunWorkers = tc.iw
-		if got := JobWorkers(tc.j, base); got != tc.want {
-			t.Errorf("workers(j=%d iw=%d sms=%d) = %d, want %d", tc.j, tc.iw, tc.sms, got, tc.want)
+		if got := JobWorkers(tc.j); got != tc.want {
+			t.Errorf("JobWorkers(%d) = %d, want %d", tc.j, got, tc.want)
 		}
 	}
 }
@@ -152,40 +143,37 @@ func TestCostTableCommittedFresh(t *testing.T) {
 }
 
 // schedRunner builds a fresh small-matrix runner with the given job-level
-// and intra-run worker counts.
-func schedRunner(par, iw int) *Runner {
-	base := config.Small()
-	base.IntraRunWorkers = iw
-	r := NewRunner(base)
+// worker count.
+func schedRunner(par int) *Runner {
+	r := NewRunner(config.Small())
 	r.Scale = 0.2
 	r.Parallelism = par
 	return r
 }
 
 // TestRunManyWorkerShapesMatchSerial is the job schedule's correctness
-// contract: the same batch run at several job-level × intra-run worker
-// shapes (LPT dispatch, phase-split engine at iw > 1) produces
-// fingerprint-identical reports in identical positions to a serial loop
-// (Parallelism=1, serial engine). Fresh runners per shape, so nothing is
+// contract: the same batch run at several job-level worker counts (LPT
+// dispatch) produces fingerprint-identical reports in identical positions to
+// a serial loop (Parallelism=1). Fresh runners per count, so nothing is
 // shared through a cache.
 func TestRunManyWorkerShapesMatchSerial(t *testing.T) {
 	jobs := techniqueJobs(config.Small(), kernels.BenchmarkNames, Baseline, WarpedGates)
-	serial, err := schedRunner(1, 1).RunMany(jobs)
+	serial, err := schedRunner(1).RunMany(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct{ par, iw int }{{4, 1}, {2, 2}, {4, 2}, {8, 2}} {
-		got, err := schedRunner(tc.par, tc.iw).RunMany(jobs)
+	for _, par := range []int{2, 4, 8} {
+		got, err := schedRunner(par).RunMany(jobs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(serial) {
-			t.Fatalf("-j %d -workers %d: %d reports, want %d", tc.par, tc.iw, len(got), len(serial))
+			t.Fatalf("-j %d: %d reports, want %d", par, len(got), len(serial))
 		}
 		for i := range jobs {
 			if f, g := FingerprintReport(serial[i]), FingerprintReport(got[i]); f != g {
-				t.Errorf("-j %d -workers %d %s/%s: fingerprint diverged\nserial: %s\ngot:    %s",
-					tc.par, tc.iw, jobs[i].Bench, jobs[i].Cfg.Gating, f, g)
+				t.Errorf("-j %d %s/%s: fingerprint diverged\nserial: %s\ngot:    %s",
+					par, jobs[i].Bench, jobs[i].Cfg.Gating, f, g)
 			}
 		}
 	}
@@ -195,7 +183,7 @@ func TestRunManyWorkerShapesMatchSerial(t *testing.T) {
 // validation sorts ahead of every simulation under LPT, so the batch fails
 // in milliseconds instead of after the longest cell.
 func TestRunManyFailFast(t *testing.T) {
-	r := schedRunner(4, 1)
+	r := schedRunner(4)
 	jobs := techniqueJobs(config.Small(), kernels.BenchmarkNames, Baseline)
 	jobs = append(jobs, Job{Bench: "no-such-benchmark", Cfg: Baseline.Apply(r.Base)})
 	t0 := time.Now()
@@ -213,18 +201,15 @@ func TestRunManyFailFast(t *testing.T) {
 
 // TestGoldenMatrixSchedStable is the byte-stability acceptance check for the
 // job schedule: the full 108-cell corpus renders identically at several
-// job-level × intra-run worker shapes (LPT dispatch, phase-split engine) and
-// serially (Parallelism=1, serial engine). The committed corpus itself is
-// pinned by TestGoldenMatrixCorpus; this proves the worker shape cannot move
-// a byte.
+// job-level worker counts (LPT dispatch) and serially (Parallelism=1). The
+// committed corpus itself is pinned by TestGoldenMatrixCorpus; this proves
+// the worker count cannot move a byte.
 func TestGoldenMatrixSchedStable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repeated full matrices are slow; skipped with -short")
 	}
-	corpus := func(par, iw int) string {
-		base := config.Small()
-		base.IntraRunWorkers = iw
-		r := NewRunner(base)
+	corpus := func(par int) string {
+		r := NewRunner(config.Small())
 		r.Scale = goldenMatrixScale
 		r.Parallelism = par
 		got, err := goldenCorpus(r)
@@ -233,19 +218,19 @@ func TestGoldenMatrixSchedStable(t *testing.T) {
 		}
 		return got
 	}
-	want := corpus(1, 1)
-	for _, tc := range []struct{ par, iw int }{{8, 1}, {4, 2}, {3, 2}} {
-		got := corpus(tc.par, tc.iw)
+	want := corpus(1)
+	for _, par := range []int{8, 4, 3} {
+		got := corpus(par)
 		if got == want {
 			continue
 		}
 		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
 		for i := 0; i < len(gl) && i < len(wl); i++ {
 			if gl[i] != wl[i] {
-				t.Fatalf("-j %d -workers %d corpus drifted; first diff at line %d:\n  serial: %s\n  got:    %s",
-					tc.par, tc.iw, i+1, wl[i], gl[i])
+				t.Fatalf("-j %d corpus drifted; first diff at line %d:\n  serial: %s\n  got:    %s",
+					par, i+1, wl[i], gl[i])
 			}
 		}
-		t.Fatalf("-j %d -workers %d corpus drifted: length mismatch", tc.par, tc.iw)
+		t.Fatalf("-j %d corpus drifted: length mismatch", par)
 	}
 }

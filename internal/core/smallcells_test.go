@@ -11,22 +11,19 @@ import (
 // (config.Small) at scale 0.1, the cell size sweeps and the service run by
 // the thousand — through a fresh Runner, so the stepped hot loop dominates
 // and no cache or store answers a cell. There is one sub-benchmark per
-// technique, each iteration simulating its 18 cells on one worker (the
-// serial engine), and a PhaseSplit sub-benchmark that runs all 108 cells
-// through RunMany with IntraRunWorkers=2 under a budget of two, so every cell
-// runs on the phase-split engine at two workers, one cell at a time. Each
+// technique, each iteration simulating its 18 cells on one worker. Each
 // reports host ns per simulated SM-cycle. The names are stable, so hot-loop
 // changes compare in seconds:
 //
 //	make bench-cells > new.txt   # on each commit
 //	benchstat old.txt new.txt
 func BenchmarkSmallCells(b *testing.B) {
-	run := func(b *testing.B, base config.Config, jobs []Job, workers int) {
+	run := func(b *testing.B, base config.Config, jobs []Job) {
 		var smCycles int64
 		for i := 0; i < b.N; i++ {
 			r := NewRunner(base)
 			r.Scale = 0.1
-			r.Parallelism = workers
+			r.Parallelism = 1
 			reps, err := r.RunMany(jobs)
 			if err != nil {
 				b.Fatal(err)
@@ -40,10 +37,6 @@ func BenchmarkSmallCells(b *testing.B) {
 	base := config.Small()
 	for _, tech := range AllTechniques() {
 		jobs := techniqueJobs(base, kernels.BenchmarkNames, tech)
-		b.Run(tech.String(), func(b *testing.B) { run(b, base, jobs, 1) })
+		b.Run(tech.String(), func(b *testing.B) { run(b, base, jobs) })
 	}
-	split := base
-	split.IntraRunWorkers = 2
-	all := techniqueJobs(split, kernels.BenchmarkNames, AllTechniques()...)
-	b.Run("PhaseSplit", func(b *testing.B) { run(b, split, all, 2) })
 }

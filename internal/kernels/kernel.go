@@ -101,13 +101,22 @@ func (k *Kernel) Mix() [isa.NumClasses]float64 {
 	return mix
 }
 
+// MaxScale is the largest factor Scale accepts. Scale 1 is the paper-sized
+// workload, seconds to minutes per run on the 15-SM machine, and no harness
+// uses more than 100; 1e4 keeps that headroom while every scaled count stays
+// far inside int. Without a bound, a factor near 1e18 overflows the
+// float-to-int conversion and a job silently runs a tiny workload under a
+// key that names a huge one.
+const MaxScale = 1e4
+
 // Scale returns a copy of the kernel with its total work multiplied by f
 // (0 < f <= 1 shrinks, f > 1 grows). Scaling adjusts iteration counts and CTA
 // counts, never the body, so instruction mix and dependence structure are
-// preserved; tests use small scales, the figure harness uses 1.0.
+// preserved; tests use small scales, the figure harness uses 1.0. It panics
+// unless 0 < f <= MaxScale.
 func (k *Kernel) Scale(f float64) *Kernel {
-	if f <= 0 {
-		panic(fmt.Sprintf("kernels: non-positive scale %v", f))
+	if !(f > 0 && f <= MaxScale) {
+		panic(fmt.Sprintf("kernels: scale %v outside (0, %g]", f, MaxScale))
 	}
 	cp := *k
 	cp.Iterations = maxInt(1, int(float64(k.Iterations)*f+0.5))

@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"math"
 	"testing"
 
 	"warpedgates/internal/isa"
@@ -131,6 +132,34 @@ func TestScalePanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	MustBenchmark("hotspot").Scale(0)
+}
+
+// TestScaleBoundedAbove pins MaxScale: between 1 and MaxScale, scaling never
+// shrinks a kernel below its scale-1 iteration and CTA counts (the
+// float-to-int conversion cannot wrap), and any factor past the bound panics.
+func TestScaleBoundedAbove(t *testing.T) {
+	factors := []float64{1, 1.5, 2, 10, 100, 1000, MaxScale / 3, math.Nextafter(MaxScale, 0), MaxScale}
+	for _, name := range BenchmarkNames {
+		k := MustBenchmark(name)
+		one := k.Scale(1)
+		for _, f := range factors {
+			s := k.Scale(f)
+			if s.Iterations < one.Iterations || s.CTAsPerSM < one.CTAsPerSM {
+				t.Errorf("%s Scale(%g): iterations %d, CTAs %d, below scale 1's %d, %d",
+					name, f, s.Iterations, s.CTAsPerSM, one.Iterations, one.CTAsPerSM)
+			}
+		}
+	}
+	for _, f := range []float64{math.Nextafter(MaxScale, math.Inf(1)), 1e18, math.Inf(1), math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Scale(%g) did not panic", f)
+				}
+			}()
+			MustBenchmark("hotspot").Scale(f)
+		}()
+	}
 }
 
 func TestTotalWarpInstructions(t *testing.T) {

@@ -5,14 +5,6 @@ import (
 	"math"
 )
 
-// pendingFill marks an MSHR entry whose completion cycle is not yet known: a
-// staged device access allocated during the parallel compute phase, patched
-// with the real fill cycle by the serial arbitration phase of the same cycle.
-// MaxInt64 can never be reached by the clock, so an unpatched entry can never
-// expire — Patch is guaranteed to run before any lookup that depends on the
-// value, and a leak would surface as a permanently occupied entry.
-const pendingFill = math.MaxInt64
-
 // MSHR models the miss-status holding registers of one SM's L1: a bounded
 // table of outstanding miss lines, each tagged with the cycle its fill
 // returns. A full table is a structural hazard that blocks further memory
@@ -30,9 +22,9 @@ type MSHR struct {
 	lines    []Line  // outstanding miss lines
 	fills    []int64 // fill completion cycle of lines[i]
 	// minFill is a lower bound on the earliest fill cycle in the table
-	// (math.MaxInt64 when empty or all-pending). It lets ExpireBefore skip
-	// the compaction on the overwhelmingly common quiescent cycle where
-	// nothing can expire; the compaction recomputes it exactly.
+	// (math.MaxInt64 when empty). It lets ExpireBefore skip the compaction
+	// on the overwhelmingly common quiescent cycle where nothing can expire;
+	// the compaction recomputes it exactly.
 	minFill int64
 	gen     uint64 // bumped whenever the set of outstanding lines changes
 	merges  uint64
@@ -93,30 +85,6 @@ func (m *MSHR) Allocate(line Line, completeAt int64) {
 		m.minFill = completeAt
 	}
 	m.allocs++
-}
-
-// AllocatePending records an outstanding miss for line whose fill cycle is
-// not yet known (the access was staged, not resolved). The entry occupies
-// capacity immediately — admission control during the compute phase sees the
-// same occupancy the serial engine would — and Patch supplies the completion
-// cycle during the arbitration phase of the same cycle.
-func (m *MSHR) AllocatePending(line Line) { m.Allocate(line, pendingFill) }
-
-// Patch sets the completion cycle of a previously staged entry. It panics if
-// the line has no entry or was already patched — both indicate a stage/resolve
-// protocol violation, not a recoverable condition.
-func (m *MSHR) Patch(line Line, completeAt int64) {
-	i := m.find(line)
-	if i < 0 {
-		panic(fmt.Sprintf("mem: MSHR patch for line %#x with no staged entry", uint64(line)))
-	}
-	if m.fills[i] != pendingFill {
-		panic(fmt.Sprintf("mem: MSHR double patch for line %#x", uint64(line)))
-	}
-	m.fills[i] = completeAt
-	if completeAt < m.minFill {
-		m.minFill = completeAt
-	}
 }
 
 // NoteMerge counts a secondary miss merged into an existing entry.

@@ -113,51 +113,8 @@ func TestMSHRNeverExceedsCapacityProperty(t *testing.T) {
 	}
 }
 
-func TestMSHRPatchCompletesStagedEntry(t *testing.T) {
-	m := NewMSHR(2)
-	m.AllocatePending(3)
-	// An unpatched entry is pending but can never expire.
-	if _, ok := m.Lookup(3); !ok {
-		t.Fatal("staged entry not pending")
-	}
-	m.ExpireBefore(1 << 62)
-	if m.InFlight() != 1 {
-		t.Fatal("staged entry expired before being patched")
-	}
-	m.Patch(3, 100)
-	if done, _ := m.Lookup(3); done != 100 {
-		t.Fatalf("patched completion = %d, want 100", done)
-	}
-	m.ExpireBefore(100)
-	if m.InFlight() != 0 {
-		t.Fatal("patched entry did not expire")
-	}
-}
-
-func TestMSHRPatchWithoutEntryPanics(t *testing.T) {
-	m := NewMSHR(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("patch of a missing entry did not panic")
-		}
-	}()
-	m.Patch(9, 5)
-}
-
-func TestMSHRDoublePatchPanics(t *testing.T) {
-	m := NewMSHR(1)
-	m.AllocatePending(9)
-	m.Patch(9, 5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double patch did not panic")
-		}
-	}()
-	m.Patch(9, 6)
-}
-
-// TestMSHRMinFillFastPathMatchesSweep drives a randomized allocate / patch /
-// expire schedule against a shadow map, asserting the minFill fast path never
+// TestMSHRMinFillFastPathMatchesSweep drives a randomized allocate / expire
+// schedule against a shadow map, asserting the minFill fast path never
 // skips an expiry the full sweep would have performed and never leaves the
 // table differing from the oracle.
 func TestMSHRMinFillFastPathMatchesSweep(t *testing.T) {
@@ -176,20 +133,12 @@ func TestMSHRMinFillFastPathMatchesSweep(t *testing.T) {
 						delete(shadow, l)
 					}
 				}
-			case op%3 == 1: // allocate with a known fill cycle
+			default: // allocate
 				if _, pending := m.Lookup(line); pending || !m.HasRoom(1) {
 					continue
 				}
 				fill := now + 1 + int64(op%128)
 				m.Allocate(line, fill)
-				shadow[line] = fill
-			default: // stage then patch, exercising the sentinel path
-				if _, pending := m.Lookup(line); pending || !m.HasRoom(1) {
-					continue
-				}
-				m.AllocatePending(line)
-				fill := now + 1 + int64(op%128)
-				m.Patch(line, fill)
 				shadow[line] = fill
 			}
 			if m.InFlight() != len(shadow) {
@@ -211,27 +160,6 @@ func TestMSHRMinFillFastPathMatchesSweep(t *testing.T) {
 	}
 }
 
-// TestMSHRQuiescentExpireKeepsPendingEntry pins the fast path against the
-// sentinel: a table holding only staged (unpatched) entries must treat every
-// ExpireBefore as quiescent, no matter how far the clock advances.
-func TestMSHRQuiescentExpireKeepsPendingEntry(t *testing.T) {
-	m := NewMSHR(2)
-	m.AllocatePending(3)
-	m.ExpireBefore(1 << 60)
-	if m.InFlight() != 1 {
-		t.Fatal("unpatched entry expired")
-	}
-	m.Patch(3, 100)
-	m.ExpireBefore(99)
-	if m.InFlight() != 1 {
-		t.Fatal("entry expired before its fill cycle")
-	}
-	m.ExpireBefore(100)
-	if m.InFlight() != 0 {
-		t.Fatal("entry survived its fill cycle")
-	}
-}
-
 // panics reports whether f panicked.
 func panics(f func()) (did bool) {
 	defer func() { did = recover() != nil }()
@@ -240,10 +168,9 @@ func panics(f func()) (did bool) {
 }
 
 // TestMSHRMatchesShadowMap drives the dense table and a shadow map through
-// the same random Allocate / AllocatePending / Patch / Lookup / ExpireBefore /
-// HasRoom sequence. Every call must agree with the map, including which calls
-// panic (double allocation, overflow, patching a missing or already patched
-// entry), and a panicking call must leave the table unchanged.
+// the same random Allocate / Lookup / ExpireBefore / HasRoom sequence. Every
+// call must agree with the map, including which calls panic (double
+// allocation, overflow), and a panicking call must leave the table unchanged.
 func TestMSHRMatchesShadowMap(t *testing.T) {
 	const capacity = 6
 	f := func(ops []uint32) bool {
@@ -254,11 +181,8 @@ func TestMSHRMatchesShadowMap(t *testing.T) {
 			line := Line(op >> 8 % 10)
 			fill := now + 1 + int64(op>>16%200)
 			fillAt, pending := shadow[line]
-			switch op % 6 {
-			case 0, 1: // Allocate, AllocatePending
-				if op%6 == 1 {
-					fill = pendingFill
-				}
+			switch op % 5 {
+			case 0, 1: // Allocate
 				wantPanic := pending || len(shadow) >= capacity
 				if panics(func() { m.Allocate(line, fill) }) != wantPanic {
 					t.Logf("Allocate(%d) panic mismatch, want %v", line, wantPanic)
@@ -267,21 +191,12 @@ func TestMSHRMatchesShadowMap(t *testing.T) {
 				if !wantPanic {
 					shadow[line] = fill
 				}
-			case 2: // Patch
-				wantPanic := !pending || fillAt != pendingFill
-				if panics(func() { m.Patch(line, fill) }) != wantPanic {
-					t.Logf("Patch(%d) panic mismatch, want %v", line, wantPanic)
-					return false
-				}
-				if !wantPanic {
-					shadow[line] = fill
-				}
-			case 3: // Lookup
+			case 2: // Lookup
 				if got, ok := m.Lookup(line); ok != pending || (ok && got != fillAt) {
 					t.Logf("Lookup(%d) = %d,%v want %d,%v", line, got, ok, fillAt, pending)
 					return false
 				}
-			case 4: // ExpireBefore
+			case 3: // ExpireBefore
 				now += int64(op >> 16 % 64)
 				m.ExpireBefore(now)
 				for l, till := range shadow {
@@ -315,8 +230,8 @@ func TestMSHRMatchesShadowMap(t *testing.T) {
 
 // TestMSHRGenTracksLineSet pins the generation counter admission refusals
 // are cached under: it moves exactly when the set of outstanding lines
-// changes (allocation, an expiry that frees an entry), never on a patch, a
-// lookup or a quiescent expiry.
+// changes (allocation, an expiry that frees an entry), never on a lookup or
+// a quiescent expiry.
 func TestMSHRGenTracksLineSet(t *testing.T) {
 	m := NewMSHR(4)
 	step := func(name string, op func(), wantChange bool) {
@@ -326,8 +241,7 @@ func TestMSHRGenTracksLineSet(t *testing.T) {
 			t.Fatalf("%s: generation changed = %v, want %v", name, changed, wantChange)
 		}
 	}
-	step("stage", func() { m.AllocatePending(1) }, true)
-	step("patch", func() { m.Patch(1, 50) }, false)
+	step("first allocation", func() { m.Allocate(1, 50) }, true)
 	step("lookup", func() { m.Lookup(1); m.HasRoom(1) }, false)
 	step("quiescent expiry", func() { m.ExpireBefore(10) }, false)
 	step("allocate", func() { m.Allocate(2, 20) }, true)

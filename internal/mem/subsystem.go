@@ -68,58 +68,13 @@ func (g *GPUMem) Stats() (l2Acc, l2Miss, dramReqs, queueDelay uint64) {
 	return g.l2Accesses, g.l2Misses, g.dramReqs, g.queueDelay
 }
 
-// stagedKind classifies one line of a staged global access for the resolve
-// phase. L1 hits need no record: they are covered by the base hit latency and
-// never touch shared state.
-const (
-	stageMerge  uint8 = iota // secondary miss: read the (patched) MSHR fill cycle
-	stageDevice              // primary miss: send to the device, patch the MSHR
-)
-
-// stagedOp is one line of a staged access that ResolveStaged must still act
-// on. For a merge, fill is the outstanding entry's completion cycle captured
-// at stage time, or the pending sentinel when the primary miss sits
-// unresolved in this same buffer, in which case the real value is read after
-// it is patched (a sentinel can never expire).
-type stagedOp struct {
-	line Line
-	fill int64
-	kind uint8
-}
-
-// stagedAccess is one warp global access staged during the compute phase: a
-// run of nOps entries in the port's op buffer plus the statistics already
-// known at stage time.
-type stagedAccess struct {
-	at           int64
-	nOps         int32
-	transactions int32
-	l1Misses     int32
-}
-
 // SMPort is one SM's private view of the memory system: its L1 data cache,
 // MSHR table, shared-memory latency, and a handle to the device-level L2/DRAM.
-//
-// Global accesses go through a stage/resolve pair: StageGlobal performs every
-// SM-private effect (L1 fill, MSHR occupancy, merge accounting) and records
-// the lines that need the shared device, and ResolveStaged replays those
-// lines against the L2/DRAM model. The serial engine resolves immediately
-// after staging (GlobalAccess); the parallel engine stages from worker
-// goroutines and resolves from its coordinator in canonical (cycle, SM id)
-// order. Both engines share the one resolve routine, so they drive the
-// device through the same code in the same order.
 type SMPort struct {
 	cfg  config.Config
 	l1   *Cache
 	mshr *MSHR
 	gpu  *GPUMem
-
-	// Staged-access buffers, reused across cycles (appends allocate only
-	// until the high-water mark is reached, keeping the steady state
-	// allocation-free).
-	stagedOps  []stagedOp
-	stagedAccs []stagedAccess
-	deviceOps  int // staged ops that need the shared device
 
 	sharedAccesses uint64
 	globalAccesses uint64
@@ -138,12 +93,6 @@ func NewSMPort(cfg config.Config, gpu *GPUMem) *SMPort {
 		gpu:  gpu,
 	}
 }
-
-// HasStagedDevice reports whether any staged op needs the shared device. A
-// staging cycle whose accesses all hit the L1 or merge with outstanding fills
-// touches nothing outside the SM, so the owning worker may resolve it locally
-// without an arbitration point.
-func (p *SMPort) HasStagedDevice() bool { return p.deviceOps > 0 }
 
 // Expire releases MSHR entries whose fills have returned by cycle now; the
 // simulator calls it once per cycle before issue.
@@ -212,110 +161,39 @@ func (p *SMPort) Refusals() uint64 { return p.stallsMSHR }
 // and with it every admission verdict, stays as it is.
 func (p *SMPort) NextExpiry() int64 { return p.mshr.minFill }
 
-// StageGlobal performs the SM-private half of one warp global access issued
-// at cycle now: L1 lookups and fills, MSHR merge accounting and occupancy
-// reservation. Lines that need the shared device are recorded for the resolve
-// side; nothing here touches state outside the SM, so worker goroutines
-// stepping disjoint SMs may stage concurrently. Callers must have checked
-// CanIssueGlobal in the same cycle.
-func (p *SMPort) StageGlobal(now int64, lines []Line) {
-	p.globalAccesses++
-	acc := stagedAccess{at: now, transactions: int32(len(lines))}
-	for _, l := range lines {
-		if fill, pending := p.mshr.Lookup(l); pending {
-			// Secondary miss: merge with the outstanding fill.
-			p.mshr.NoteMerge()
-			acc.l1Misses++
-			p.appendOp(stagedOp{line: l, fill: fill, kind: stageMerge})
-			acc.nOps++
-			continue
-		}
-		if p.l1.Access(l) {
-			continue // L1 hit: covered by the base hit latency
-		}
-		acc.l1Misses++
-		p.mshr.AllocatePending(l)
-		p.appendOp(stagedOp{line: l, kind: stageDevice})
-		acc.nOps++
-	}
-	p.stagedAccs = append(p.stagedAccs, acc)
-}
-
-// appendOp records one staged line op, counting those that need the device.
-func (p *SMPort) appendOp(o stagedOp) {
-	p.stagedOps = append(p.stagedOps, o)
-	if o.kind == stageDevice {
-		p.deviceOps++
-	}
-}
-
-// ResolveStaged applies every staged access to the shared device in staging
-// order, patching MSHR sentinels as it goes, and reports each access's timing
-// through fn (i is the access's staging index). A merge op always reads its
-// fill after the same-cycle primary to the same line was patched, because ops
-// are processed in staging order. With no device op staged it touches only
-// SM-private state, so the owning worker may call it without
-// synchronization; otherwise callers must resolve ports in ascending SM id
-// order with no other port touching the device, as the serial loop and the
-// parallel engine's coordinator do.
-func (p *SMPort) ResolveStaged(fn func(i int, res Result)) {
-	op := 0
-	for i := range p.stagedAccs {
-		acc := &p.stagedAccs[i]
-		res := Result{
-			Transactions: int(acc.transactions),
-			L1Misses:     int(acc.l1Misses),
-		}
-		latest := acc.at + int64(p.cfg.L1HitLatency)
-		for k := int32(0); k < acc.nOps; k++ {
-			o := &p.stagedOps[op]
-			var done int64
-			switch o.kind {
-			case stageMerge:
-				done = o.fill
-				if done == pendingFill {
-					// The primary miss was staged in this same buffer and has
-					// just been patched (ops run in staging order).
-					var ok bool
-					done, ok = p.mshr.Lookup(o.line)
-					if !ok || done == pendingFill {
-						panic(fmt.Sprintf("mem: staged merge for line %#x with no patched primary", uint64(o.line)))
-					}
-				}
-			case stageDevice:
-				var l2miss bool
-				done, l2miss = p.gpu.AccessLine(acc.at, o.line)
-				if l2miss {
-					res.L2Misses++
-				}
-				p.mshr.Patch(o.line, done)
-			}
-			if done > latest {
-				latest = done
-			}
-			op++
-		}
-		res.CompleteAt = latest
-		fn(i, res)
-	}
-	p.stagedOps = p.stagedOps[:0]
-	p.stagedAccs = p.stagedAccs[:0]
-	p.deviceOps = 0
-}
-
 // GlobalAccess issues one warp global access covering the given lines at
-// cycle now and returns its timing. It is the serial engine's path: a stage
-// followed by an immediate resolve, so serial and parallel runs share one
-// implementation and cannot drift. Callers must have checked CanIssueGlobal
-// in the same cycle and must not have other accesses staged.
+// cycle now and returns its timing. Each line either merges with an
+// outstanding fill (a secondary miss completes with it), hits the L1 (covered
+// by the base hit latency), or goes to the device and takes a fresh MSHR
+// entry carrying its fill cycle. The device sees the misses in line order, and
+// the simulator steps SMs in id order, which fixes the order of every L2/DRAM
+// access. Callers must have checked CanIssueGlobal in the same cycle.
 func (p *SMPort) GlobalAccess(now int64, lines []Line) Result {
-	if len(p.stagedAccs) != 0 {
-		panic("mem: GlobalAccess with accesses already staged — resolve them first")
+	p.globalAccesses++
+	res := Result{Transactions: len(lines)}
+	latest := now + int64(p.cfg.L1HitLatency)
+	for _, l := range lines {
+		done, pending := p.mshr.Lookup(l)
+		switch {
+		case pending:
+			p.mshr.NoteMerge()
+		case p.l1.Access(l):
+			continue
+		default:
+			var l2miss bool
+			done, l2miss = p.gpu.AccessLine(now, l)
+			if l2miss {
+				res.L2Misses++
+			}
+			p.mshr.Allocate(l, done)
+		}
+		res.L1Misses++
+		if done > latest {
+			latest = done
+		}
 	}
-	p.StageGlobal(now, lines)
-	var out Result
-	p.ResolveStaged(func(_ int, res Result) { out = res })
-	return out
+	res.CompleteAt = latest
+	return res
 }
 
 // Occupancy returns the number of in-flight miss entries.

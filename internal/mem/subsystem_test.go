@@ -174,92 +174,72 @@ func TestCanIssueGlobalDeduplicatesLines(t *testing.T) {
 	}
 }
 
-// TestStageResolveMatchesInlineAccess pins the contract the parallel
-// engine's arbitration is built on: staging a cycle's accesses on every port
-// and then resolving the ports in SM order gives exactly the timing and
-// statistics of issuing each access inline (GlobalAccess), port by port in
-// SM order, as the serial engine does.
-func TestStageResolveMatchesInlineAccess(t *testing.T) {
+// TestGlobalAccessSequence pins the timing and statistics of a cycle's
+// accesses issued port by port in SM order, as the simulator issues them:
+// merges read the outstanding fill, L1 misses reach the shared device in line
+// order, and DRAM requests queue per channel.
+func TestGlobalAccessSequence(t *testing.T) {
+	cfg := testCfg()
+	cfg.DRAMSlots = 8 // lines 8, 16, 24 and 1<<41 share channel 0
+	l2 := int64(cfg.L2HitLatency)
+	dram := int64(cfg.DRAMLatency)
+	type access struct {
+		lines []Line
+		want  Result
+	}
 	cases := []struct {
 		name  string
-		ports [][][]Line // per port (SM order), the accesses it issues at cycle 0
+		ports [][]access // per port (SM order), the accesses it issues at cycle 0
+		mshr  [][2]uint64
+		dev   [4]uint64 // L2 accesses, L2 misses, DRAM requests, queue delay
 	}{
-		{"one port", [][][]Line{{
-			{7},       // cold DRAM miss
-			{7},       // same-cycle merge with the staged entry
-			{8, 9, 8}, // fan-out with a duplicate
-			{1 << 41}, // different region
-		}}},
-		{"two ports in SM order", [][][]Line{
-			{{7}, {8, 9, 8}, {7}},
+		{"one port", [][]access{{
+			{[]Line{7}, Result{dram, 1, 1, 1}},           // cold DRAM miss
+			{[]Line{7}, Result{dram, 1, 1, 0}},           // merge with its entry
+			{[]Line{8, 9, 8}, Result{dram, 3, 3, 2}},     // fan-out with a duplicate
+			{[]Line{1 << 41}, Result{4 + dram, 1, 1, 1}}, // queues behind line 8
+		}}, [][2]uint64{{4, 2}}, [4]uint64{4, 4, 4, 4}},
+		{"two ports in SM order", [][]access{
+			{
+				{[]Line{7}, Result{dram, 1, 1, 1}},
+				{[]Line{8, 9, 8}, Result{dram, 3, 3, 2}},
+				{[]Line{7}, Result{dram, 1, 1, 0}},
+			},
 			// The second SM hits lines the first one filled into the L2
 			// this cycle, and queues behind its DRAM requests.
-			{{9}, {7, 16}, {24}, {16}},
-		}},
+			{
+				{[]Line{9}, Result{l2, 1, 1, 0}},
+				{[]Line{7, 16}, Result{4 + dram, 2, 2, 1}},
+				{[]Line{24}, Result{8 + dram, 1, 1, 1}},
+				{[]Line{16}, Result{4 + dram, 1, 1, 0}},
+			},
+		}, [][2]uint64{{3, 2}, {4, 1}}, [4]uint64{7, 5, 5, 12}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := testCfg()
-			cfg.DRAMSlots = 8 // lines 8, 16 and 24 share a channel
-			inlineDev, stagedDev := NewGPUMem(cfg), NewGPUMem(cfg)
-			var inline, staged []*SMPort
-			for range tc.ports {
-				inline = append(inline, NewSMPort(cfg, inlineDev))
-				staged = append(staged, NewSMPort(cfg, stagedDev))
-			}
-			var want [][]Result
+			dev := NewGPUMem(cfg)
 			for i, accesses := range tc.ports {
-				var rs []Result
-				for _, lines := range accesses {
-					rs = append(rs, inline[i].GlobalAccess(0, lines))
-				}
-				want = append(want, rs)
-			}
-			for i, accesses := range tc.ports {
-				for _, lines := range accesses {
-					staged[i].StageGlobal(0, lines)
-				}
-			}
-			for i, p := range staged {
-				var got []Result
-				p.ResolveStaged(func(k int, res Result) {
-					if k != len(got) {
-						t.Fatalf("port %d resolve order: got index %d, want %d", i, k, len(got))
+				p := NewSMPort(cfg, dev)
+				for k, a := range accesses {
+					if got := p.GlobalAccess(0, a.lines); got != a.want {
+						t.Fatalf("port %d access %d %v: got %+v, want %+v", i, k, a.lines, got, a.want)
 					}
-					got = append(got, res)
-				})
-				if !slices.Equal(want[i], got) {
-					t.Fatalf("port %d: inline %+v, staged %+v", i, want[i], got)
 				}
-				ia, im, _ := inline[i].MSHRStats()
-				sa, sm, _ := p.MSHRStats()
-				if ia != sa || im != sm {
-					t.Fatalf("port %d MSHR stats diverged: inline %d/%d staged %d/%d", i, ia, im, sa, sm)
+				allocs, merges, _ := p.MSHRStats()
+				if got := [2]uint64{allocs, merges}; got != tc.mshr[i] {
+					t.Fatalf("port %d MSHR allocs/merges = %v, want %v", i, got, tc.mshr[i])
 				}
-				if inline[i].Occupancy() != p.Occupancy() {
-					t.Fatalf("port %d occupancy diverged: %d vs %d", i, inline[i].Occupancy(), p.Occupancy())
+				if int(allocs) != p.Occupancy() {
+					t.Fatalf("port %d occupancy %d, want one entry per allocation (%d)", i, p.Occupancy(), allocs)
 				}
 			}
-			var wantDev, gotDev [4]uint64
-			wantDev[0], wantDev[1], wantDev[2], wantDev[3] = inlineDev.Stats()
-			gotDev[0], gotDev[1], gotDev[2], gotDev[3] = stagedDev.Stats()
-			if wantDev != gotDev {
-				t.Fatalf("device stats diverged: inline %v staged %v", wantDev, gotDev)
+			var got [4]uint64
+			got[0], got[1], got[2], got[3] = dev.Stats()
+			if got != tc.dev {
+				t.Fatalf("device stats = %v, want %v", got, tc.dev)
 			}
 		})
 	}
-}
-
-func TestGlobalAccessPanicsWithStagedBacklog(t *testing.T) {
-	cfg := testCfg()
-	p := NewSMPort(cfg, NewGPUMem(cfg))
-	p.StageGlobal(0, []Line{4})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("GlobalAccess with a staged backlog did not panic")
-		}
-	}()
-	p.GlobalAccess(0, []Line{5})
 }
 
 // TestCanIssueGlobalShortcutsMatchFullCount pins CanIssueGlobal's fast

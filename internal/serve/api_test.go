@@ -238,6 +238,14 @@ func TestAPITable(t *testing.T) {
 			wantBody:   []string{"scale must be a positive finite number"},
 		},
 		{
+			name:       "scale over the bound is 400",
+			method:     http.MethodPost,
+			path:       "/v1/jobs",
+			body:       `{"bench":"hotspot","technique":"Baseline","scale":1e18}`,
+			wantStatus: http.StatusBadRequest,
+			wantBody:   []string{"scale must be a positive finite number at most 10000, got 1e+18"},
+		},
+		{
 			name:       "unknown request field is 400 not silently ignored",
 			method:     http.MethodPost,
 			path:       "/v1/jobs",

@@ -357,3 +357,113 @@ func TestJobContextsReleased(t *testing.T) {
 		}
 	}
 }
+
+// TestJobStateMachine drives one job through each lifecycle the service
+// produces, event by event, and checks the final state and error_kind.
+// Events act as the server does: run is a worker picking the job up (a job
+// whose context is already done returns at once with its cause); cancel,
+// client gone and drain plant their cause on the job's context, deadline
+// expires the running phase's context, and a running simulation then returns
+// the cause the way the engine wraps it. Terminal states are sticky, and every
+// terminal job's context is done: reaching one releases it.
+func TestJobStateMachine(t *testing.T) {
+	type event int
+	const (
+		run event = iota
+		finish
+		fail
+		cancel
+		deadline
+		clientGone
+		drain
+	)
+	cases := []struct {
+		name     string
+		initial  State
+		events   []event
+		want     State
+		wantKind string
+	}{
+		{"queued waits", StateQueued, nil, StateQueued, ""},
+		{"picked up runs", StateQueued, []event{run}, StateRunning, ""},
+		{"run to completion", StateQueued, []event{run, finish}, StateDone, ""},
+		{"simulation error", StateQueued, []event{run, fail}, StateFailed, "error"},
+		{"canceled while running", StateQueued, []event{run, cancel}, StateCanceled, "canceled"},
+		{"deadline while running", StateRunning, []event{deadline}, StateFailed, "deadline"},
+		{"client gone while running", StateRunning, []event{clientGone}, StateCanceled, "client_gone"},
+		{"client gone while queued", StateQueued, []event{clientGone, run}, StateCanceled, "client_gone"},
+		{"drain while running", StateRunning, []event{drain}, StateCanceled, "draining"},
+		{"drain while queued", StateQueued, []event{drain, run}, StateCanceled, "draining"},
+		{"deadline beats a later client gone", StateRunning, []event{deadline, clientGone}, StateFailed, "deadline"},
+		{"done is sticky", StateQueued, []event{run, finish, fail, cancel, deadline, clientGone, drain}, StateDone, ""},
+		{"failed is sticky", StateFailed, []event{run, finish, clientGone}, StateFailed, "error"},
+		{"canceled is sticky", StateCanceled, []event{run, finish, deadline, drain}, StateCanceled, "canceled"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			root, cancelRoot := context.WithCancelCause(context.Background())
+			defer cancelRoot(nil)
+			j := &job{id: "id", key: "key", bench: "hotspot", tech: core.WarpedGates, state: StateQueued,
+				subs: make(map[chan []byte]struct{}), done: make(chan struct{})}
+			j.ctx, j.cancel = context.WithCancelCause(root)
+			switch tc.initial {
+			case StateFailed:
+				j.transition(StateFailed, errors.New("sim: boom"))
+			case StateCanceled:
+				j.transition(StateCanceled, context.Canceled)
+			case StateRunning:
+				j.transition(StateRunning, nil)
+			}
+			// returned is the error a simulation stopped on ctx returns.
+			returned := func(ctx context.Context) {
+				if j.State() == StateRunning {
+					j.finish(fmt.Errorf("sim: hotspot canceled at cycle 7: %w", context.Cause(ctx)))
+				}
+			}
+			for _, ev := range tc.events {
+				switch ev {
+				case run:
+					j.transition(StateRunning, nil)
+					if j.ctx.Err() != nil {
+						returned(j.ctx)
+					}
+				case finish:
+					j.finish(nil)
+				case fail:
+					j.finish(errors.New("sim: boom"))
+				case cancel:
+					j.cancel(context.Canceled)
+					returned(j.ctx)
+				case deadline:
+					runCtx, expire := context.WithCancelCause(j.ctx)
+					expire(core.ErrDeadline)
+					returned(runCtx)
+				case clientGone:
+					j.cancel(ErrClientGone)
+					returned(j.ctx)
+				case drain:
+					cancelRoot(ErrDraining)
+					returned(j.ctx)
+				}
+			}
+			st := j.status()
+			if st.State != tc.want || st.ErrorKind != tc.wantKind {
+				t.Fatalf("ended %s (error_kind %q), want %s (%q)", st.State, st.ErrorKind, tc.want, tc.wantKind)
+			}
+			if !tc.want.terminal() {
+				if j.ctx.Err() != nil {
+					t.Fatal("live job's context is done")
+				}
+				return
+			}
+			if j.ctx.Err() == nil {
+				t.Fatal("terminal job's context is not done")
+			}
+			select {
+			case <-j.done:
+			default:
+				t.Fatal("terminal job's done channel is open")
+			}
+		})
+	}
+}

@@ -3,19 +3,20 @@ package serve
 import (
 	"bytes"
 	"io"
-	"math"
 	"net/http"
 	"testing"
 
 	"warpedgates/internal/core"
+	"warpedgates/internal/kernels"
 	"warpedgates/internal/store"
 )
 
 // FuzzJobRequest feeds arbitrary POST /v1/jobs bodies through the request
 // decoder and buildJob, seeded with TestAPITable's bodies. Every input must
 // end in a 400 or 413, or in a valid job: a configuration that validates, a
-// positive finite scale, an id that is the content address of the job's
-// canonical key, and no context until the server admits it. Never a panic.
+// scale in (0, kernels.MaxScale], an id that is the content address of the
+// job's canonical key, and no context until the server admits it. Never a
+// panic.
 func FuzzJobRequest(f *testing.F) {
 	for _, body := range []string{
 		smallJob,
@@ -24,6 +25,7 @@ func FuzzJobRequest(f *testing.F) {
 		`{"bench":"hotspot","technique":"Baseline","break_even":-1}`,
 		`{"bench":"hotspot","technique":"Baseline","sms":16777216}`,
 		`{"bench":"hotspot","technique":"Baseline","scale":-2}`,
+		`{"bench":"hotspot","technique":"Baseline","scale":1e18}`,
 		`{"bench":"hotspot","technique":"Baseline","max_cycles":7}`,
 		`{"bench":`,
 		smallJob + ` junk`,
@@ -56,7 +58,7 @@ func FuzzJobRequest(f *testing.F) {
 		if err := j.cfg.Validate(); err != nil {
 			t.Fatalf("built job with an invalid config: %v", err)
 		}
-		if !(j.scale > 0) || math.IsInf(j.scale, 0) {
+		if !(j.scale > 0 && j.scale <= kernels.MaxScale) {
 			t.Fatalf("built job with scale %v", j.scale)
 		}
 		if j.key != core.JobKey(j.bench, j.cfg, j.scale) || j.id != store.HashKey(j.key) {
@@ -73,8 +75,8 @@ func FuzzJobRequest(f *testing.F) {
 // large seed would eat a short fuzz run. Every input must end in a 400 or
 // 413, or in a valid sweep: between one and MaxSweepCells cells, sorted by
 // a duplicate-free canonical key, each with a configuration that validates,
-// a positive finite scale, an id that is its key's content address and no
-// context before admission. Never a panic.
+// a scale in (0, kernels.MaxScale], an id that is its key's content address
+// and no context before admission. Never a panic.
 func FuzzSweepRequest(f *testing.F) {
 	for _, body := range []string{
 		smallSweep,
@@ -85,6 +87,7 @@ func FuzzSweepRequest(f *testing.F) {
 		smallSweep + `{}`,
 		`{"benches":["nw"],"techniques":["Baseline"],"sample_detail":500,"sample_period":500}`,
 		`{"benches":["nw"],"techniques":["Baseline"],"sms":[2,16777216]}`,
+		`{"benches":["nw"],"scales":[0.1,1e18]}`,
 		`{"benches":["nw","hotspot"],"techniques":["WarpedGates"],"sms":[2,4],"scales":[0.05,0.1],"shard_index":1,"shard_count":3}`,
 	} {
 		f.Add([]byte(body))
@@ -114,7 +117,7 @@ func FuzzSweepRequest(f *testing.F) {
 			if err := j.cfg.Validate(); err != nil {
 				t.Fatalf("cell %d has an invalid config: %v", i, err)
 			}
-			if !(j.scale > 0) || math.IsInf(j.scale, 0) {
+			if !(j.scale > 0 && j.scale <= kernels.MaxScale) {
 				t.Fatalf("cell %d has scale %v", i, j.scale)
 			}
 			if j.key != core.JobKey(j.bench, j.cfg, j.scale) || j.id != store.HashKey(j.key) {

@@ -261,8 +261,8 @@ func (s *Server) buildJob(req *JobRequest) (*job, error) {
 	if scale == 0 {
 		scale = 1.0
 	}
-	if math.IsNaN(scale) || math.IsInf(scale, 0) || scale < 0 {
-		return nil, fmt.Errorf("scale must be a positive finite number, got %v", scale)
+	if math.IsNaN(scale) || scale < 0 || scale > kernels.MaxScale {
+		return nil, fmt.Errorf("scale must be a positive finite number at most %g, got %v", kernels.MaxScale, scale)
 	}
 	// Non-zero overrides are applied verbatim — including invalid negative
 	// values — so cfg.Validate rejects them with a precise message instead of
@@ -440,9 +440,17 @@ func (s *Server) runJob(j *job) {
 		defer cancel()
 	}
 	rep, err := s.runner(j.scale).RunCfgCtx(ctx, j.bench, j.cfg)
+	if err == nil {
+		j.progress(rep.Cycles)
+	}
+	j.finish(err)
+}
+
+// finish records a run's outcome: done on success, canceled when a caller,
+// watcher or drain canceled it, failed otherwise (deadline expiry included).
+func (j *job) finish(err error) {
 	switch {
 	case err == nil:
-		j.progress(rep.Cycles)
 		j.transition(StateDone, nil)
 	case isCanceled(err) && !errors.Is(err, core.ErrDeadline):
 		j.transition(StateCanceled, err)
@@ -474,8 +482,7 @@ func (s *Server) instrument(scale float64) core.Instrumenter {
 		var last int64
 		g.SetCycleProbe(func(smID int, cycle int64, _ []sim.LaneState) {
 			// SM 0 alone reports, so each emission is one device-cycle
-			// value; the probe races nothing (one goroutine steps SM 0,
-			// and barrier rounds order epochs on the parallel engine).
+			// value.
 			if smID != 0 || cycle-last < every {
 				return
 			}

@@ -82,9 +82,6 @@ type Options struct {
 	// ProgressEveryCycles throttles SSE progress events: one event per this
 	// many simulated cycles. Default 25000.
 	ProgressEveryCycles int64
-	// IntraRunWorkers selects the intra-simulation engine for every job
-	// (results are bit-identical at any value). Default 1, the serial engine.
-	IntraRunWorkers int
 }
 
 // withDefaults resolves zero-valued options.
@@ -109,9 +106,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ProgressEveryCycles <= 0 {
 		o.ProgressEveryCycles = 25000
-	}
-	if o.IntraRunWorkers > 0 {
-		o.Base.IntraRunWorkers = o.IntraRunWorkers
 	}
 	return o
 }

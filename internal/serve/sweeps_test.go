@@ -188,6 +188,14 @@ func TestSweepValidationTable(t *testing.T) {
 			wantBody:   []string{"4 cells", "limit is 2", "shard"},
 		},
 		{
+			name:       "scale over the bound is 400",
+			method:     http.MethodPost,
+			path:       "/v1/sweeps",
+			body:       `{"benches":["nw"],"scales":[0.1,1e18]}`,
+			wantStatus: http.StatusBadRequest,
+			wantBody:   []string{"sweep: scale must be in (0, 10000], got 1e+18"},
+		},
+		{
 			name:       "grid too large to expand is 400",
 			method:     http.MethodPost,
 			path:       "/v1/sweeps",

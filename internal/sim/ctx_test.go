@@ -12,11 +12,10 @@ import (
 )
 
 // slowGPU builds a device whose run takes seconds — enough headroom that a
-// cancellation landing within one epoch window is unmistakable.
-func slowGPU(t *testing.T, workers int) *GPU {
+// cancellation landing within one device step is unmistakable.
+func slowGPU(t *testing.T) *GPU {
 	t.Helper()
 	cfg := config.Small()
-	cfg.IntraRunWorkers = workers
 	gpu, err := NewGPU(cfg, kernels.MustBenchmark("hotspot").Scale(50))
 	if err != nil {
 		t.Fatal(err)
@@ -50,40 +49,35 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 
 // TestRunCtxPreCanceled: a context dead on arrival never steps the device.
 func TestRunCtxPreCanceled(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		gpu := slowGPU(t, workers)
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		rep, err := gpu.RunCtx(ctx)
-		if rep != nil || !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: RunCtx(dead ctx) = %v, %v; want nil, context.Canceled", workers, rep, err)
-		}
+	gpu := slowGPU(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rep, err := gpu.RunCtx(ctx)
+	if rep != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunCtx(dead ctx) = %v, %v; want nil, context.Canceled", rep, err)
 	}
 }
 
-// TestRunCtxCancelStopsBothEngines: cancel lands within an epoch boundary in
-// the serial engine (per device step) and the phase-split parallel engine
-// (per barrier round), and the error names the simulation and cycle.
-func TestRunCtxCancelStopsBothEngines(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		gpu := slowGPU(t, workers)
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(20 * time.Millisecond)
-			cancel()
-		}()
-		t0 := time.Now()
-		rep, err := gpu.RunCtx(ctx)
-		took := time.Since(t0)
-		if rep != nil || !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: canceled RunCtx = %v, %v", workers, rep, err)
-		}
-		if took > 5*time.Second {
-			t.Fatalf("workers=%d: cancel took %v to land", workers, took)
-		}
-		if !strings.Contains(err.Error(), "canceled at cycle") {
-			t.Fatalf("workers=%d: cancellation error lacks cycle context: %v", workers, err)
-		}
+// TestRunCtxCancelStopsRun: cancel lands within one device step, and the
+// error names the simulation and cycle.
+func TestRunCtxCancelStopsRun(t *testing.T) {
+	gpu := slowGPU(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		time.Sleep(20 * time.Millisecond)
+		cancel()
+	}()
+	t0 := time.Now()
+	rep, err := gpu.RunCtx(ctx)
+	took := time.Since(t0)
+	if rep != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled RunCtx = %v, %v", rep, err)
+	}
+	if took > 5*time.Second {
+		t.Fatalf("cancel took %v to land", took)
+	}
+	if !strings.Contains(err.Error(), "canceled at cycle") {
+		t.Fatalf("cancellation error lacks cycle context: %v", err)
 	}
 }
 
@@ -91,7 +85,7 @@ func TestRunCtxCancelStopsBothEngines(t *testing.T) {
 // typed cause (not just DeadlineExceeded) survives the trip through the
 // engine.
 func TestRunCtxDeadlineCause(t *testing.T) {
-	gpu := slowGPU(t, 1)
+	gpu := slowGPU(t)
 	cause := errors.New("watchdog fired")
 	ctx, cancel := context.WithTimeoutCause(context.Background(), 20*time.Millisecond, cause)
 	defer cancel()

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -36,6 +37,59 @@ func reportFingerprint(r *Report) string {
 	return b.String()
 }
 
+// fnvMix folds v into an FNV-1a style running hash.
+func fnvMix(h, v uint64) uint64 {
+	h ^= v
+	h *= 1099511628211
+	return h
+}
+
+// runDigests executes cfg/k to completion and returns the report plus
+// per-SM digests of the full probe and issue-trace streams.
+func runDigests(t *testing.T, cfg config.Config, k *kernels.Kernel) (*Report, []uint64, []uint64) {
+	t.Helper()
+	gpu, err := NewGPU(cfg, k)
+	if err != nil {
+		t.Fatalf("NewGPU: %v", err)
+	}
+	probeD := make([]uint64, cfg.NumSMs)
+	issueD := make([]uint64, cfg.NumSMs)
+	for i := range probeD {
+		probeD[i] = 14695981039346656037
+		issueD[i] = 14695981039346656037
+	}
+	gpu.SetCycleProbe(func(smID int, cycle int64, lanes []LaneState) {
+		h := probeD[smID]
+		h = fnvMix(h, uint64(cycle))
+		for _, l := range lanes {
+			h = fnvMix(h, uint64(l.Class)<<32|uint64(l.Cluster))
+			b := uint64(0)
+			if l.Busy {
+				b = 1
+			}
+			h = fnvMix(h, b<<8|uint64(l.State))
+		}
+		probeD[smID] = h
+	})
+	gpu.SetIssueTracer(func(smID int, cycle int64, warpIdx int, class isa.Class, cluster int) {
+		h := issueD[smID]
+		h = fnvMix(h, uint64(cycle))
+		h = fnvMix(h, uint64(warpIdx)<<16|uint64(class)<<8|uint64(cluster))
+		issueD[smID] = h
+	})
+	return gpu.Run(), probeD, issueD
+}
+
+// sameReport compares two reports ignoring the config they ran under (the
+// knob under test is the one field allowed to differ).
+func sameReport(a, b *Report) bool {
+	ca, cb := a.Config, b.Config
+	a.Config, b.Config = config.Config{}, config.Config{}
+	eq := reflect.DeepEqual(a, b)
+	a.Config, b.Config = ca, cb
+	return eq
+}
+
 // runHashed runs cfg over kernel k with a cycle probe installed, folding every
 // per-cycle lane observation into one FNV stream per SM. Within an SM the
 // probe fires in strict cycle order whether or not the run jumps, so equal
@@ -56,7 +110,6 @@ func runHashed(t *testing.T, cfg config.Config, k *kernels.Kernel) (*Report, []u
 		hashes[i] = fnv.New64a()
 	}
 	gpu.SetCycleProbe(func(smID int, cycle int64, lanes []LaneState) {
-		// The phase-split engine probes different SMs concurrently.
 		var buf [8]byte
 		h := hashes[smID]
 		binary.LittleEndian.PutUint64(buf[:], uint64(cycle))
@@ -87,14 +140,13 @@ func runHashed(t *testing.T, cfg config.Config, k *kernels.Kernel) (*Report, []u
 // event-driven step: across randomized schedulers, gating policies, gating
 // parameters, MSHR sizes and benchmarks (the memory-bound ones included,
 // where warps stall longest on a full MSHR), blackout on the SFU and LDST
-// units, on the serial and the phase-split engine, and with interval
-// sampling (whose window boundaries cap every jump), a run that jumps and
+// units, and with interval sampling (whose window boundaries cap every jump), a run that jumps and
 // ticks lazily must produce the same report, the same per-SM, per-cycle
 // gating-state stream and the same per-SM memory-port and MSHR counters as a
 // run that steps and ticks every cycle.
 func TestFastForwardBitExact(t *testing.T) {
 	benchNames := []string{"nw", "hotspot", "bfs", "mri", "btree", "MUM", "gaussian", "lbm"}
-	f := func(benchRaw, schedRaw, gateRaw, idRaw, betRaw, wakeRaw, holdRaw, mshrRaw uint8, adaptive, aux, parallel, sampled bool) bool {
+	f := func(benchRaw, schedRaw, gateRaw, idRaw, betRaw, wakeRaw, holdRaw, mshrRaw uint8, adaptive, aux, sampled bool) bool {
 		cfg := config.Small()
 		cfg.Scheduler = []config.SchedulerKind{
 			config.SchedLRR, config.SchedTwoLevel, config.SchedGATES,
@@ -111,9 +163,6 @@ func TestFastForwardBitExact(t *testing.T) {
 		cfg.AdaptiveIdleDetect = adaptive
 		cfg.BlackoutAux = aux
 		cfg.MaxCycles = 30000
-		if parallel {
-			cfg.IntraRunWorkers = 2
-		}
 		if sampled {
 			cfg.SampleDetailCycles = 200
 			cfg.SamplePeriod = 800
@@ -129,8 +178,8 @@ func TestFastForwardBitExact(t *testing.T) {
 
 		ffRep, ffHash, ffPorts := runHashed(t, ffCfg, k)
 		stRep, stHash, stPorts := runHashed(t, stepCfg, k)
-		name := fmt.Sprintf("%s %v/%v mshr=%d aux=%t parallel=%t sampled=%t", bench, cfg.Scheduler, cfg.Gating,
-			cfg.MSHRPerSM, aux, parallel, sampled)
+		name := fmt.Sprintf("%s %v/%v mshr=%d aux=%t sampled=%t", bench, cfg.Scheduler, cfg.Gating,
+			cfg.MSHRPerSM, aux, sampled)
 		// The config is part of the report; blank the knob under test before
 		// comparing the rest.
 		ffRep.Config.DisableFastForward = false
@@ -153,6 +202,31 @@ func TestFastForwardBitExact(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFarWritebackFastForwardExact runs memory latencies that book every
+// DRAM writeback past the retire ring, into each SM's overflow heap, with the
+// fast-forward on and off. Both must drain to the same report and per-SM
+// streams.
+func TestFarWritebackFastForwardExact(t *testing.T) {
+	k := kernels.MustBenchmark("lbm").Scale(0.02)
+	for _, lat := range []int{3000, 20000} {
+		cfg := config.Small()
+		cfg.DRAMLatency = lat
+		wantRep, wantProbe, wantIssue := runDigests(t, cfg, k)
+		if wantRep.RanOut || wantRep.Cycles <= int64(lat) {
+			t.Fatalf("DRAMLatency=%d: run took %d cycles (ran out: %v)", lat, wantRep.Cycles, wantRep.RanOut)
+		}
+		noFF := cfg
+		noFF.DisableFastForward = true
+		gotRep, gotProbe, gotIssue := runDigests(t, noFF, k)
+		if !sameReport(wantRep, gotRep) {
+			t.Errorf("DRAMLatency=%d: report diverged\nfast-forward: %v\nstepped:      %v", lat, wantRep, gotRep)
+		}
+		if !reflect.DeepEqual(wantProbe, gotProbe) || !reflect.DeepEqual(wantIssue, gotIssue) {
+			t.Errorf("DRAMLatency=%d: streams diverged", lat)
+		}
 	}
 }
 

@@ -57,26 +57,19 @@ func (g *GPU) canceled(ctx context.Context) error {
 }
 
 // RunCtx executes the workload to completion (or cfg.MaxCycles) and returns
-// the final report. With cfg.IntraRunWorkers > 1 the phase-split parallel
-// engine (runParallel) steps the SM array on several goroutines; its results
-// are bit-identical to the serial loop below.
+// the final report. One serial loop steps the SM array in SM-id order, so
+// every access reaches the shared L2/DRAM in a fixed order and the report is
+// a pure function of the configuration and kernel.
 //
-// Cancellation is polled at epoch boundaries: once per device step in the
-// serial loop and once per barrier round in the parallel engine, so a
-// canceled context stops the simulation within one compute window. A canceled
-// run returns a nil report and an error wrapping context.Cause(ctx); the
-// device's partial state is not meaningful and no report is assembled.
+// Cancellation is polled once per device step, so a canceled context stops
+// the simulation within one step. A canceled run returns a nil report and an
+// error wrapping context.Cause(ctx); the device's partial state is not
+// meaningful and no report is assembled.
 func (g *GPU) RunCtx(ctx context.Context) (*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, g.canceled(ctx)
 	}
-	// Sampled runs always use the serial engine: the worker count is not part
-	// of the runner's cache key, so a sampled result must not depend on it,
-	// and the splice points need the single globally ordered clock.
 	smp := newSampler(g)
-	if w := g.workerCount(); smp == nil && w > 1 {
-		return g.runParallel(ctx, w)
-	}
 	// Completion is event-driven rather than scanned: an SM flips its drained
 	// flag at the transition point (last warp of its last CTA finishing, in
 	// commitIssue), and Run only maintains the count of SMs still holding
@@ -148,12 +141,6 @@ func (g *GPU) RunCtx(ctx context.Context) (*Report, error) {
 		smp.apply(rep)
 	}
 	return rep, nil
-}
-
-// workerCount clamps the configured intra-run worker count to the SM array:
-// shards are per-SM, so goroutines beyond NumSMs could only idle.
-func (g *GPU) workerCount() int {
-	return g.cfg.EffectiveIntraRunWorkers()
 }
 
 // Cycle returns the current simulated cycle.

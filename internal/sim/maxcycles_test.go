@@ -7,34 +7,29 @@ import (
 	"warpedgates/internal/kernels"
 )
 
-// TestMaxCyclesNeverOvershot pins the report-level cap invariant on both
-// engines: no run may report Cycles > MaxCycles, even when an idle
-// fast-forward's next-wake target lies past the cap. The cap values are
-// deliberately scattered so some land inside long idle stretches (where the
-// closed-form advance would jump past them if unclamped).
+// TestMaxCyclesNeverOvershot pins the report-level cap invariant: no run may
+// report Cycles > MaxCycles, even when an idle fast-forward's next-wake
+// target lies past the cap. The cap values are deliberately scattered so
+// some land inside long idle stretches (where the closed-form advance would
+// jump past them if unclamped).
 func TestMaxCyclesNeverOvershot(t *testing.T) {
 	for _, bench := range []string{"hotspot", "bfs", "mri", "nw", "kmeans"} {
 		k := kernels.MustBenchmark(bench).Scale(0.1)
 		for _, mc := range []int{50, 100, 500, 1000, 2000, 5000} {
-			for _, workers := range []int{1, 2} {
-				cfg := config.Small()
-				cfg.Gating = config.GateCoordBlackout
-				cfg.Scheduler = config.SchedGATES
-				cfg.MaxCycles = mc
-				cfg.IntraRunWorkers = workers
-				gpu, err := NewGPU(cfg, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r := gpu.Run()
-				if r.Cycles > int64(mc) {
-					t.Errorf("%s mc=%d workers=%d: Cycles=%d ranOut=%v overshoots the cap",
-						bench, mc, workers, r.Cycles, r.RanOut)
-				}
-				if r.RanOut && r.Cycles != int64(mc) {
-					t.Errorf("%s mc=%d workers=%d: ran out at %d, want the cap exactly",
-						bench, mc, workers, r.Cycles)
-				}
+			cfg := config.Small()
+			cfg.Gating = config.GateCoordBlackout
+			cfg.Scheduler = config.SchedGATES
+			cfg.MaxCycles = mc
+			gpu, err := NewGPU(cfg, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := gpu.Run()
+			if r.Cycles > int64(mc) {
+				t.Errorf("%s mc=%d: Cycles=%d ranOut=%v overshoots the cap", bench, mc, r.Cycles, r.RanOut)
+			}
+			if r.RanOut && r.Cycles != int64(mc) {
+				t.Errorf("%s mc=%d: ran out at %d, want the cap exactly", bench, mc, r.Cycles)
 			}
 		}
 	}
@@ -52,21 +47,18 @@ func TestMaxCyclesClampsFastForwardJump(t *testing.T) {
 	cfg := config.Small()
 	cfg.DRAMLatency = 4000 // every miss's wake target dwarfs the caps below
 	for _, mc := range []int{40, 60, 90, 130} {
-		for _, workers := range []int{1, 2} {
-			c := cfg
-			c.MaxCycles = mc
-			c.IntraRunWorkers = workers
-			gpu, err := NewGPU(c, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := gpu.Run()
-			if !r.RanOut {
-				t.Fatalf("mc=%d workers=%d: expected the cap to hit (cycles=%d)", mc, workers, r.Cycles)
-			}
-			if r.Cycles != int64(mc) {
-				t.Errorf("mc=%d workers=%d: Cycles=%d, want exactly the cap", mc, workers, r.Cycles)
-			}
+		c := cfg
+		c.MaxCycles = mc
+		gpu, err := NewGPU(c, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := gpu.Run()
+		if !r.RanOut {
+			t.Fatalf("mc=%d: expected the cap to hit (cycles=%d)", mc, r.Cycles)
+		}
+		if r.Cycles != int64(mc) {
+			t.Errorf("mc=%d: Cycles=%d, want exactly the cap", mc, r.Cycles)
 		}
 	}
 }

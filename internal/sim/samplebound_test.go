@@ -22,7 +22,6 @@ func sampleCorpusCfg(sched config.SchedulerKind, gate config.GatingKind, adaptiv
 	cfg.Scheduler = sched
 	cfg.Gating = gate
 	cfg.AdaptiveIdleDetect = adaptive
-	cfg.IntraRunWorkers = 1
 	return cfg
 }
 

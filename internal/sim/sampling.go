@@ -10,7 +10,7 @@ import (
 // Interval-sampled simulation (config.SampleDetailCycles / SamplePeriod).
 //
 // The sampler never jumps the clock and never synthesizes architectural
-// state. The serial engine steps detailed windows of SampleDetailCycles
+// state. The simulator steps detailed windows of SampleDetailCycles
 // device cycles; at each window boundary the sampler measures the work the
 // window performed (issued instructions, per-domain gating counters, memory
 // traffic, elapsed cycles) and then *removes* future work worth

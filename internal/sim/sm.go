@@ -37,17 +37,6 @@ type retireEvent struct {
 	next    int32 // pool index of the next event in the same bucket, -1 ends
 }
 
-// stagedRetire is the SM-side record of one staged global access: the warp
-// whose load writeback must be booked once resolveMemory computes the
-// access's completion cycle, and the cycle the access was issued.
-// Stores stage too (they occupy MSHR entries and reach the device) but have
-// no destination, so their dstMask is zero.
-type stagedRetire struct {
-	w       *Warp
-	at      int64
-	dstMask uint64
-}
-
 // SMStats aggregates the per-SM counters the figures are computed from.
 type SMStats struct {
 	Cycles          int64
@@ -153,14 +142,6 @@ type SM struct {
 	// without trying them.
 	gateBlocked uint8
 	memBlocked  bool
-
-	// memStage, set by the parallel engine, makes issueMemory stage global
-	// accesses on the port instead of resolving them inline; resolveMemory
-	// later resolves them and books the deferred load writebacks. stagedRet
-	// records one entry per staged access, in staging order (dstMask 0 for
-	// stores).
-	memStage  bool
-	stagedRet []stagedRetire
 
 	benchSeed uint64
 	st        SMStats
@@ -460,10 +441,7 @@ func (sm *SM) step(now int64) int64 {
 // is nothing to skip). Each repeat books now's stall and MSHR-refusal
 // deltas. A class whose controller event falls due on the last repeat ticks
 // it for real: the event changes state only at the end of that cycle. An SM
-// whose next cycle would still attempt a CTA launch does not jump. (A
-// cycle that staged a global access issued, so it never jumps either, and
-// the parallel engine books every staged writeback before the SM steps
-// again.)
+// whose next cycle would still attempt a CTA launch does not jump.
 func (sm *SM) jump(now int64, dMem, dGate, dRefused uint64) int64 {
 	if sm.ctasRemaining > 0 && sm.emptySlots > 0 {
 		return now + 1
@@ -834,8 +812,7 @@ func (sm *SM) issueMemory(now int64, w *Warp, in *isa.Instr) bool {
 		return false
 	}
 	// The pipe occupancy and issue latency depend only on the transaction
-	// fan-out, never on where the lines hit — which is what lets the parallel
-	// engine finish the cycle before the shared device has answered.
+	// fan-out, never on where the lines hit.
 	ii := len(lines)
 	if ii < 1 {
 		ii = 1
@@ -845,36 +822,12 @@ func (sm *SM) issueMemory(now int64, w *Warp, in *isa.Instr) bool {
 	if isa.IsLoad(in.Op) {
 		dstMask = 1 << uint(in.Dst)
 	}
-	if sm.memStage {
-		sm.memPort.StageGlobal(now, lines)
-		sm.stagedRet = append(sm.stagedRet, stagedRetire{w: w, at: now, dstMask: dstMask})
-		w.memCounter++
-		w.memLinesValid = false
-		sm.commitIssue(now, w, in, p, ii, latency)
-		return true
-	}
 	res := sm.memPort.GlobalAccess(now, lines)
 	w.memCounter++
 	w.memLinesValid = false
 	sm.commitIssue(now, w, in, p, ii, latency)
 	sm.scheduleRetire(now, res.CompleteAt, w, dstMask)
 	return true
-}
-
-// resolveMemory completes the SM's staged global accesses: it resolves them
-// against the shared device (mem.SMPort.ResolveStaged) and books the deferred
-// load writebacks. With no device op staged it touches only SM-private state,
-// so the worker that owns the SM calls it without synchronization; otherwise
-// only the parallel engine's coordinator calls it, with every worker parked
-// at the barrier. Deferring scheduleRetire past the end of step is invisible:
-// the retire ring and its overflow heap are only read by a later step's
-// writeback and horizon scan, both of which run afterwards.
-func (sm *SM) resolveMemory() {
-	sm.memPort.ResolveStaged(func(i int, res mem.Result) {
-		r := sm.stagedRet[i]
-		sm.scheduleRetire(r.at, res.CompleteAt, r.w, r.dstMask)
-	})
-	sm.stagedRet = sm.stagedRet[:0]
 }
 
 // commitIssue performs the bookkeeping common to every successful issue.

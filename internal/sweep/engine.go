@@ -138,10 +138,10 @@ func (e *Engine) RunCells(ctx context.Context, cells []Cell) (*Report, error) {
 	results := make([]CellResult, len(cells))
 	var done atomic.Int64
 
-	// The job schedule of core.RunManyCtx: a fixed budget split and LPT
+	// The job schedule of core.RunManyCtx: a fixed worker pool and LPT
 	// admission. Report rows are key-sorted, so the order cannot change
 	// output bytes.
-	workers := core.JobWorkers(e.Parallelism, e.Base)
+	workers := core.JobWorkers(e.Parallelism)
 	if workers > len(cells) {
 		workers = len(cells)
 	}

@@ -98,41 +98,38 @@ func TestSweepEndToEndStoreDedup(t *testing.T) {
 
 // TestSweepWorkerShapesIdentical is the job schedule's acceptance check at
 // sweep scale: the full 864-cell grid produces row-for-row identical reports
-// at several job-level × intra-run worker shapes (LPT dispatch, phase-split
-// engine at iw > 1) and serially (Parallelism=1, serial engine). Cold
-// engines, no store — every run simulates everything — so equality is a
+// at several job-level worker counts (LPT dispatch) and serially
+// (Parallelism=1). Cold engines, no store — every run simulates everything — so equality is a
 // property of the simulations, not a shared cache.
 func TestSweepWorkerShapesIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hundreds of cells per shape; skipped with -short")
 	}
-	run := func(par, iw int) *Report {
-		base := sweepBase()
-		base.IntraRunWorkers = iw
-		e := &Engine{Base: base, Parallelism: par}
+	run := func(par int) *Report {
+		e := &Engine{Base: sweepBase(), Parallelism: par}
 		rep, err := e.Run(context.Background(), bigSpec(), 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rep.Failed > 0 {
-			t.Fatalf("par=%d iw=%d: %d cells failed", par, iw, rep.Failed)
+			t.Fatalf("par=%d: %d cells failed", par, rep.Failed)
 		}
 		return rep
 	}
-	want := run(1, 1)
+	want := run(1)
 	if want.Cells < 500 {
 		t.Fatalf("grid has %d cells, want >= 500", want.Cells)
 	}
-	for _, tc := range []struct{ par, iw int }{{4, 1}, {4, 2}, {8, sweepBase().NumSMs}} {
-		got := run(tc.par, tc.iw)
+	for _, par := range []int{4, 8} {
+		got := run(par)
 		if len(got.Results) != len(want.Results) {
-			t.Fatalf("par=%d iw=%d: %d rows, want %d", tc.par, tc.iw, len(got.Results), len(want.Results))
+			t.Fatalf("par=%d: %d rows, want %d", par, len(got.Results), len(want.Results))
 		}
 		for i := range want.Results {
 			a, b := want.Results[i], got.Results[i]
 			if a.Key != b.Key || a.Cycles != b.Cycles || a.Issued != b.Issued || a.Err != b.Err {
-				t.Fatalf("par=%d iw=%d row %d differs:\nserial: %+v\ngot:    %+v",
-					tc.par, tc.iw, i, a, b)
+				t.Fatalf("par=%d row %d differs:\nserial: %+v\ngot:    %+v",
+					par, i, a, b)
 			}
 		}
 	}

@@ -117,6 +117,11 @@ func Expand(spec Spec, base config.Config) ([]Cell, error) {
 	}
 	sms := dedupInts(defaultInts(spec.SMs, base.NumSMs))
 	scales := dedupFloats(defaultFloats(spec.Scales, 1.0))
+	for _, sc := range scales {
+		if !(sc > 0 && sc <= kernels.MaxScale) {
+			return nil, fmt.Errorf("sweep: scale must be in (0, %g], got %v", kernels.MaxScale, sc)
+		}
+	}
 	seeds := dedupUints(defaultUints(spec.Seeds, base.Seed))
 	idles := dedupInts(defaultInts(spec.IdleDetects, base.IdleDetect))
 	bets := dedupInts(defaultInts(spec.BreakEvens, base.BreakEven))

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -159,6 +160,14 @@ func TestExpandRejectsUnknownNames(t *testing.T) {
 	}
 	if _, err := Expand(Spec{Techniques: []string{"nope"}}, base); err == nil {
 		t.Error("unknown technique accepted")
+	}
+	for _, sc := range []float64{0, -1, math.Nextafter(kernels.MaxScale, math.Inf(1)), 1e18, math.Inf(1), math.NaN()} {
+		if _, err := Expand(Spec{Benches: []string{"nw"}, Scales: []float64{0.1, sc}}, base); err == nil {
+			t.Errorf("scale %v accepted", sc)
+		}
+	}
+	if _, err := Expand(Spec{Benches: []string{"nw"}, Scales: []float64{kernels.MaxScale}}, base); err != nil {
+		t.Errorf("scale MaxScale rejected: %v", err)
 	}
 }
 
