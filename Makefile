@@ -53,11 +53,13 @@ REGRESS ?= 10
 bench-history:
 	$(GO) run ./cmd/warpedgates benchcmp -history $(DIR) -regress $(REGRESS)
 
-# Go micro-benchmarks; sub-benchmark names are stable so
+# Go micro-benchmarks of the internal packages; sub-benchmark names are
+# stable so
 #   go test -bench Matrix -count 10 ./internal/sim | benchstat old.txt new.txt
-# compares cells across commits.
+# compares cells across commits. The root figure harness (BenchmarkFigures,
+# 15 SMs at full scale) is left out: run it with go test -bench=Figures.
 bench-go:
-	$(GO) test -bench=. -benchmem -benchtime=1x ./...
+	$(GO) test -bench=. -benchmem -benchtime=1x ./internal/...
 
 # The short-cell hot loop: the 18x6 matrix on config.Small() at scale 0.1,
 # one sub-benchmark per technique reporting ns/SM-cycle. Compare commits with

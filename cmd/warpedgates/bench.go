@@ -182,12 +182,7 @@ func cmdBench(args []string) error {
 	// runner (empty cache, no store), so it times real simulation.
 	mr := core.NewRunner(base)
 	mr.Scale = *scale
-	jobs := make([]core.Job, 0, len(kernels.BenchmarkNames)*len(techs))
-	for _, bench := range kernels.BenchmarkNames {
-		for _, tech := range techs {
-			jobs = append(jobs, core.Job{Bench: bench, Cfg: tech.Apply(base)})
-		}
-	}
+	jobs := core.TechniqueJobs(base, kernels.BenchmarkNames, techs...)
 	rep.Makespan.Jobs = len(jobs)
 	rep.Makespan.JobWorkers = min(core.JobWorkers(0), len(jobs))
 	runtime.GC()

@@ -19,12 +19,13 @@ import (
 // makespan figures; that mode's exit status is always zero — the tool reports,
 // thresholds are the reader's policy — but cells present in only one file
 // are called out so silent matrix drift can't hide. With -history DIR it
-// walks every BENCH_*.json snapshot in the directory instead, prints the
+// walks every date-stamped BENCH_<YYYY-MM-DD>*.json snapshot in the
+// directory instead (never `make bench`'s BENCH_sim.json), prints the
 // per-cell trajectory, and exits nonzero when the newest snapshot's
 // steady-state cost regressed more than -regress percent past the best one.
 func cmdBenchcmp(args []string) error {
 	fs := flag.NewFlagSet("benchcmp", flag.ExitOnError)
-	history := fs.String("history", "", "directory of BENCH_*.json snapshots: print the whole trajectory instead of comparing two files")
+	history := fs.String("history", "", "directory of date-stamped BENCH_<YYYY-MM-DD>*.json snapshots (other BENCH_*.json files, such as BENCH_sim.json, are ignored): print the whole trajectory instead of comparing two files")
 	regress := fs.Float64("regress", 10, "with -history: tolerated steady-state ns/cycle regression of the newest snapshot over the best one, in percent (0 disables the gate)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -104,19 +105,22 @@ func cmdBenchcmp(args []string) error {
 }
 
 // benchcmpHistory renders the regression dashboard over a directory of
-// BENCH_*.json snapshots, ordered by filename (date-stamped names — e.g.
-// BENCH_2026-08-08.json — give a chronological trajectory for free). The
+// date-stamped snapshots — BENCH_<YYYY-MM-DD>*.json, e.g.
+// BENCH_2026-08-08.json — ordered by filename, which is chronological. Other
+// BENCH_*.json files are not snapshots: `make bench` writes its scratch output
+// to BENCH_sim.json, which would sort after every date and be gated as the
+// newest. The
 // per-cell table tracks ns/cycle across every snapshot plus the newest-vs-
 // first delta; the steady-state gate compares the newest snapshot against
 // the best in the trajectory and fails past the tolerated regression.
 func benchcmpHistory(w io.Writer, dir string, regressPct float64) error {
-	files, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+	files, err := filepath.Glob(filepath.Join(dir, "BENCH_[0-9][0-9][0-9][0-9]-[0-9][0-9]-[0-9][0-9]*.json"))
 	if err != nil {
 		return err
 	}
 	sort.Strings(files)
 	if len(files) < 2 {
-		return fmt.Errorf("benchcmp: -history needs at least two BENCH_*.json snapshots in %s, found %d", dir, len(files))
+		return fmt.Errorf("benchcmp: -history needs at least two dated BENCH_<YYYY-MM-DD>*.json snapshots in %s, found %d", dir, len(files))
 	}
 	reps := make([]*benchReport, len(files))
 	labels := make([]string, len(files))

@@ -26,7 +26,7 @@ func historyReport(steadyNs float64, cellNs float64) *benchReport {
 }
 
 // writeHistory lays snapshots into dir as BENCH_<label>.json files; labels
-// must sort in trajectory order, mirroring date-stamped names in real use.
+// are dates, which sort in trajectory order.
 func writeHistory(t *testing.T, dir string, snaps map[string]*benchReport) {
 	t.Helper()
 	for label, rep := range snaps {
@@ -64,8 +64,8 @@ func TestBenchcmpHistory(t *testing.T) {
 	t.Run("regression within tolerance passes", func(t *testing.T) {
 		dir := t.TempDir()
 		writeHistory(t, dir, map[string]*benchReport{
-			"a": historyReport(400, 800),
-			"b": historyReport(430, 800), // +7.5% over the best
+			"2026-08-01": historyReport(400, 800),
+			"2026-08-02": historyReport(430, 800), // +7.5% over the best
 		})
 		if err := benchcmpHistory(io.Discard, dir, 10); err != nil {
 			t.Fatalf("7.5%% regression failed a 10%% gate: %v", err)
@@ -74,8 +74,8 @@ func TestBenchcmpHistory(t *testing.T) {
 	t.Run("regression past tolerance fails", func(t *testing.T) {
 		dir := t.TempDir()
 		writeHistory(t, dir, map[string]*benchReport{
-			"a": historyReport(400, 800),
-			"b": historyReport(480, 800), // +20% over the best
+			"2026-08-01": historyReport(400, 800),
+			"2026-08-02": historyReport(480, 800), // +20% over the best
 		})
 		err := benchcmpHistory(io.Discard, dir, 10)
 		if err == nil {
@@ -91,8 +91,8 @@ func TestBenchcmpHistory(t *testing.T) {
 	t.Run("gate disabled reports only", func(t *testing.T) {
 		dir := t.TempDir()
 		writeHistory(t, dir, map[string]*benchReport{
-			"a": historyReport(400, 800),
-			"b": historyReport(480, 800),
+			"2026-08-01": historyReport(400, 800),
+			"2026-08-02": historyReport(480, 800),
 		})
 		if err := benchcmpHistory(io.Discard, dir, 0); err != nil {
 			t.Fatalf("-regress 0 must disable the gate: %v", err)
@@ -100,7 +100,7 @@ func TestBenchcmpHistory(t *testing.T) {
 	})
 	t.Run("fewer than two snapshots is an error", func(t *testing.T) {
 		dir := t.TempDir()
-		writeHistory(t, dir, map[string]*benchReport{"only": historyReport(400, 800)})
+		writeHistory(t, dir, map[string]*benchReport{"2026-08-01": historyReport(400, 800)})
 		if err := benchcmpHistory(io.Discard, dir, 10); err == nil {
 			t.Fatal("single-snapshot history accepted")
 		}
@@ -108,13 +108,34 @@ func TestBenchcmpHistory(t *testing.T) {
 	t.Run("missing steady state in newest snapshot fails the gate", func(t *testing.T) {
 		dir := t.TempDir()
 		writeHistory(t, dir, map[string]*benchReport{
-			"a": historyReport(400, 800),
-			"b": historyReport(0, 800),
+			"2026-08-01": historyReport(400, 800),
+			"2026-08-02": historyReport(0, 800),
 		})
 		if err := benchcmpHistory(io.Discard, dir, 10); err == nil {
 			t.Fatal("gate passed with no newest steady-state measurement")
 		}
 	})
+}
+
+// TestBenchcmpHistoryIgnoresScratchOutput: `make bench` writes its scratch
+// output to BENCH_sim.json, which sorts after every dated snapshot. The gate
+// must judge the newest dated snapshot — here a 20% regression — and not a
+// fast scratch file that merely sorts last.
+func TestBenchcmpHistoryIgnoresScratchOutput(t *testing.T) {
+	dir := t.TempDir()
+	writeHistory(t, dir, map[string]*benchReport{
+		"2026-08-01": historyReport(400, 800),
+		"2026-08-02": historyReport(480, 800),
+		"sim":        historyReport(300, 800),
+	})
+	var out strings.Builder
+	err := benchcmpHistory(&out, dir, 10)
+	if err == nil || !strings.Contains(err.Error(), "steady-state regression: 2026-08-02") {
+		t.Fatalf("gate verdict = %v, want the 2026-08-02 regression", err)
+	}
+	if !strings.Contains(out.String(), "(2 snapshots,") {
+		t.Errorf("dashboard did not walk exactly the two dated snapshots:\n%s", out.String())
+	}
 }
 
 // TestBenchcmpHistoryCommittedSnapshots runs the dashboard over the committed

@@ -4,9 +4,9 @@ import (
 	"flag"
 	"fmt"
 
-	"warpedgates/internal/config"
 	"warpedgates/internal/core"
 	"warpedgates/internal/isa"
+	"warpedgates/internal/kernels"
 	"warpedgates/internal/stats"
 )
 
@@ -17,35 +17,26 @@ import (
 // paper's workloads.
 func cmdCharacterize(args []string) error {
 	fs := flag.NewFlagSet("characterize", flag.ExitOnError)
-	sms := fs.Int("sms", 15, "number of SMs")
-	scale := fs.Float64("scale", 1.0, "workload scale factor")
-	jobs := fs.Int("j", 0, "max concurrent simulations (0 = all cores)")
-	storeDir := addStoreFlag(fs)
+	rf := addRunnerFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg := config.GTX480()
-	cfg.NumSMs = *sms
-	r := core.NewRunner(cfg)
-	r.Scale = *scale
-	r.Parallelism = *jobs
-	st, err := attachStore(r, *storeDir)
+	r, st, err := rf.runner()
 	if err != nil {
 		return err
 	}
 	defer reportStoreHealth(st)
 
-	reps, err := r.RunAllParallel(core.Baseline)
+	reps, err := r.RunMany(core.TechniqueJobs(r.Base, kernels.BenchmarkNames, core.Baseline))
 	if err != nil {
 		return err
 	}
 	t := stats.NewTable("Benchmark suite characterization (baseline two-level, no gating)",
 		"benchmark", "cycles", "INT", "FP", "SFU", "LDST",
 		"warps avg", "warps max", "L1 miss", "INT idle", "FP idle")
-	for _, nr := range reps {
-		rep := nr.Report
+	for i, rep := range reps {
 		mix := rep.InstructionMix()
-		t.AddRowf(nr.Benchmark, rep.Cycles,
+		t.AddRowf(kernels.BenchmarkNames[i], rep.Cycles,
 			mix[isa.INT], mix[isa.FP], mix[isa.SFU], mix[isa.LDST],
 			rep.ActiveWarpAvg, rep.ActiveWarpMax, rep.L1MissRate,
 			rep.Domains[isa.INT].IdleFraction(), rep.Domains[isa.FP].IdleFraction())

@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 
-	"warpedgates/internal/config"
 	"warpedgates/internal/core"
 	"warpedgates/internal/isa"
 	"warpedgates/internal/paper"
@@ -16,19 +15,11 @@ import (
 // mechanically (the source of EXPERIMENTS.md's summary tables).
 func cmdCompare(args []string) error {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
-	sms := fs.Int("sms", 15, "number of SMs")
-	scale := fs.Float64("scale", 1.0, "workload scale factor")
-	jobs := fs.Int("j", 0, "max concurrent simulations (0 = all cores)")
-	storeDir := addStoreFlag(fs)
+	rf := addRunnerFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg := config.GTX480()
-	cfg.NumSMs = *sms
-	r := core.NewRunner(cfg)
-	r.Scale = *scale
-	r.Parallelism = *jobs
-	st, err := attachStore(r, *storeDir)
+	r, st, err := rf.runner()
 	if err != nil {
 		return err
 	}

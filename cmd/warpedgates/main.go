@@ -50,7 +50,6 @@ import (
 	"warpedgates/internal/isa"
 	"warpedgates/internal/kernels"
 	"warpedgates/internal/power"
-	"warpedgates/internal/stats"
 )
 
 func main() {
@@ -154,9 +153,11 @@ func cmdList() error {
 	for _, t := range core.AllTechniques() {
 		fmt.Printf("  %s\n", t)
 	}
-	fmt.Println("figures: fig1b fig3 fig4 fig5a fig5b fig6 fig8a fig8b fig8c fig9a fig9b fig10",
-		"fig11a fig11b hw ablation-clusters ablation-maxhold ablation-idledetect",
-		"ablation-scheduler ablation-aux all")
+	fmt.Print("figures:")
+	for _, f := range core.Figures {
+		fmt.Print(" ", f.ID)
+	}
+	fmt.Println(" all")
 	return nil
 }
 
@@ -164,10 +165,7 @@ func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	bench := fs.String("bench", "hotspot", "benchmark name")
 	tech := fs.String("tech", "WarpedGates", "technique name")
-	sms := fs.Int("sms", 15, "number of SMs")
-	scale := fs.Float64("scale", 1.0, "workload scale factor")
-	jobs := fs.Int("j", 0, "max concurrent simulations (0 = all cores)")
-	storeDir := addStoreFlag(fs)
+	rf := addRunnerFlags(fs)
 	prof := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -180,12 +178,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := config.GTX480()
-	cfg.NumSMs = *sms
-	r := core.NewRunner(cfg)
-	r.Scale = *scale
-	r.Parallelism = *jobs
-	st, err := attachStore(r, *storeDir)
+	r, st, err := rf.runner()
 	if err != nil {
 		return err
 	}
@@ -195,7 +188,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	model := power.Default(cfg.BreakEven)
+	model := power.Default(r.Base.BreakEven)
 	fmt.Println(rep)
 	fmt.Printf("cycles: %d (hit MaxCycles: %v)\n", rep.Cycles, rep.RanOut)
 	fmt.Printf("active warps: avg %.1f max %d\n", rep.ActiveWarpAvg, rep.ActiveWarpMax)
@@ -213,12 +206,9 @@ func cmdRun(args []string) error {
 func cmdFigure(args []string) error {
 	fs := flag.NewFlagSet("figure", flag.ExitOnError)
 	id := fs.String("id", "all", "figure id or 'all'")
-	sms := fs.Int("sms", 15, "number of SMs")
-	scale := fs.Float64("scale", 1.0, "workload scale factor")
-	jobs := fs.Int("j", 0, "max concurrent simulations (0 = all cores)")
+	rf := addRunnerFlags(fs)
 	verbose := fs.Bool("v", false, "print progress")
 	csvDir := fs.String("csv", "", "also write each figure as CSV into this directory")
-	storeDir := addStoreFlag(fs)
 	prof := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -232,12 +222,7 @@ func cmdFigure(args []string) error {
 			return err
 		}
 	}
-	cfg := config.GTX480()
-	cfg.NumSMs = *sms
-	r := core.NewRunner(cfg)
-	r.Scale = *scale
-	r.Parallelism = *jobs
-	st, err := attachStore(r, *storeDir)
+	r, st, err := rf.runner()
 	if err != nil {
 		return err
 	}
@@ -251,135 +236,35 @@ func cmdFigure(args []string) error {
 
 	want := strings.ToLower(*id)
 	ran := false
-	show := func(figID string, gen func() (*stats.Table, error)) error {
-		if want != "all" && want != figID {
-			return nil
+	for _, f := range core.Figures {
+		if want != "all" && want != f.ID {
+			continue
 		}
 		ran = true
-		out, err := gen()
+		out, err := f.Gen(r)
 		if err != nil {
-			return fmt.Errorf("%s: %w", figID, err)
+			return fmt.Errorf("%s: %w", f.ID, err)
 		}
 		fmt.Println(out)
-		if *csvDir != "" {
-			path := filepath.Join(*csvDir, figID+".csv")
-			f, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			if err := out.WriteCSV(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+		if *csvDir == "" {
+			continue
 		}
-		return nil
-	}
-
-	figures := []struct {
-		id  string
-		gen func() (*stats.Table, error)
-	}{
-		{"fig1b", func() (*stats.Table, error) {
-			f, err := core.RunFig1b(r)
-			return tbl(f != nil, err, func() *stats.Table { return f.Table })
-		}},
-		{"fig3", func() (*stats.Table, error) {
-			f, err := core.RunFig3(r, "hotspot")
-			return tbl(f != nil, err, func() *stats.Table { return f.Table })
-		}},
-		{"fig4", func() (*stats.Table, error) {
-			f, err := core.RunFig4()
-			return tbl(f != nil, err, func() *stats.Table { return f.Table })
-		}},
-		{"fig5a", func() (*stats.Table, error) {
-			f, err := core.RunFig5a(r)
-			return tbl(f != nil, err, func() *stats.Table { return f.Table })
-		}},
-		{"fig5b", func() (*stats.Table, error) {
-			f, err := core.RunFig5b(r)
-			return tbl(f != nil, err, func() *stats.Table { return f.Table })
-		}},
-		{"fig6", func() (*stats.Table, error) {
-			f, err := core.RunFig6(r, 0, 10)
-			return tbl(f != nil, err, func() *stats.Table { return f.Table })
-		}},
-		{"fig8a", func() (*stats.Table, error) {
-			f, err := core.RunFig8(r)
-			return tbl(f != nil, err, func() *stats.Table { return f.TableA })
-		}},
-		{"fig8b", func() (*stats.Table, error) {
-			f, err := core.RunFig8(r)
-			return tbl(f != nil, err, func() *stats.Table { return f.TableB })
-		}},
-		{"fig8c", func() (*stats.Table, error) {
-			f, err := core.RunFig8(r)
-			return tbl(f != nil, err, func() *stats.Table { return f.TableC })
-		}},
-		{"fig9a", func() (*stats.Table, error) {
-			f, err := core.RunFig9(r, isa.INT)
-			return tbl(f != nil, err, func() *stats.Table { return f.Table })
-		}},
-		{"fig9b", func() (*stats.Table, error) {
-			f, err := core.RunFig9(r, isa.FP)
-			return tbl(f != nil, err, func() *stats.Table { return f.Table })
-		}},
-		{"fig10", func() (*stats.Table, error) {
-			f, err := core.RunFig10(r)
-			return tbl(f != nil, err, func() *stats.Table { return f.Table })
-		}},
-		{"fig11a", func() (*stats.Table, error) {
-			f, err := core.RunFig11BET(r, []int{9, 14, 19})
-			return tbl(f != nil, err, func() *stats.Table { return f.Table })
-		}},
-		{"fig11b", func() (*stats.Table, error) {
-			f, err := core.RunFig11Wakeup(r, []int{3, 6, 9})
-			return tbl(f != nil, err, func() *stats.Table { return f.Table })
-		}},
-		{"hw", func() (*stats.Table, error) {
-			f := core.RunHWOverhead(cfg.NumSPClusters)
-			return f.Table, nil
-		}},
-		{"ablation-clusters", func() (*stats.Table, error) {
-			f, err := core.RunAblationClusters(r, []int{2, 4, 6})
-			return tbl(f != nil, err, func() *stats.Table { return f.Table })
-		}},
-		{"ablation-maxhold", func() (*stats.Table, error) {
-			f, err := core.RunAblationMaxHold(r, []int{0, 16, 64, 256})
-			return tbl(f != nil, err, func() *stats.Table { return f.Table })
-		}},
-		{"ablation-idledetect", func() (*stats.Table, error) {
-			f, err := core.RunAblationIdleDetect(r, []int{2, 5, 10, 20})
-			return tbl(f != nil, err, func() *stats.Table { return f.Table })
-		}},
-		{"ablation-scheduler", func() (*stats.Table, error) {
-			f, err := core.RunAblationScheduler(r)
-			return tbl(f != nil, err, func() *stats.Table { return f.Table })
-		}},
-		{"ablation-aux", func() (*stats.Table, error) {
-			f, err := core.RunAblationAuxBlackout(r)
-			return tbl(f != nil, err, func() *stats.Table { return f.Table })
-		}},
-	}
-	for _, f := range figures {
-		if err := show(f.id, f.gen); err != nil {
+		path := filepath.Join(*csvDir, f.ID+".csv")
+		w, err := os.Create(path)
+		if err != nil {
 			return err
 		}
+		if err := out.WriteCSV(w); err != nil {
+			w.Close()
+			return err
+		}
+		if err := w.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 	}
 	if !ran {
 		return fmt.Errorf("unknown figure id %q", *id)
 	}
 	return nil
-}
-
-// tbl adapts a (result, error) pair to the (Stringer, error) the dispatcher
-// wants, without dereferencing a nil result on error.
-func tbl(ok bool, err error, get func() *stats.Table) (*stats.Table, error) {
-	if err != nil || !ok {
-		return nil, err
-	}
-	return get(), nil
 }

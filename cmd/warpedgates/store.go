@@ -6,6 +6,7 @@ import (
 	"os"
 	"strings"
 
+	"warpedgates/internal/config"
 	"warpedgates/internal/core"
 	"warpedgates/internal/store"
 )
@@ -19,18 +20,42 @@ func addStoreFlag(fs *flag.FlagSet) *string {
 		"durable report store directory (reports persist across processes; empty = disabled)")
 }
 
-// attachStore opens the report store at dir — when one was requested — and
-// attaches it to the runner as the durable cache tier.
-func attachStore(r *core.Runner, dir string) (*store.Store, error) {
-	if dir == "" {
-		return nil, nil
+// runnerFlags carries the -sms, -scale, -j and -store options shared by
+// every subcommand that drives the experiment runner.
+type runnerFlags struct {
+	sms, jobs *int
+	scale     *float64
+	store     *string
+}
+
+// addRunnerFlags registers the shared runner options on fs.
+func addRunnerFlags(fs *flag.FlagSet) *runnerFlags {
+	return &runnerFlags{
+		sms:   fs.Int("sms", 15, "number of SMs"),
+		scale: fs.Float64("scale", 1.0, "workload scale factor"),
+		jobs:  fs.Int("j", 0, "max concurrent simulations (0 = all cores)"),
+		store: addStoreFlag(fs),
 	}
-	s, err := store.Open(dir)
+}
+
+// runner builds the GTX480 runner the flags describe. When -store names a
+// directory it opens that report store and attaches it as the durable cache
+// tier; the store is also returned (nil without -store) for health reporting.
+func (f *runnerFlags) runner() (*core.Runner, *store.Store, error) {
+	cfg := config.GTX480()
+	cfg.NumSMs = *f.sms
+	r := core.NewRunner(cfg)
+	r.Scale = *f.scale
+	r.Parallelism = *f.jobs
+	if *f.store == "" {
+		return r, nil, nil
+	}
+	s, err := store.Open(*f.store)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	r.Store = s
-	return s, nil
+	return r, s, nil
 }
 
 // reportStoreHealth prints the store's counters to stderr after a run, so

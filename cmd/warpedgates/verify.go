@@ -26,13 +26,10 @@ import (
 // to the freshly simulated report.
 func cmdVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
-	sms := fs.Int("sms", 15, "number of SMs")
-	scale := fs.Float64("scale", 1.0, "workload scale factor")
-	jobs := fs.Int("j", 0, "max concurrent simulations (0 = all cores)")
+	rf := addRunnerFlags(fs)
 	bench := fs.String("bench", "", "verify a single benchmark (default: all)")
 	tech := fs.String("tech", "", "verify a single technique (default: all)")
 	verbose := fs.Bool("v", false, "print progress")
-	storeDir := addStoreFlag(fs)
 	prof := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -58,22 +55,15 @@ func cmdVerify(args []string) error {
 		techs = []core.Technique{t}
 	}
 
-	cfg := config.GTX480()
-	cfg.NumSMs = *sms
-	r := core.NewRunner(cfg)
-	r.Scale = *scale
-	r.Parallelism = *jobs
+	r, st, err := rf.runner()
+	if err != nil {
+		return err
+	}
 	// The checked pass deliberately runs without the store attached: a store
 	// hit bypasses instrumentation, so pre-existing entries would silently
 	// skip invariant checking. Every cell simulates fresh here; the store
 	// proof below commits and replays them afterwards.
-	var st *store.Store
-	if *storeDir != "" {
-		var err error
-		if st, err = store.Open(*storeDir); err != nil {
-			return err
-		}
-	}
+	r.Store = nil
 	var sum check.Summary
 	r.Instrument = check.Instrument(&sum)
 	if *verbose {
@@ -82,13 +72,7 @@ func cmdVerify(args []string) error {
 		}
 	}
 
-	jobList := make([]core.Job, 0, len(benches)*len(techs))
-	for _, b := range benches {
-		for _, t := range techs {
-			jobList = append(jobList, core.Job{Bench: b, Cfg: t.Apply(cfg)})
-		}
-	}
-
+	jobList := core.TechniqueJobs(r.Base, benches, techs...)
 	t0 := time.Now()
 	reps, err := r.RunMany(jobList)
 	if err != nil {
@@ -115,7 +99,7 @@ func cmdVerify(args []string) error {
 	if st == nil {
 		return nil
 	}
-	return verifyStore(st, cfg, *scale, *jobs, jobList, reps)
+	return verifyStore(st, r, jobList, reps)
 }
 
 // verifyStore proves the durable tier returns bytes identical to fresh
@@ -124,22 +108,21 @@ func cmdVerify(args []string) error {
 // that (a) the store served every cell (its hit counter advanced by exactly
 // the cell count, so nothing was silently re-simulated) and (b) each replayed
 // report fingerprints identically to the fresh one.
-func verifyStore(st *store.Store, cfg config.Config, scale float64, jobs int,
-	jobList []core.Job, fresh []*sim.Report) error {
+func verifyStore(st *store.Store, r *core.Runner, jobList []core.Job, fresh []*sim.Report) error {
 	for i, j := range jobList {
 		payload, err := sim.EncodeReport(fresh[i])
 		if err != nil {
 			return fmt.Errorf("verify: encode %s: %w", j.Bench, err)
 		}
-		if err := st.Put(core.JobKey(j.Bench, j.Cfg, scale), payload); err != nil {
+		if err := st.Put(core.JobKey(j.Bench, j.Cfg, r.Scale), payload); err != nil {
 			return fmt.Errorf("verify: store put %s: %w", j.Bench, err)
 		}
 	}
 	before := st.Health().Hits
 
-	cold := core.NewRunner(cfg)
-	cold.Scale = scale
-	cold.Parallelism = jobs
+	cold := core.NewRunner(r.Base)
+	cold.Scale = r.Scale
+	cold.Parallelism = r.Parallelism
 	cold.Store = st
 	replayed, err := cold.RunMany(jobList)
 	if err != nil {

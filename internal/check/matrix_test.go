@@ -34,7 +34,7 @@ func TestCheckedMatrix(t *testing.T) {
 	var sum check.Summary
 	r := checkedRunner(config.Small(), matrixScale, &sum)
 	for _, tech := range core.AllTechniques() {
-		if _, err := r.RunAllParallel(tech); err != nil {
+		if _, err := r.RunMany(core.TechniqueJobs(r.Base, kernels.BenchmarkNames, tech)); err != nil {
 			t.Fatalf("%s: %v", tech, err)
 		}
 	}
@@ -191,25 +191,23 @@ func TestMetamorphicParallelSerialEquality(t *testing.T) {
 	parallel := checkedRunner(config.Small(), 0.1, nil)
 	parallel.Parallelism = 8
 
-	a, err := serial.RunAllOrdered(core.WarpedGates)
+	jobs := core.TechniqueJobs(config.Small(), kernels.BenchmarkNames, core.WarpedGates)
+	a, err := serial.RunMany(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := parallel.RunAllParallel(core.WarpedGates)
+	b, err := parallel.RunMany(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(a) != len(b) {
 		t.Fatalf("serial ran %d benchmarks, parallel %d", len(a), len(b))
 	}
-	for i := range a {
-		if a[i].Benchmark != b[i].Benchmark {
-			t.Fatalf("order diverged at %d: %s vs %s", i, a[i].Benchmark, b[i].Benchmark)
-		}
-		fa, fb := core.FingerprintReport(a[i].Report), core.FingerprintReport(b[i].Report)
+	for i, j := range jobs {
+		fa, fb := core.FingerprintReport(a[i]), core.FingerprintReport(b[i])
 		if fa != fb {
 			t.Errorf("%s: serial and parallel reports differ:\n  serial:   %s\n  parallel: %s",
-				a[i].Benchmark, fa, fb)
+				j.Bench, fa, fb)
 		}
 	}
 }

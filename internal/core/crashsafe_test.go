@@ -100,7 +100,7 @@ func TestMaxWallTimeWatchdog(t *testing.T) {
 func TestRunManyCtxCancelDrainsWorkers(t *testing.T) {
 	r := slowRunner()
 	r.Parallelism = 4
-	jobs := techniqueJobs(r.Base, []string{"hotspot", "bfs", "kmeans", "srad"}, WarpedGates)
+	jobs := TechniqueJobs(r.Base, []string{"hotspot", "bfs", "kmeans", "srad"}, WarpedGates)
 	cause := errors.New("operator gave up")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	go func() {
@@ -141,7 +141,7 @@ func TestRunManyCancelLeaksNoGoroutines(t *testing.T) {
 		base := runtime.NumGoroutine()
 		r := slowRunner()
 		r.Parallelism = 2
-		jobs := techniqueJobs(r.Base, []string{"hotspot", "bfs", "kmeans", "srad"}, WarpedGates)
+		jobs := TechniqueJobs(r.Base, []string{"hotspot", "bfs", "kmeans", "srad"}, WarpedGates)
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 		defer cancel()
 		if reps, err := r.RunManyCtx(ctx, jobs); reps != nil || !errors.Is(err, context.DeadlineExceeded) {
@@ -170,7 +170,7 @@ func TestRunManyCancelLeaksNoGoroutines(t *testing.T) {
 func TestRunManyErrorAbortsSlowSiblings(t *testing.T) {
 	r := slowRunner()
 	r.Parallelism = 2
-	jobs := techniqueJobs(r.Base, []string{"no-such-benchmark", "hotspot", "bfs"}, WarpedGates)
+	jobs := TechniqueJobs(r.Base, []string{"no-such-benchmark", "hotspot", "bfs"}, WarpedGates)
 	t0 := time.Now()
 	reps, err := r.RunManyCtx(context.Background(), jobs)
 	took := time.Since(t0)
@@ -225,7 +225,7 @@ func TestPanicInsideParallelBatch(t *testing.T) {
 			panic("boom")
 		}
 	}
-	jobs := techniqueJobs(r.Base, []string{"hotspot", "kmeans", "bfs"}, Baseline)
+	jobs := TechniqueJobs(r.Base, []string{"hotspot", "kmeans", "bfs"}, Baseline)
 	_, err := r.RunManyCtx(context.Background(), jobs)
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Bench != "kmeans" {

@@ -32,26 +32,21 @@ type Fig1bResult struct {
 // integer and floating point units without gating and under conventional
 // power gating, normalized per benchmark to the no-gating total of the unit.
 func RunFig1b(r *Runner) (*Fig1bResult, error) {
-	if err := r.Prefetch(techniqueJobs(r.Base, kernels.BenchmarkNames, Baseline, ConvPG)); err != nil {
+	techs := []Technique{Baseline, ConvPG}
+	reps, err := r.RunMany(TechniqueJobs(r.Base, kernels.BenchmarkNames, techs...))
+	if err != nil {
 		return nil, err
 	}
 	model := power.Default(r.Base.BreakEven)
 	res := &Fig1bResult{}
-	for _, tech := range []Technique{Baseline, ConvPG} {
+	for ti, tech := range techs {
 		for _, class := range []isa.Class{isa.INT, isa.FP} {
 			var dyn, ovh, sta, n float64
-			for _, b := range kernels.BenchmarkNames {
+			for bi, b := range kernels.BenchmarkNames {
 				if class == isa.FP && kernels.IntegerOnly(b) {
 					continue
 				}
-				base, err := r.Run(b, Baseline)
-				if err != nil {
-					return nil, err
-				}
-				rep, err := r.Run(b, tech)
-				if err != nil {
-					return nil, err
-				}
+				base, rep := reps[bi*len(techs)], reps[bi*len(techs)+ti]
 				denom := model.Analyze(base, class).BaselineTotal()
 				if denom == 0 {
 					continue

@@ -22,7 +22,7 @@ type Fig10Result struct {
 // RunFig10 regenerates paper Figure 10: the performance impact of each
 // gating technique, normalized to the no-gating two-level baseline.
 func RunFig10(r *Runner) (*Fig10Result, error) {
-	if err := r.Prefetch(techniqueJobs(r.Base, kernels.BenchmarkNames,
+	if _, err := r.RunMany(TechniqueJobs(r.Base, kernels.BenchmarkNames,
 		append([]Technique{Baseline}, GatedTechniques()...)...)); err != nil {
 		return nil, err
 	}

@@ -45,14 +45,12 @@ func RunFig3(r *Runner, benchmark string) (*Fig3Result, error) {
 	idle := r.Base.IdleDetect
 	bet := r.Base.BreakEven
 	techs := []Technique{ConvPG, GATESTech, NaiveBlackout}
-	if err := r.Prefetch(techniqueJobs(r.Base, []string{benchmark}, techs...)); err != nil {
+	reps, err := r.RunMany(TechniqueJobs(r.Base, []string{benchmark}, techs...))
+	if err != nil {
 		return nil, err
 	}
-	for _, tech := range techs {
-		rep, err := r.Run(benchmark, tech)
-		if err != nil {
-			return nil, err
-		}
+	for i, tech := range techs {
+		rep := reps[i]
 		// Merge INT and FP idle-period histograms: both unit types are CUDA
 		// cores, the subject of the figure.
 		h := stats.NewHistogram()

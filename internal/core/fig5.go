@@ -2,6 +2,7 @@ package core
 
 import (
 	"warpedgates/internal/isa"
+	"warpedgates/internal/kernels"
 	"warpedgates/internal/stats"
 )
 
@@ -21,16 +22,16 @@ type Fig5aResult struct {
 // benchmark, measured from the instructions actually issued during the
 // baseline run (not from the static kernel profile).
 func RunFig5a(r *Runner) (*Fig5aResult, error) {
-	reps, err := r.RunAllParallel(Baseline)
+	reps, err := r.RunMany(TechniqueJobs(r.Base, kernels.BenchmarkNames, Baseline))
 	if err != nil {
 		return nil, err
 	}
 	res := &Fig5aResult{}
 	t := stats.NewTable("Fig. 5a — instruction mix (dynamic)", "benchmark", "INT", "FP", "SFU", "LDST")
-	for _, nr := range reps {
-		row := MixRow{Benchmark: nr.Benchmark, Mix: nr.Report.InstructionMix()}
+	for i, b := range kernels.BenchmarkNames {
+		row := MixRow{Benchmark: b, Mix: reps[i].InstructionMix()}
 		res.Rows = append(res.Rows, row)
-		t.AddRowf(nr.Benchmark, row.Mix[isa.INT], row.Mix[isa.FP], row.Mix[isa.SFU], row.Mix[isa.LDST])
+		t.AddRowf(b, row.Mix[isa.INT], row.Mix[isa.FP], row.Mix[isa.SFU], row.Mix[isa.LDST])
 	}
 	res.Table = t
 	return res, nil
@@ -52,16 +53,16 @@ type Fig5bResult struct {
 // RunFig5b regenerates paper Figure 5b: the maximum and average size of the
 // active warp set at runtime under the baseline two-level scheduler.
 func RunFig5b(r *Runner) (*Fig5bResult, error) {
-	reps, err := r.RunAllParallel(Baseline)
+	reps, err := r.RunMany(TechniqueJobs(r.Base, kernels.BenchmarkNames, Baseline))
 	if err != nil {
 		return nil, err
 	}
 	res := &Fig5bResult{}
 	t := stats.NewTable("Fig. 5b — runtime active warp set size", "benchmark", "max", "average")
-	for _, nr := range reps {
-		row := WarpsRow{Benchmark: nr.Benchmark, Max: nr.Report.ActiveWarpMax, Average: nr.Report.ActiveWarpAvg}
+	for i, b := range kernels.BenchmarkNames {
+		row := WarpsRow{Benchmark: b, Max: reps[i].ActiveWarpMax, Average: reps[i].ActiveWarpAvg}
 		res.Rows = append(res.Rows, row)
-		t.AddRowf(nr.Benchmark, row.Max, row.Average)
+		t.AddRowf(b, row.Max, row.Average)
 	}
 	res.Table = t
 	return res, nil

@@ -46,26 +46,20 @@ func RunFig6(r *Runner, lo, hi int) (*Fig6Result, error) {
 			jobs = append(jobs, Job{Bench: b, Cfg: cfg})
 		}
 	}
-	if err := r.Prefetch(jobs); err != nil {
+	reps, err := r.RunMany(jobs)
+	if err != nil {
 		return nil, err
 	}
 	res := &Fig6Result{}
 	t := stats.NewTable("Fig. 6 — critical wakeups vs normalized runtime (Pearson r)",
 		"benchmark", "r", "points(idle-detect:criticals/1k:runtime)")
-	for _, b := range kernels.BenchmarkNames {
-		base, err := r.Run(b, Baseline)
-		if err != nil {
-			return nil, err
-		}
+	stride := len(jobs) / len(kernels.BenchmarkNames)
+	for bi, b := range kernels.BenchmarkNames {
+		base := reps[bi*stride]
 		row := Fig6Row{Benchmark: b}
 		var xs, ys []float64
 		for id := lo; id <= hi; id++ {
-			cfg := CoordBlackout.Apply(r.Base)
-			cfg.IdleDetect = id
-			rep, err := r.RunCfg(b, cfg)
-			if err != nil {
-				return nil, err
-			}
+			rep := reps[bi*stride+1+id-lo]
 			crit := rep.CriticalWakeupsPer1000(isa.INT) + rep.CriticalWakeupsPer1000(isa.FP)
 			runtime := stats.Ratio(float64(rep.Cycles), float64(base.Cycles))
 			row.Points = append(row.Points, Fig6Point{

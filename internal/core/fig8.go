@@ -50,18 +50,15 @@ var (
 func RunFig8(r *Runner) (*Fig8Result, error) {
 	// Union of the three panels' series plus the two normalization runs.
 	techs := []Technique{Baseline, ConvPG, GATESTech, CoordBlackout, WarpedGates}
-	if err := r.Prefetch(techniqueJobs(r.Base, kernels.BenchmarkNames, techs...)); err != nil {
+	reps, err := r.RunMany(TechniqueJobs(r.Base, kernels.BenchmarkNames, techs...))
+	if err != nil {
 		return nil, err
 	}
 	var res Fig8Result
-	for _, b := range kernels.BenchmarkNames {
+	for bi, b := range kernels.BenchmarkNames {
 		d := make(map[Technique]*sim.DomainStats, len(techs))
-		for _, tech := range techs {
-			rep, err := r.Run(b, tech)
-			if err != nil {
-				return nil, err
-			}
-			d[tech] = &rep.Domains[isa.INT]
+		for ti, tech := range techs {
+			d[tech] = &reps[bi*len(techs)+ti].Domains[isa.INT]
 		}
 		row := Fig8Row{
 			Benchmark:       b,

@@ -40,22 +40,18 @@ func RunFig9(r *Runner, class isa.Class) (*Fig9Result, error) {
 		}
 		benches = append(benches, b)
 	}
-	if err := r.Prefetch(techniqueJobs(r.Base, benches, append([]Technique{Baseline}, GatedTechniques()...)...)); err != nil {
+	techs := append([]Technique{Baseline}, GatedTechniques()...)
+	reps, err := r.RunMany(TechniqueJobs(r.Base, benches, techs...))
+	if err != nil {
 		return nil, err
 	}
 	model := power.Default(r.Base.BreakEven)
 	res := &Fig9Result{Class: class}
-	for _, b := range benches {
-		base, err := r.Run(b, Baseline)
-		if err != nil {
-			return nil, err
-		}
+	for bi, b := range benches {
+		base := reps[bi*len(techs)]
 		row := Fig9Row{Benchmark: b, Savings: map[Technique]float64{}}
-		for _, tech := range GatedTechniques() {
-			rep, err := r.Run(b, tech)
-			if err != nil {
-				return nil, err
-			}
+		for ti, tech := range techs[1:] {
+			rep := reps[bi*len(techs)+1+ti]
 			row.Savings[tech] = model.AnalyzeAgainst(rep, base, class).StaticSavings()
 		}
 		res.Rows = append(res.Rows, row)

@@ -51,7 +51,7 @@ func fmtFloat(v float64) string {
 // technique) order. It is the golden corpus's payload and the byte-stability
 // oracle: any -j produces identical bytes.
 func MatrixFingerprint(r *Runner, benches []string, techs []Technique) (string, error) {
-	reps, err := r.RunMany(techniqueJobs(r.Base, benches, techs...))
+	reps, err := r.RunMany(TechniqueJobs(r.Base, benches, techs...))
 	if err != nil {
 		return "", err
 	}

@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"os"
+	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -167,4 +170,44 @@ func goldenFigures(r *Runner) (string, error) {
 		}
 	}
 	return b.String(), nil
+}
+
+// TestFiguresMatchGolden checks the Figures catalogue against the hand-listed
+// reference above: on figRunner every entry's rendered table must open its
+// "== id" section of the golden figures file (full-precision values may
+// follow it), and the catalogue's IDs, in order, must equal the file's
+// section headers.
+func TestFiguresMatchGolden(t *testing.T) {
+	data, err := os.ReadFile(goldenFiguresPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := regexp.MustCompile(`(?m)^== ([^ \n]+)\n`)
+	text := string(data)
+	var ids []string
+	sections := map[string]string{}
+	locs := header.FindAllStringSubmatchIndex(text, -1)
+	for i, loc := range locs {
+		end := len(text)
+		if i+1 < len(locs) {
+			end = locs[i+1][0]
+		}
+		id := text[loc[2]:loc[3]]
+		ids = append(ids, id)
+		sections[id] = text[loc[1]:end]
+	}
+	var catalogue []string
+	for _, f := range Figures {
+		catalogue = append(catalogue, f.ID)
+		tab, err := f.Gen(figRunner)
+		if err != nil {
+			t.Fatalf("%s: %v", f.ID, err)
+		}
+		if got := tab.String() + "\n"; !strings.HasPrefix(sections[f.ID], got) {
+			t.Errorf("%s: catalogue table differs from the golden section:\n got:\n%s\nwant:\n%s", f.ID, got, sections[f.ID])
+		}
+	}
+	if !reflect.DeepEqual(catalogue, ids) {
+		t.Errorf("catalogue IDs %v, golden file headers %v", catalogue, ids)
+	}
 }

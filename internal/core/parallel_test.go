@@ -24,7 +24,7 @@ func countingRunner(sims *atomic.Int64) *Runner {
 }
 
 // TestRunnerSingleflight is the stampede regression test: 8 goroutines
-// request the same runKey concurrently and the simulation must run exactly
+// request the same job key concurrently and the simulation must run exactly
 // once, with every caller sharing the one report.
 func TestRunnerSingleflight(t *testing.T) {
 	var sims atomic.Int64
@@ -63,18 +63,20 @@ func TestRunnerSingleflight(t *testing.T) {
 	}
 }
 
-// TestRunAllParallelDeterministic runs the suite in parallel twice and
-// serially once, asserting identical reports in identical order, a cache
-// holding exactly one entry per unique key, and exactly-once simulation.
-func TestRunAllParallelDeterministic(t *testing.T) {
+// TestRunManyDeterministic runs the suite in parallel twice and serially
+// once (a Parallelism = 1 runner), asserting identical reports in identical
+// order, a cache holding exactly one entry per unique key, and exactly-once
+// simulation.
+func TestRunManyDeterministic(t *testing.T) {
 	var simsP atomic.Int64
 	par := countingRunner(&simsP)
 	par.Parallelism = 8
-	p1, err := par.RunAllParallel(Baseline)
+	jobs := TechniqueJobs(par.Base, kernels.BenchmarkNames, Baseline)
+	p1, err := par.RunMany(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := par.RunAllParallel(Baseline)
+	p2, err := par.RunMany(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func TestRunAllParallelDeterministic(t *testing.T) {
 	var simsS atomic.Int64
 	ser := countingRunner(&simsS)
 	ser.Parallelism = 1
-	s1, err := ser.RunAllOrdered(Baseline)
+	s1, err := ser.RunMany(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,19 +93,15 @@ func TestRunAllParallelDeterministic(t *testing.T) {
 	if len(p1) != want || len(s1) != want {
 		t.Fatalf("lengths %d/%d, want %d", len(p1), len(s1), want)
 	}
-	for i := range p1 {
-		if p1[i].Benchmark != kernels.BenchmarkNames[i] {
-			t.Fatalf("result %d is %s, want %s (order broken)", i, p1[i].Benchmark, kernels.BenchmarkNames[i])
-		}
+	for i, b := range kernels.BenchmarkNames {
 		// Second parallel pass must be served from cache: same pointers.
-		if p1[i].Report != p2[i].Report {
-			t.Fatalf("%s: repeated parallel run not served from cache", p1[i].Benchmark)
+		if p1[i] != p2[i] {
+			t.Fatalf("%s: repeated parallel run not served from cache", b)
 		}
 		// Parallel and serial runners simulate independently, so compare
 		// values: every field of every report must match exactly.
-		if !reflect.DeepEqual(p1[i].Report, s1[i].Report) {
-			t.Fatalf("%s: parallel report differs from serial report:\n%v\nvs\n%v",
-				p1[i].Benchmark, p1[i].Report, s1[i].Report)
+		if !reflect.DeepEqual(p1[i], s1[i]) {
+			t.Fatalf("%s: parallel report differs from serial report:\n%v\nvs\n%v", b, p1[i], s1[i])
 		}
 	}
 	if n := simsP.Load(); n != int64(want) {
@@ -146,7 +144,7 @@ func TestRunManyCollapsesDuplicates(t *testing.T) {
 func TestRunManyFirstErrorWins(t *testing.T) {
 	r := testRunner()
 	r.Parallelism = 4
-	jobs := techniqueJobs(r.Base, kernels.BenchmarkNames, Baseline)
+	jobs := TechniqueJobs(r.Base, kernels.BenchmarkNames, Baseline)
 	jobs = append(jobs, Job{Bench: "nosuch", Cfg: Baseline.Apply(r.Base)})
 	reps, err := r.RunMany(jobs)
 	if err == nil {
@@ -157,7 +155,7 @@ func TestRunManyFirstErrorWins(t *testing.T) {
 	}
 }
 
-// TestRunnerRejectsNonFiniteScale covers the runKey poisoning bug: NaN never
+// TestRunnerRejectsNonFiniteScale covers the cache-key poisoning bug: NaN never
 // equals itself, so a NaN Scale would defeat the cache silently. The runner
 // must reject it (and other unusable scales) loudly instead.
 func TestRunnerRejectsNonFiniteScale(t *testing.T) {
@@ -179,7 +177,7 @@ func TestRunManySerialFallback(t *testing.T) {
 	var sims atomic.Int64
 	r := countingRunner(&sims)
 	r.Parallelism = 1
-	reps, err := r.RunMany(techniqueJobs(r.Base, []string{"nw", "bfs"}, Baseline, ConvPG))
+	reps, err := r.RunMany(TechniqueJobs(r.Base, []string{"nw", "bfs"}, Baseline, ConvPG))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +186,11 @@ func TestRunManySerialFallback(t *testing.T) {
 	}
 }
 
-// TestRunAllParallelSpeedup times the parallel path against cold serial runs
-// at a reduced scale. On a multicore machine the fan-out must be a clear
-// win; the assertion is deliberately below the expected speedup (≈ core
-// count) to stay robust under loaded CI machines.
-func TestRunAllParallelSpeedup(t *testing.T) {
+// TestRunManySpeedup times the parallel path against a cold Parallelism = 1
+// runner at a reduced scale. On a multicore machine the fan-out must be a
+// clear win; the assertion is deliberately below the expected speedup (≈
+// core count) to stay robust under loaded CI machines.
+func TestRunManySpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test in -short mode")
 	}
@@ -200,50 +198,37 @@ func TestRunAllParallelSpeedup(t *testing.T) {
 	if cores < 4 {
 		t.Skipf("need >= 4 cores for a meaningful speedup bound, have %d", cores)
 	}
-
-	serial := NewRunner(config.Small())
-	serial.Scale = 0.5
-	serial.Parallelism = 1
-	t0 := time.Now()
-	if _, err := serial.RunAllOrdered(Baseline); err != nil {
-		t.Fatal(err)
+	elapsed := func(parallelism int) time.Duration {
+		r := NewRunner(config.Small())
+		r.Scale = 0.5
+		r.Parallelism = parallelism
+		t0 := time.Now()
+		if _, err := r.RunMany(TechniqueJobs(r.Base, kernels.BenchmarkNames, Baseline)); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(t0)
 	}
-	serialTime := time.Since(t0)
-
-	parallel := NewRunner(config.Small())
-	parallel.Scale = 0.5
-	t0 = time.Now()
-	if _, err := parallel.RunAllParallel(Baseline); err != nil {
-		t.Fatal(err)
-	}
-	parallelTime := time.Since(t0)
-
+	serialTime, parallelTime := elapsed(1), elapsed(0)
 	speedup := float64(serialTime) / float64(parallelTime)
 	t.Logf("serial %v, parallel %v on %d cores: %.2fx", serialTime, parallelTime, cores, speedup)
 	if speedup < 2 {
-		t.Errorf("RunAllParallel speedup %.2fx on %d cores, want >= 2x", speedup, cores)
+		t.Errorf("RunMany speedup %.2fx on %d cores, want >= 2x", speedup, cores)
 	}
 }
 
-// BenchmarkRunAllSerial and BenchmarkRunAllParallel measure the fan-out win
+// BenchmarkRunManySerial and BenchmarkRunManyParallel measure the fan-out win
 // directly: each iteration simulates the full 18-benchmark suite on a fresh
 // runner (cold cache).
-func BenchmarkRunAllSerial(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := NewRunner(config.Small())
-		r.Scale = 0.2
-		r.Parallelism = 1
-		if _, err := r.RunAllOrdered(Baseline); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkRunManySerial(b *testing.B) { benchmarkRunMany(b, 1) }
 
-func BenchmarkRunAllParallel(b *testing.B) {
+func BenchmarkRunManyParallel(b *testing.B) { benchmarkRunMany(b, 0) }
+
+func benchmarkRunMany(b *testing.B, parallelism int) {
 	for i := 0; i < b.N; i++ {
 		r := NewRunner(config.Small())
 		r.Scale = 0.2
-		if _, err := r.RunAllParallel(Baseline); err != nil {
+		r.Parallelism = parallelism
+		if _, err := r.RunMany(TechniqueJobs(r.Base, kernels.BenchmarkNames, Baseline)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -36,7 +36,7 @@ type Runner struct {
 	// 1.0 is the full evaluation; tests use small scales. It must be a
 	// positive finite value; RunCfg rejects anything else.
 	Scale float64
-	// Parallelism bounds the worker pool of RunMany/RunAllParallel/Prefetch.
+	// Parallelism bounds the worker pool of RunMany.
 	// Zero (the default) means runtime.GOMAXPROCS(0). It does not limit
 	// plain Run/RunCfg calls, which always execute on the caller.
 	Parallelism int
@@ -60,31 +60,28 @@ type Runner struct {
 	// worker forever. Zero disables the watchdog.
 	MaxWallTime time.Duration
 	// Progress, when non-nil, is invoked before each uncached simulation.
-	// Under RunMany/RunAllParallel it is called concurrently from worker
-	// goroutines, so the callback must be safe for concurrent use. Set it
-	// before the first run; mutating it while runs are in flight is a race.
+	// Under RunMany it is called concurrently from worker goroutines, so
+	// the callback must be safe for concurrent use. Set it before the first
+	// run; mutating it while runs are in flight is a race.
 	Progress func(benchmark string, cfg config.Config)
 	// Instrument, when non-nil, observes each uncached simulation: it is
 	// called with the benchmark, the exact configuration, the scaled kernel
 	// and the freshly built GPU before the run starts, and may install probes
 	// (SetCycleProbe/SetIssueTracer). The returned callback, if non-nil,
 	// receives the final report; a non-nil error fails the run, which is then
-	// not cached. Like Progress it runs concurrently under the parallel
-	// entry points, so the hook must be safe for concurrent use — attach
-	// per-run state (e.g. one check.Checker per GPU), never share probes.
+	// not cached. Like Progress it runs concurrently under RunMany, so the
+	// hook must be safe for concurrent use — attach per-run state (e.g. one
+	// check.Checker per GPU), never share probes.
 	Instrument Instrumenter
 
-	mu    sync.Mutex
-	cache map[runKey]*cacheEntry
+	mu sync.Mutex
+	// cache holds one entry per JobKey, in flight or completed; the same
+	// string addresses the durable store and the HTTP service.
+	cache map[string]*cacheEntry
 	// lru orders completed cache entries, most recent at the front; in-flight
 	// entries join only once their report lands, so eviction can never drop
 	// an entry a waiter is blocked on before its done channel closes.
 	lru list.List
-	// canon indexes completed entries by their canonical job-key string, the
-	// address the durable store and the HTTP service use. Entries join on
-	// successful completion and leave on eviction, so every resident value is
-	// a finished report — CachedReport never blocks.
-	canon map[string]*cacheEntry
 }
 
 // ErrDeadline is wrapped by runs killed by the MaxWallTime watchdog; detect
@@ -115,88 +112,38 @@ type cacheEntry struct {
 	done chan struct{}
 	rep  *sim.Report
 	err  error
-	key  runKey
-	// canonKey is key.canonical(), computed once when the entry completes and
-	// joins the canon index; it keys the entry's removal on eviction.
-	canonKey string
-	elem     *list.Element
+	key  string
+	elem *list.Element
 }
 
-// runKey identifies a unique simulation by the axes that can change its
-// result; runs that differ only in an engine knob (fast-forward, the ignored
-// worker count) share one cache slot.
-// SampleDetailCycles/SamplePeriod are present, because a sampled report is an
-// estimate, never interchangeable with the detailed run it approximates.
-type runKey struct {
-	bench        string
-	scheduler    config.SchedulerKind
-	gating       config.GatingKind
-	adaptive     bool
-	idleDetect   int
-	breakEven    int
-	wakeup       int
-	numSMs       int
-	clusters     int
-	maxHold      int
-	auxBO        bool
-	seed         uint64
-	scale        float64
-	sampleDetail int
-	samplePeriod int
-}
-
-// makeRunKey projects the result-determining axes of one job into its key.
-func makeRunKey(bench string, cfg config.Config, scale float64) runKey {
-	return runKey{
-		bench:        bench,
-		scheduler:    cfg.Scheduler,
-		gating:       cfg.Gating,
-		adaptive:     cfg.AdaptiveIdleDetect,
-		idleDetect:   cfg.IdleDetect,
-		breakEven:    cfg.BreakEven,
-		wakeup:       cfg.WakeupDelay,
-		numSMs:       cfg.NumSMs,
-		clusters:     cfg.NumSPClusters,
-		maxHold:      cfg.GATESMaxHold,
-		auxBO:        cfg.BlackoutAux,
-		seed:         cfg.Seed,
-		scale:        scale,
-		sampleDetail: cfg.SampleDetailCycles,
-		samplePeriod: cfg.SamplePeriod,
-	}
-}
-
-// canonical renders the key as the deterministic single-line string the
-// durable store is addressed by. The format is versioned: changing which
+// JobKey returns the canonical key of one job at the given scale: the
+// deterministic single-line string the in-memory cache, the durable store and
+// the HTTP service all address a simulation by. It holds exactly the axes that
+// can change a result; runs that differ only in an engine knob (fast-forward,
+// the ignored worker count) share one key. The sampling axes are present,
+// because a sampled report is an estimate, never interchangeable with the
+// detailed run it approximates. The format is versioned: changing which
 // fields key a simulation (or how they are rendered) must bump it, or stale
 // store entries would be served for jobs they no longer describe. The float
 // scale uses the shortest exact round-trip form, like the fingerprints.
-func (k runKey) canonical() string {
+func JobKey(bench string, cfg config.Config, scale float64) string {
 	// relaxed=0 stays: dropping it would move every stored report and digest.
 	return fmt.Sprintf(
 		"wg-job v2 bench=%s sched=%s gate=%s adaptive=%t idle=%d bet=%d wake=%d sms=%d clusters=%d maxhold=%d auxbo=%t seed=%d scale=%s relaxed=0 sample=%d/%d",
-		k.bench, k.scheduler, k.gating, k.adaptive, k.idleDetect, k.breakEven,
-		k.wakeup, k.numSMs, k.clusters, k.maxHold, k.auxBO, k.seed,
-		fmtFloat(k.scale), k.sampleDetail, k.samplePeriod)
-}
-
-// JobKey returns the canonical durable-store key for one job at the given
-// scale — exported so tooling (and tests) can address store entries the same
-// way the runner does.
-func JobKey(bench string, cfg config.Config, scale float64) string {
-	return makeRunKey(bench, cfg, scale).canonical()
+		bench, cfg.Scheduler, cfg.Gating, cfg.AdaptiveIdleDetect, cfg.IdleDetect, cfg.BreakEven,
+		cfg.WakeupDelay, cfg.NumSMs, cfg.NumSPClusters, cfg.GATESMaxHold, cfg.BlackoutAux, cfg.Seed,
+		fmtFloat(scale), cfg.SampleDetailCycles, cfg.SamplePeriod)
 }
 
 // NewRunner builds a runner over the given base configuration at full scale.
 // The initial Scale of 1.0 is always valid; callers that override Scale get
-// it validated on every RunCfg (non-finite values would poison runKey: NaN
-// never equals itself, so a NaN scale could never hit the cache).
+// it validated on every RunCfg (non-finite values cannot key the cache or
+// scale a kernel).
 func NewRunner(base config.Config) *Runner {
 	return &Runner{
 		Base:  base,
 		Scale: 1.0,
-		cache: make(map[runKey]*cacheEntry),
-		canon: make(map[string]*cacheEntry),
+		cache: make(map[string]*cacheEntry),
 	}
 }
 
@@ -257,7 +204,7 @@ func (r *Runner) RunCfgCtx(ctx context.Context, bench string, cfg config.Config)
 	if ctx.Err() != nil {
 		return nil, ctxErr(ctx)
 	}
-	key := makeRunKey(bench, cfg, r.Scale)
+	key := JobKey(bench, cfg, r.Scale)
 	r.mu.Lock()
 	if e, ok := r.cache[key]; ok {
 		if e.elem != nil {
@@ -276,8 +223,6 @@ func (r *Runner) RunCfgCtx(ctx context.Context, bench string, cfg config.Config)
 	if e.err != nil {
 		delete(r.cache, key)
 	} else {
-		e.canonKey = key.canonical()
-		r.canon[e.canonKey] = e
 		e.elem = r.lru.PushFront(e)
 		r.evictLocked()
 	}
@@ -294,13 +239,11 @@ func (r *Runner) RunCfgCtx(ctx context.Context, bench string, cfg config.Config)
 func (r *Runner) CachedReport(key string) (*sim.Report, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.canon[key]
-	if !ok {
+	e, ok := r.cache[key]
+	if !ok || e.elem == nil {
 		return nil, false
 	}
-	if e.elem != nil {
-		r.lru.MoveToFront(e.elem)
-	}
+	r.lru.MoveToFront(e.elem)
 	return e.rep, true
 }
 
@@ -316,17 +259,14 @@ func (r *Runner) evictLocked() {
 	for r.lru.Len() > r.MaxCachedReports {
 		old := r.lru.Remove(r.lru.Back()).(*cacheEntry)
 		delete(r.cache, old.key)
-		delete(r.canon, old.canonKey)
 	}
 }
 
 // resolve is the singleflight leader path: consult the durable store, then
 // simulate on a miss and commit the result back.
-func (r *Runner) resolve(ctx context.Context, bench string, cfg config.Config, key runKey) (*sim.Report, error) {
-	var storeKey string
+func (r *Runner) resolve(ctx context.Context, bench string, cfg config.Config, key string) (*sim.Report, error) {
 	if r.Store != nil {
-		storeKey = key.canonical()
-		if data, ok, _ := r.Store.Get(storeKey); ok {
+		if data, ok, _ := r.Store.Get(key); ok {
 			if rep, err := sim.DecodeReport(data); err == nil {
 				return rep, nil
 			}
@@ -342,7 +282,7 @@ func (r *Runner) resolve(ctx context.Context, bench string, cfg config.Config, k
 		if data, err := sim.EncodeReport(rep); err == nil {
 			// A failed Put is recorded in the store's health counters; the
 			// report itself is valid regardless, so the run still succeeds.
-			_ = r.Store.Put(storeKey, data)
+			_ = r.Store.Put(key, data)
 		}
 	}
 	return rep, nil
@@ -398,26 +338,6 @@ func (r *Runner) simulate(ctx context.Context, bench string, cfg config.Config) 
 // (may be nil) that receives the final report and may fail the run. The
 // invariant checker's check.Instrument produces this type.
 type Instrumenter func(bench string, cfg config.Config, k *kernels.Kernel, g *sim.GPU) func(*sim.Report) error
-
-// NamedReport pairs a benchmark name with its report, for ordered results.
-type NamedReport struct {
-	Benchmark string
-	Report    *sim.Report
-}
-
-// RunAllOrdered simulates every paper benchmark under technique t serially,
-// returning reports in kernels.BenchmarkNames order.
-func (r *Runner) RunAllOrdered(t Technique) ([]NamedReport, error) {
-	out := make([]NamedReport, 0, len(kernels.BenchmarkNames))
-	for _, b := range kernels.BenchmarkNames {
-		rep, err := r.Run(b, t)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, NamedReport{Benchmark: b, Report: rep})
-	}
-	return out, nil
-}
 
 // Performance returns the paper's Figure 10 metric for one benchmark and
 // technique: baseline cycles divided by technique cycles (1.0 = no slowdown,

@@ -9,11 +9,11 @@ import (
 	"warpedgates/internal/kernels"
 )
 
-// The job schedule shared by RunManyCtx and the sweep engine: a fixed pool
-// of job-level workers, and LPT admission — longest predicted first, by the
-// committed calibration table. Scheduling can never change a result (every
-// job is deterministic and results are positional), only wall time, so
-// nothing about it is part of any cache key.
+// The job schedule of Dispatch: a fixed pool of job-level workers, and LPT
+// admission — longest predicted first, by the committed calibration table.
+// Scheduling can never change a result (every job is deterministic and
+// results are positional), only wall time, so nothing about it is part of
+// any cache key.
 
 // JobWorkers returns the job-level worker-pool bound for a parallelism
 // budget (0 = GOMAXPROCS). Each simulation runs on one goroutine, so the
@@ -25,14 +25,14 @@ func JobWorkers(parallelism int) int {
 	return parallelism
 }
 
-// LPTOrder returns the indices of n jobs in LPT admission order, job(i)
+// lptJobs returns the indices of n jobs in LPT admission order, job(i)
 // naming the i'th job's benchmark, configuration and scale. Predictions come
 // from DefaultCostModel. A job that will fail its cheap validation (unknown
 // benchmark, invalid config) sorts ahead of everything: LPT must not bury a
 // doomed job behind long simulations, or a batch's fail-fast guarantee
 // becomes fail-after-the-longest-cell. The job still runs normally — this
 // only sets its dispatch position.
-func LPTOrder(n int, job func(i int) (bench string, cfg config.Config, scale float64)) []int {
+func lptJobs(n int, job func(i int) (bench string, cfg config.Config, scale float64)) []int {
 	cost := DefaultCostModel()
 	pred := make([]float64, n)
 	for i := range pred {

@@ -49,17 +49,17 @@ func TestLPTOrder(t *testing.T) {
 			t.Errorf("lptOrder(%v) = %v, want %v", tc.pred, got, tc.want)
 		}
 	}
-	// LPTOrder predicts from the committed table (lbm runs far longer than
+	// lptJobs predicts from the committed table (lbm runs far longer than
 	// nw) and pins doomed jobs — unknown benchmark, invalid config — first.
 	cfg := config.Small()
 	bad := cfg
 	bad.NumSMs = 0
 	jobs := []Job{{"nw", cfg}, {"no-such-benchmark", cfg}, {"lbm", cfg}, {"nw", bad}}
-	got := LPTOrder(len(jobs), func(i int) (string, config.Config, float64) {
+	got := lptJobs(len(jobs), func(i int) (string, config.Config, float64) {
 		return jobs[i].Bench, jobs[i].Cfg, CalCostScale
 	})
 	if want := []int{1, 3, 2, 0}; !reflect.DeepEqual(got, want) {
-		t.Errorf("LPTOrder = %v, want %v", got, want)
+		t.Errorf("lptJobs = %v, want %v", got, want)
 	}
 }
 
@@ -157,7 +157,7 @@ func schedRunner(par int) *Runner {
 // a serial loop (Parallelism=1). Fresh runners per count, so nothing is
 // shared through a cache.
 func TestRunManyWorkerShapesMatchSerial(t *testing.T) {
-	jobs := techniqueJobs(config.Small(), kernels.BenchmarkNames, Baseline, WarpedGates)
+	jobs := TechniqueJobs(config.Small(), kernels.BenchmarkNames, Baseline, WarpedGates)
 	serial, err := schedRunner(1).RunMany(jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -184,7 +184,7 @@ func TestRunManyWorkerShapesMatchSerial(t *testing.T) {
 // in milliseconds instead of after the longest cell.
 func TestRunManyFailFast(t *testing.T) {
 	r := schedRunner(4)
-	jobs := techniqueJobs(config.Small(), kernels.BenchmarkNames, Baseline)
+	jobs := TechniqueJobs(config.Small(), kernels.BenchmarkNames, Baseline)
 	jobs = append(jobs, Job{Bench: "no-such-benchmark", Cfg: Baseline.Apply(r.Base)})
 	t0 := time.Now()
 	reps, err := r.RunMany(jobs)

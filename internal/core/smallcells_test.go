@@ -36,7 +36,7 @@ func BenchmarkSmallCells(b *testing.B) {
 	}
 	base := config.Small()
 	for _, tech := range AllTechniques() {
-		jobs := techniqueJobs(base, kernels.BenchmarkNames, tech)
+		jobs := TechniqueJobs(base, kernels.BenchmarkNames, tech)
 		b.Run(tech.String(), func(b *testing.B) { run(b, base, jobs) })
 	}
 }

@@ -452,7 +452,7 @@ func (j *job) finish(err error) {
 	switch {
 	case err == nil:
 		j.transition(StateDone, nil)
-	case isCanceled(err) && !errors.Is(err, core.ErrDeadline):
+	case isCanceled(err):
 		j.transition(StateCanceled, err)
 	default:
 		j.transition(StateFailed, err)

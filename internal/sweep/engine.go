@@ -137,50 +137,21 @@ func (e *Engine) RunCells(ctx context.Context, cells []Cell) (*Report, error) {
 	}
 	results := make([]CellResult, len(cells))
 	var done atomic.Int64
-
-	// The job schedule of core.RunManyCtx: a fixed worker pool and LPT
-	// admission. Report rows are key-sorted, so the order cannot change
-	// output bytes.
-	workers := core.JobWorkers(e.Parallelism)
-	if workers > len(cells) {
-		workers = len(cells)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	order := core.LPTOrder(len(cells), func(i int) (string, config.Config, float64) {
-		return cells[i].Bench, cells[i].Config(e.Base), cells[i].Scale
-	})
-
-	next := make(chan int)
-	go func() {
-		defer close(next)
-		for _, i := range order {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				return
+	// One bad cell costs one row, not the sweep: run never fails, so only
+	// cancellation ends the batch early. Report rows are key-sorted, so the
+	// dispatch order cannot change output bytes.
+	err := core.Dispatch(ctx, e.Parallelism, len(cells),
+		func(i int) (string, config.Config, float64) {
+			return cells[i].Bench, cells[i].Config(e.Base), cells[i].Scale
+		},
+		func(ctx context.Context, i int) error {
+			results[i] = e.runCell(ctx, cells[i])
+			if e.Progress != nil {
+				e.Progress(int(done.Add(1)), len(cells), results[i])
 			}
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i] = e.runCell(ctx, cells[i])
-				if e.Progress != nil {
-					e.Progress(int(done.Add(1)), len(cells), results[i])
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		if cause := context.Cause(ctx); cause != nil {
-			return nil, cause
-		}
+			return nil
+		})
+	if err != nil {
 		return nil, err
 	}
 
@@ -242,7 +213,7 @@ func (e *Engine) runCell(ctx context.Context, c Cell) CellResult {
 	return res
 }
 
-// CachedReport exposes the runners' canon-index lookup so callers holding a
+// CachedReport exposes the runners' in-memory tier so callers holding a
 // sweep row's key can fetch the full report without re-running anything.
 func (e *Engine) CachedReport(key string) (*sim.Report, bool) {
 	e.mu.Lock()
