@@ -79,11 +79,14 @@ check: build test
 # The -store run is the durability proof: the checked matrix populates a
 # fresh store, a cold runner replays every cell from it, and the command
 # fails unless all 108 reports come back byte-identical to fresh simulation.
+# The store is a temporary directory, removed afterwards whatever the outcome.
 verify:
 	$(GO) test -race ./internal/check/
 	$(GO) test ./internal/core -run GoldenMatrix
 	$(GO) run ./cmd/warpedgates verify -sms 2 -scale 0.1
-	$(GO) run ./cmd/warpedgates verify -sms 2 -scale 0.1 -store "$$(mktemp -d)"
+	store="$$(mktemp -d)" || exit 1; \
+	$(GO) run ./cmd/warpedgates verify -sms 2 -scale 0.1 -store "$$store"; \
+	status=$$?; rm -rf "$$store"; exit $$status
 
 # The crash-safety suite under the race detector: the durable report store,
 # its fault-injection filesystem (fail-nth-write sweeps, torn writes, ENOSPC,

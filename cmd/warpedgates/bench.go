@@ -192,9 +192,10 @@ func cmdBench(args []string) error {
 	}
 	rep.Makespan.MS = float64(time.Since(t0).Nanoseconds()) / 1e6
 
-	// Steady-state hot-loop cost: a busy SM under the full proposal. Ten
-	// retire-ring revolutions of warmup let the event arena reach its
-	// high-water mark, after which the measured window allocates nothing.
+	// Steady-state hot-loop cost: a busy SM under the full proposal. A
+	// 163840-cycle warmup lets the event arena reach its high-water mark,
+	// after which the measured window allocates nothing; the warmup is kept
+	// fixed so steady_state stays comparable across snapshots.
 	steadyCfg := core.WarpedGates.Apply(config.GTX480())
 	steadyKernel := kernels.MustBenchmark("hotspot").Scale(100)
 	ns, allocs, err := sim.MeasureSteadyCycle(steadyCfg, steadyKernel, 10*16384, 100000)

@@ -146,11 +146,13 @@ type Config struct {
 	//
 	// SampleDetailCycles and SamplePeriod opt the simulator into
 	// interval sampling: the simulator runs detailed windows of
-	// SampleDetailCycles device cycles, and at each window boundary splices
-	// out (SamplePeriod-SampleDetailCycles)/SampleDetailCycles times the
-	// window's measured work — unlaunched CTAs first, then future loop
-	// iterations of resident warps — extrapolating the removed work's
-	// counters and cycles at the window's measured rates. The clock never
+	// SampleDetailCycles device cycles, and at each window boundary after a
+	// three-period warm-up each SM earns a budget of
+	// (SamplePeriod-SampleDetailCycles)/SampleDetailCycles times the
+	// instructions it issued in the window and dequeues at most one whole
+	// unlaunched CTA against it. The removed work's counters and cycles are
+	// estimated from the whole post-warm-up detailed run, scaled by skipped
+	// over measured instructions. The clock never
 	// jumps and no architectural state is synthesized, so every engine
 	// invariant holds; only the estimated totals differ from a full run.
 	// Results change (the report carries a per-run error estimate), so both

@@ -48,8 +48,9 @@ func (s State) String() string {
 	}
 }
 
-// Stats aggregates everything the paper's figures need from one gating domain.
-type Stats struct {
+// Counters are one gating domain's scalar counters. Stats and the
+// simulator's device-wide sums embed them, so this is the one list.
+type Counters struct {
 	BusyCycles    uint64
 	IdleCycles    uint64 // cycles with no instruction in the unit (any state)
 	PoweredCycles uint64 // cycles consuming static power (Active + Wakeup)
@@ -62,6 +63,33 @@ type Stats struct {
 	NegativeEvents  uint64 // wakeups taken from the uncompensated state
 	CriticalWakeups uint64 // wakeups at the first compensated cycle (Fig. 6)
 	DeniedWakeups   uint64 // demand arriving during blackout that had to wait
+}
+
+// fields returns a pointer to every counter, in declaration order.
+func (c *Counters) fields() [11]*uint64 {
+	return [...]*uint64{&c.BusyCycles, &c.IdleCycles, &c.PoweredCycles,
+		&c.GatedCycles, &c.UncompCycles, &c.CompCycles, &c.GatingEvents,
+		&c.Wakeups, &c.NegativeEvents, &c.CriticalWakeups, &c.DeniedWakeups}
+}
+
+// Add adds o's counters to c.
+func (c *Counters) Add(o *Counters) {
+	dst, src := c.fields(), o.fields()
+	for i := range dst {
+		*dst[i] += *src[i]
+	}
+}
+
+// Update replaces every counter v by f(v), in declaration order.
+func (c *Counters) Update(f func(uint64) uint64) {
+	for _, p := range c.fields() {
+		*p = f(*p)
+	}
+}
+
+// Stats aggregates everything the paper's figures need from one gating domain.
+type Stats struct {
+	Counters
 
 	// IdlePeriods is the distribution of maximal idle-run lengths (Fig. 3).
 	IdlePeriods *stats.Histogram

@@ -136,11 +136,7 @@ func (g *GPU) RunCtx(ctx context.Context) (*Report, error) {
 	for _, sm := range g.sms {
 		sm.finish()
 	}
-	rep := g.report()
-	if smp != nil {
-		smp.apply(rep)
-	}
-	return rep, nil
+	return g.report(smp), nil
 }
 
 // Cycle returns the current simulated cycle.
@@ -195,18 +191,8 @@ type DomainStats struct {
 	Class    isa.Class
 	Clusters int // gating domains aggregated (pipes × SMs)
 
-	BusyCycles      uint64
-	IdleCycles      uint64
-	PoweredCycles   uint64
-	GatedCycles     uint64
-	UncompCycles    uint64
-	CompCycles      uint64
-	GatingEvents    uint64
-	Wakeups         uint64
-	NegativeEvents  uint64
-	CriticalWakeups uint64
-	DeniedWakeups   uint64
-	IssuedInstrs    uint64
+	gating.Counters
+	IssuedInstrs uint64
 
 	IdlePeriods *stats.Histogram
 }
@@ -270,64 +256,90 @@ type Report struct {
 	SampleErrorEst       float64
 }
 
-// report assembles the final Report from per-SM state.
-func (g *GPU) report() *Report {
+// ratioSums are the device sums the report's two ratios divide.
+type ratioSums struct{ smCycles, warpSum, l1Acc, l1Miss uint64 }
+
+// collect walks every SM and pipe once and adds the device's counters into
+// r, merging idle histograms only where r holds one. It returns the sums
+// behind r's ratios. report and the sampler's snapshots both read it.
+func (g *GPU) collect(r *Report) (t ratioSums) {
+	for _, sm := range g.sms {
+		st := &sm.st
+		t.smCycles += uint64(st.Cycles)
+		t.warpSum += st.ActiveWarpSum
+		r.ActiveWarpMax = max(r.ActiveWarpMax, st.ActiveWarpMax)
+		r.IssueStallsMem += st.IssueStallsMem
+		r.IssueStallsGate += st.IssueStallsGate
+		r.CTAsCompleted += st.CTAsCompleted
+		for c := range r.IssuedByClass {
+			r.IssuedByClass[c] += st.IssuedByClass[c]
+		}
+		r.IssuedTotal += st.IssuedTotal
+		for _, p := range sm.pipes {
+			d := &r.Domains[p.Class()]
+			d.Clusters++
+			gs := p.Gate().Stats()
+			d.Counters.Add(&gs.Counters)
+			d.IssuedInstrs += p.Issued()
+			if d.IdlePeriods != nil {
+				d.IdlePeriods.Merge(gs.IdlePeriods)
+			}
+		}
+		a, m := sm.memPort.L1().Stats()
+		t.l1Acc += a
+		t.l1Miss += m
+	}
+	a, m, d, q := g.gmem.Stats()
+	r.L2Stats = [4]uint64{a, m, d, q}
+	return t
+}
+
+// updateCounters replaces every counter v the sampler extrapolates by f(v), in
+// the order of its vector after the device cycle: the ratio sums t, then r's
+// additive counters (see the slot constants in sampling.go).
+func updateCounters(r *Report, t *ratioSums, f func(uint64) uint64) {
+	for _, p := range []*uint64{&t.smCycles, &t.warpSum, &t.l1Acc, &t.l1Miss,
+		&r.IssuedTotal, &r.IssueStallsMem, &r.IssueStallsGate} {
+		*p = f(*p)
+	}
+	for c := range r.IssuedByClass {
+		r.IssuedByClass[c] = f(r.IssuedByClass[c])
+	}
+	for i := range r.L2Stats {
+		r.L2Stats[i] = f(r.L2Stats[i])
+	}
+	for c := range r.Domains {
+		d := &r.Domains[c]
+		d.Counters.Update(f)
+		d.IssuedInstrs = f(d.IssuedInstrs)
+	}
+}
+
+// report assembles the final Report from per-SM state, folding in the
+// sampler's estimate of the spliced-out work when the run was sampled.
+func (g *GPU) report(smp *sampler) *Report {
 	r := &Report{
 		Benchmark: g.kernel.Name,
 		Config:    g.cfg,
 		Cycles:    g.cycle,
 		RanOut:    g.ranOut,
 	}
-	for c := isa.Class(0); c < isa.NumClasses; c++ {
-		r.Domains[c] = DomainStats{Class: c, IdlePeriods: stats.NewHistogram()}
+	for c := range r.Domains {
+		r.Domains[c] = DomainStats{Class: isa.Class(c), IdlePeriods: stats.NewHistogram()}
 	}
-	var l1Acc, l1Miss uint64
-	var warpSum uint64
-	var cyclesSum int64
-	for _, sm := range g.sms {
-		st := sm.Stats()
-		cyclesSum += st.Cycles
-		warpSum += st.ActiveWarpSum
-		if st.ActiveWarpMax > r.ActiveWarpMax {
-			r.ActiveWarpMax = st.ActiveWarpMax
-		}
-		r.IssueStallsMem += st.IssueStallsMem
-		r.IssueStallsGate += st.IssueStallsGate
-		r.CTAsCompleted += st.CTAsCompleted
-		for c := isa.Class(0); c < isa.NumClasses; c++ {
-			r.IssuedByClass[c] += st.IssuedByClass[c]
-		}
-		r.IssuedTotal += st.IssuedTotal
-		for _, p := range sm.allPipes() {
-			d := &r.Domains[p.Class()]
-			d.Clusters++
-			gs := p.Gate().Stats()
-			d.BusyCycles += gs.BusyCycles
-			d.IdleCycles += gs.IdleCycles
-			d.PoweredCycles += gs.PoweredCycles
-			d.GatedCycles += gs.GatedCycles
-			d.UncompCycles += gs.UncompCycles
-			d.CompCycles += gs.CompCycles
-			d.GatingEvents += gs.GatingEvents
-			d.Wakeups += gs.Wakeups
-			d.NegativeEvents += gs.NegativeEvents
-			d.CriticalWakeups += gs.CriticalWakeups
-			d.DeniedWakeups += gs.DeniedWakeups
-			d.IssuedInstrs += p.Issued()
-			d.IdlePeriods.Merge(gs.IdlePeriods)
-		}
-		a, m := sm.memPort.L1().Stats()
-		l1Acc += a
-		l1Miss += m
+	t := g.collect(r)
+	// The ratios divide detailed plus estimated sums; est is zero for a
+	// full run.
+	var est [vIssued]float64
+	if smp != nil {
+		est = smp.apply(r)
 	}
-	if cyclesSum > 0 {
-		r.ActiveWarpAvg = float64(warpSum) / float64(cyclesSum)
+	if v := float64(t.smCycles) + est[vSMCycles]; v > 0 {
+		r.ActiveWarpAvg = (float64(t.warpSum) + est[vWarpSum]) / v
 	}
-	if l1Acc > 0 {
-		r.L1MissRate = float64(l1Miss) / float64(l1Acc)
+	if v := float64(t.l1Acc) + est[vL1Acc]; v > 0 {
+		r.L1MissRate = (float64(t.l1Miss) + est[vL1Miss]) / v
 	}
-	a, m, d, q := g.gmem.Stats()
-	r.L2Stats = [4]uint64{a, m, d, q}
 	return r
 }
 

@@ -1,115 +1,80 @@
 package sim
 
-import (
-	"math"
-	"sort"
-
-	"warpedgates/internal/isa"
-)
+import "math"
 
 // Interval-sampled simulation (config.SampleDetailCycles / SamplePeriod).
 //
 // The sampler never jumps the clock and never synthesizes architectural
-// state. The simulator steps detailed windows of SampleDetailCycles
-// device cycles; at each window boundary the sampler measures the work the
-// window performed (issued instructions, per-domain gating counters, memory
-// traffic, elapsed cycles) and then *removes* future work worth
-// (SamplePeriod-SampleDetailCycles)/SampleDetailCycles times the window's
-// issue count, by dequeueing whole unlaunched CTAs from the SM's launch
-// queue (budget that does not cover a whole CTA carries to the next
-// boundary). The removed work's contribution to the final report is
-// estimated in closed form at the window's measured rates. Removing only
-// queued CTAs is what keeps the estimate honest: the resident machine
-// behaves exactly like a full run of a kernel with fewer CTA waves —
-// occupancy, wave-transition transients and the final drain are all
-// simulated detailed — and the skipped waves are statistically identical
-// (same body, same geometry, different seeds) to the waves the windows
-// measure. Every engine invariant — scoreboard, retire ring, gating
-// controller state machines, the stall jump — holds unchanged.
+// state. The simulator steps detailed windows of SampleDetailCycles device
+// cycles. At each boundary after a warm-up of three periods, every SM earns
+// a splice budget of (SamplePeriod-SampleDetailCycles)/SampleDetailCycles
+// times the instructions it issued in the window, and spends it by
+// dequeueing at most one whole unlaunched CTA from its launch queue (budget
+// that does not cover a CTA carries over). Removing only queued CTAs keeps
+// the estimate honest: the resident machine behaves exactly like a full run
+// of a kernel with fewer CTA waves — occupancy, wave transitions and the
+// final drain are all simulated detailed — and the skipped waves are
+// statistically identical (same body and geometry, other seeds) to the
+// measured ones. Every engine invariant holds unchanged.
 //
-// The estimate's rate basis is the *entire* post-warm-up detailed run, not
-// the windows in which splices happened to land: boundary() accumulates
-// every post-warm-up window delta into a cumulative basis, and apply()
-// scales that basis by skipped/measured instructions. Splices necessarily
-// cluster early (the queue drains while budget accrues), and the early
-// windows run on colder caches than the mix of phases the skipped waves
-// would really have executed across; normalizing over the whole run folds
-// the warm steady state and the drain into the per-instruction rates.
+// The removed work's contribution is estimated from the *entire*
+// post-warm-up detailed run, not from the windows the splices landed in:
+// boundary() accumulates every post-warm-up window that issued into a
+// cumulative counter vector, and apply() scales it by skipped over measured
+// instructions. Splices cluster early, on cold caches; the whole-run basis
+// folds the warm steady state and the drain into the rates.
 //
-// Two totals are conserved exactly rather than estimated: IssuedTotal (the
-// extrapolation weight is skipped/issued, so the estimated instructions
-// equal the spliced instructions) and CTAsCompleted (spliced-out CTAs are
-// counted directly, one each). Idle
-// histograms are *not* extrapolated: a sampled report's IdlePeriods cover
-// the detailed windows only (the distribution shape is preserved, the
-// counts are smaller). Sampled reports set Report.Sampled and carry a
-// heuristic per-run error estimate (window-rate dispersion scaled by the
-// estimated fraction); the hard validation is the corpus test
-// TestSampledModeCorpusErrorBound against full runs.
+// IssuedTotal and CTAsCompleted are conserved exactly (the scale makes the
+// estimated instructions equal the spliced ones; spliced CTAs are counted
+// one each). Idle histograms are not extrapolated: a sampled report's
+// IdlePeriods cover the detailed run only. Sampled reports set
+// Report.Sampled and carry a heuristic error estimate (errorEstimate); the
+// hard validation is TestSampledModeCorpusErrorBound against full runs.
 
-// sampleCounters is the flat snapshot of every extrapolated report counter.
-type sampleCounters struct {
-	deviceCycles float64 // GPU.cycle
-	smCycles     float64 // sum over SMs of SMStats.Cycles
-	warpSum      float64 // sum over SMs of SMStats.ActiveWarpSum
-
-	issuedByClass [isa.NumClasses]float64
-	issuedTotal   float64
-	stallsMem     float64
-	stallsGate    float64
-
-	domains [isa.NumClasses]sampleDomain
-	l1Acc   float64
-	l1Miss  float64
-	l2      [4]float64
-}
-
-// sampleDomain mirrors DomainStats' scalar counters.
-type sampleDomain struct {
-	busy, idle, powered, gated, uncomp, comp   float64
-	events, wakeups, neg, crit, denied, issued float64
-}
+// Slots of the sampler's counter vector: the device cycle, then every
+// counter updateCounters visits, in its order.
+const (
+	vCycles   = iota // GPU.cycle
+	vSMCycles        // ratioSums.smCycles
+	vWarpSum         // ratioSums.warpSum
+	vL1Acc           // ratioSums.l1Acc
+	vL1Miss          // ratioSums.l1Miss
+	vIssued          // Report.IssuedTotal
+)
 
 // sampler drives interval sampling for one serial run.
 type sampler struct {
 	g      *GPU
 	detail int64 // cycles per detailed window
 	ratio  float64
-	// warmup is the device cycle before which no splicing happens (one full
-	// period): the coldest windows — empty caches, launch transient — are
+	// warmup is the device cycle before which no splicing happens (three
+	// periods): the coldest windows — empty caches, launch transient — are
 	// unrepresentative of the work a splice stands in for, and budget earned
 	// during warm-up is discarded rather than carried into a burst.
 	warmup int64
 	// next is the device cycle of the next window boundary.
 	next int64
-	prev sampleCounters
+	// prev and cur are the counter vectors at the previous and the current
+	// boundary (see snapshot).
+	prev, cur []float64
 	// prevIssuedSM holds the previous boundary's per-SM issue counts, the
-	// basis for per-SM splice budgets; carrySM accumulates budget too small
-	// to cover a whole CTA until it can (capped in splice).
+	// basis for per-SM splice budgets; carrySM carries budget not yet spent
+	// on a whole CTA to the next boundary.
 	prevIssuedSM []uint64
 	carrySM      []float64
 
-	// cum accumulates every post-warm-up window delta — the rate basis the
-	// estimate is scaled from. est is the scaled copy computed by apply().
-	cum           sampleCounters
-	est           sampleCounters
+	// cum accumulates every post-warm-up window delta — the rate basis
+	// apply scales the estimate from.
+	cum           []float64
 	skippedInstrs uint64
 	skippedCTAs   int
 
 	// Issue-weighted moments of the window cycles-per-instruction rates over
 	// all post-warm-up windows, the basis of the error estimate: rateW is the
 	// total weight (instructions measured), rateM1/rateM2 the weighted
-	// first/second moments, rateN the number of windows. windows keeps the
-	// raw (rate, weight) pairs for the weighted-median cycle estimate.
+	// first/second moments, rateN the number of windows.
 	rateW, rateM1, rateM2 float64
 	rateN                 int
-	windows               []windowRate
-}
-
-// windowRate is one post-warm-up window's cycles-per-instruction rate and
-// its weight (instructions issued in the window).
-type windowRate struct {
-	rate, weight float64
 }
 
 // newSampler returns the run's sampler, or nil when sampling is off.
@@ -126,7 +91,8 @@ func newSampler(g *GPU) *sampler {
 		warmup:       3 * int64(g.cfg.SamplePeriod),
 	}
 	s.setNext(s.detail)
-	s.snapshot(&s.prev)
+	s.prev = s.snapshot(nil)
+	s.cum = make([]float64, len(s.prev))
 	return s
 }
 
@@ -143,42 +109,20 @@ func (s *sampler) setNext(at int64) {
 	}
 }
 
-// snapshot fills dst with the device's current cumulative counters.
-func (s *sampler) snapshot(dst *sampleCounters) {
-	*dst = sampleCounters{deviceCycles: float64(s.g.cycle)}
+// snapshot returns the device's current cumulative counters as a vector,
+// reusing dst's storage.
+func (s *sampler) snapshot(dst []float64) []float64 {
+	var r Report
 	for _, sm := range s.g.sms {
 		sm.settleGating()
-		st := &sm.st
-		dst.smCycles += float64(st.Cycles)
-		dst.warpSum += float64(st.ActiveWarpSum)
-		for c := 0; c < int(isa.NumClasses); c++ {
-			dst.issuedByClass[c] += float64(st.IssuedByClass[c])
-		}
-		dst.issuedTotal += float64(st.IssuedTotal)
-		dst.stallsMem += float64(st.IssueStallsMem)
-		dst.stallsGate += float64(st.IssueStallsGate)
-		for _, p := range sm.pipes {
-			gs := p.Gate().Stats()
-			d := &dst.domains[p.Class()]
-			d.busy += float64(gs.BusyCycles)
-			d.idle += float64(gs.IdleCycles)
-			d.powered += float64(gs.PoweredCycles)
-			d.gated += float64(gs.GatedCycles)
-			d.uncomp += float64(gs.UncompCycles)
-			d.comp += float64(gs.CompCycles)
-			d.events += float64(gs.GatingEvents)
-			d.wakeups += float64(gs.Wakeups)
-			d.neg += float64(gs.NegativeEvents)
-			d.crit += float64(gs.CriticalWakeups)
-			d.denied += float64(gs.DeniedWakeups)
-			d.issued += float64(p.Issued())
-		}
-		a, m := sm.memPort.L1().Stats()
-		dst.l1Acc += float64(a)
-		dst.l1Miss += float64(m)
 	}
-	a, m, d, q := s.g.gmem.Stats()
-	dst.l2 = [4]float64{float64(a), float64(m), float64(d), float64(q)}
+	t := s.g.collect(&r)
+	dst = append(dst[:0], float64(s.g.cycle))
+	updateCounters(&r, &t, func(v uint64) uint64 {
+		dst = append(dst, float64(v))
+		return v
+	})
+	return dst
 }
 
 // boundary closes the detailed window ending at the current device cycle:
@@ -187,9 +131,9 @@ func (s *sampler) snapshot(dst *sampleCounters) {
 // running totals. Called from the serial loop when the clock reaches s.next
 // (no SM jumps past it).
 func (s *sampler) boundary() {
-	var cur sampleCounters
-	s.snapshot(&cur)
-	issuedDelta := cur.issuedTotal - s.prev.issuedTotal
+	s.cur = s.snapshot(s.cur)
+	cur := s.cur
+	issuedDelta := cur[vIssued] - s.prev[vIssued]
 	if s.g.cycle >= s.warmup {
 		if issuedDelta > 0 {
 			// Every post-warm-up window that issued feeds the rate basis,
@@ -197,13 +141,14 @@ func (s *sampler) boundary() {
 			// regions where every SM waited on memory, and their cycles are a
 			// fixed structural cost of the resident machine, not per-wave
 			// work a skipped CTA would have multiplied.
-			addScaled(&s.cum, &cur, &s.prev, 1)
-			rate := (cur.deviceCycles - s.prev.deviceCycles) / issuedDelta
+			for i := range s.cum {
+				s.cum[i] += cur[i] - s.prev[i]
+			}
+			rate := (cur[vCycles] - s.prev[vCycles]) / issuedDelta
 			s.rateW += issuedDelta
 			s.rateM1 += issuedDelta * rate
 			s.rateM2 += issuedDelta * rate * rate
 			s.rateN++
-			s.windows = append(s.windows, windowRate{rate: rate, weight: issuedDelta})
 			for i, sm := range s.g.sms {
 				issued := sm.st.IssuedTotal
 				budget := float64(issued-s.prevIssuedSM[i])*s.ratio + s.carrySM[i]
@@ -219,7 +164,7 @@ func (s *sampler) boundary() {
 			s.prevIssuedSM[i] = sm.st.IssuedTotal
 		}
 	}
-	s.prev = cur
+	s.prev, s.cur = cur, s.prev
 	s.setNext(s.g.cycle + s.detail)
 }
 
@@ -250,87 +195,36 @@ func (s *sampler) splice(sm *SM, budget float64) uint64 {
 	return 0
 }
 
-// addScaled folds (cur-prev)*w into est, counter by counter.
-func addScaled(est, cur, prev *sampleCounters, w float64) {
-	est.deviceCycles += (cur.deviceCycles - prev.deviceCycles) * w
-	est.smCycles += (cur.smCycles - prev.smCycles) * w
-	est.warpSum += (cur.warpSum - prev.warpSum) * w
-	for c := 0; c < int(isa.NumClasses); c++ {
-		est.issuedByClass[c] += (cur.issuedByClass[c] - prev.issuedByClass[c]) * w
-		ec, cc, pc := &est.domains[c], &cur.domains[c], &prev.domains[c]
-		ec.busy += (cc.busy - pc.busy) * w
-		ec.idle += (cc.idle - pc.idle) * w
-		ec.powered += (cc.powered - pc.powered) * w
-		ec.gated += (cc.gated - pc.gated) * w
-		ec.uncomp += (cc.uncomp - pc.uncomp) * w
-		ec.comp += (cc.comp - pc.comp) * w
-		ec.events += (cc.events - pc.events) * w
-		ec.wakeups += (cc.wakeups - pc.wakeups) * w
-		ec.neg += (cc.neg - pc.neg) * w
-		ec.crit += (cc.crit - pc.crit) * w
-		ec.denied += (cc.denied - pc.denied) * w
-		ec.issued += (cc.issued - pc.issued) * w
-	}
-	est.issuedTotal += (cur.issuedTotal - prev.issuedTotal) * w
-	est.stallsMem += (cur.stallsMem - prev.stallsMem) * w
-	est.stallsGate += (cur.stallsGate - prev.stallsGate) * w
-	est.l1Acc += (cur.l1Acc - prev.l1Acc) * w
-	est.l1Miss += (cur.l1Miss - prev.l1Miss) * w
-	for i := range est.l2 {
-		est.l2[i] += (cur.l2[i] - prev.l2[i]) * w
-	}
-}
-
-// apply folds the scaled estimate into the assembled report and stamps the
-// sampling metadata. Called once, after finish() and report().
-func (s *sampler) apply(r *Report) {
+// apply folds the scaled estimate into r, which report has assembled from
+// the detailed run, and stamps the sampling metadata. It returns the
+// unrounded estimate of the device cycle and of the ratio sums, which the
+// report's ratios add to the detailed ones.
+func (s *sampler) apply(r *Report) [vIssued]float64 {
 	r.Sampled = true
 	r.SampledDetailCycles = s.g.cycle
 	r.SampledSkippedInstrs = s.skippedInstrs
 	r.SampledSkippedCTAs = s.skippedCTAs
-	if s.skippedInstrs > 0 && s.cum.issuedTotal > 0 {
+	est := make([]float64, len(s.cum))
+	if s.skippedInstrs > 0 && s.cum[vIssued] > 0 {
 		// Scale the whole-run basis so the estimated instruction count equals
 		// the spliced instruction count exactly.
-		var zero sampleCounters
-		addScaled(&s.est, &s.cum, &zero, float64(s.skippedInstrs)/s.cum.issuedTotal)
+		w := float64(s.skippedInstrs) / s.cum[vIssued]
+		for i, c := range s.cum {
+			est[i] = c * w
+		}
 	}
-	r.SampleErrorEst = s.errorEstimate()
-
-	r.Cycles += round64(s.est.deviceCycles)
+	r.SampleErrorEst = s.errorEstimate(est[vCycles])
+	// Round the estimate into the counters. The ratio sums take theirs
+	// unrounded, so t only absorbs its share.
+	r.Cycles += round64(est[vCycles])
 	r.CTAsCompleted += s.skippedCTAs
-	for c := 0; c < int(isa.NumClasses); c++ {
-		r.IssuedByClass[c] += roundU64(s.est.issuedByClass[c])
-		d, e := &r.Domains[c], &s.est.domains[c]
-		d.BusyCycles += roundU64(e.busy)
-		d.IdleCycles += roundU64(e.idle)
-		d.PoweredCycles += roundU64(e.powered)
-		d.GatedCycles += roundU64(e.gated)
-		d.UncompCycles += roundU64(e.uncomp)
-		d.CompCycles += roundU64(e.comp)
-		d.GatingEvents += roundU64(e.events)
-		d.Wakeups += roundU64(e.wakeups)
-		d.NegativeEvents += roundU64(e.neg)
-		d.CriticalWakeups += roundU64(e.crit)
-		d.DeniedWakeups += roundU64(e.denied)
-		d.IssuedInstrs += roundU64(e.issued)
-	}
-	r.IssuedTotal += roundU64(s.est.issuedTotal)
-	r.IssueStallsMem += roundU64(s.est.stallsMem)
-	r.IssueStallsGate += roundU64(s.est.stallsGate)
-	r.L2Stats[0] += roundU64(s.est.l2[0])
-	r.L2Stats[1] += roundU64(s.est.l2[1])
-	r.L2Stats[2] += roundU64(s.est.l2[2])
-	r.L2Stats[3] += roundU64(s.est.l2[3])
-
-	// Ratios are recomputed over detailed + estimated sums.
-	var fin sampleCounters
-	s.snapshot(&fin)
-	if t := fin.smCycles + s.est.smCycles; t > 0 {
-		r.ActiveWarpAvg = (fin.warpSum + s.est.warpSum) / t
-	}
-	if t := fin.l1Acc + s.est.l1Acc; t > 0 {
-		r.L1MissRate = (fin.l1Miss + s.est.l1Miss) / t
-	}
+	var t ratioSums
+	i := vCycles
+	updateCounters(r, &t, func(v uint64) uint64 {
+		i++
+		return v + roundU64(est[i])
+	})
+	return [vIssued]float64(est)
 }
 
 // errorEstimate is the report's heuristic relative error estimate for
@@ -342,40 +236,17 @@ func (s *sampler) apply(r *Report) {
 // fraction of the final cycle count that is estimate rather than
 // measurement. Heuristic, not a guarantee — the hard ceiling is pinned by
 // the corpus test against full runs.
-func (s *sampler) errorEstimate() float64 {
+func (s *sampler) errorEstimate(estCycles float64) float64 {
 	if s.skippedInstrs == 0 || s.rateN == 0 || s.rateW <= 0 || s.rateM1 <= 0 {
 		return 0
 	}
 	mean := s.rateM1 / s.rateW
-	variance := s.rateM2/s.rateW - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	cv := math.Sqrt(variance) / mean
-	total := s.est.deviceCycles + float64(s.g.cycle)
+	cv := math.Sqrt(max(0, s.rateM2/s.rateW-mean*mean)) / mean
+	total := estCycles + float64(s.g.cycle)
 	if total <= 0 {
 		return 0
 	}
-	return 2 * cv / math.Sqrt(float64(s.rateN)) * (s.est.deviceCycles / total)
-}
-
-// medianRate returns the issue-weighted median of the post-warm-up window
-// cycles-per-instruction rates, or 0 when no window issued.
-func (s *sampler) medianRate() float64 {
-	if len(s.windows) == 0 || s.rateW <= 0 {
-		return 0
-	}
-	w := append([]windowRate(nil), s.windows...)
-	sort.Slice(w, func(i, j int) bool { return w[i].rate < w[j].rate })
-	half := s.rateW / 2
-	var cum float64
-	for _, v := range w {
-		cum += v.weight
-		if cum >= half {
-			return v.rate
-		}
-	}
-	return w[len(w)-1].rate
+	return 2 * cv / math.Sqrt(float64(s.rateN)) * (estCycles / total)
 }
 
 func round64(v float64) int64   { return int64(math.Round(v)) }

@@ -1033,8 +1033,5 @@ func (sm *SM) finish() {
 	}
 }
 
-// allPipes returns every pipe of the SM in the fixed reporting order.
-func (sm *SM) allPipes() []*Pipe { return sm.pipes }
-
 // Stats returns the SM's counters.
 func (sm *SM) Stats() SMStats { return sm.st }
