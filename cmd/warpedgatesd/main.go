@@ -53,8 +53,7 @@ func run() error {
 	quotaRate := flag.Float64("quota-rate", 5, "sustained per-client submissions/second (negative disables quotas)")
 	quotaBurst := flag.Int("quota-burst", 10, "per-client submission burst (negative disables quotas)")
 	deadline := flag.Duration("deadline", 0, "default per-job deadline (0 = none)")
-	maxDeadline := flag.Duration("max-deadline", 30*time.Minute, "clamp for requested per-job deadlines (0 = no clamp)")
-	maxWall := flag.Duration("max-wall", time.Hour, "runner watchdog backstop per simulation (0 = none)")
+	maxDeadline := flag.Duration("max-deadline", 30*time.Minute, "the only cap on a job's running time: requested and default deadlines are clamped to it (0 = no cap)")
 	maxCached := flag.Int("max-cached", 256, "in-memory reports retained per workload scale (LRU)")
 	maxSweepCells := flag.Int("max-sweep-cells", 4096, "largest grid one sweep submission may expand to")
 	drainGrace := flag.Duration("drain-grace", 30*time.Second, "how long a drain waits for in-flight jobs before canceling them")
@@ -71,7 +70,6 @@ func run() error {
 		QuotaBurst:       *quotaBurst,
 		DefaultDeadline:  *deadline,
 		MaxDeadline:      *maxDeadline,
-		MaxWallTime:      *maxWall,
 		MaxCachedReports: *maxCached,
 		MaxSweepCells:    *maxSweepCells,
 	}

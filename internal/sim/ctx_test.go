@@ -81,12 +81,12 @@ func TestRunCtxCancelStopsRun(t *testing.T) {
 	}
 }
 
-// TestRunCtxDeadlineCause: the error surfaces context.Cause, so a watchdog's
+// TestRunCtxDeadlineCause: the error surfaces context.Cause, so a deadline's
 // typed cause (not just DeadlineExceeded) survives the trip through the
 // engine.
 func TestRunCtxDeadlineCause(t *testing.T) {
 	gpu := slowGPU(t)
-	cause := errors.New("watchdog fired")
+	cause := errors.New("deadline fired")
 	ctx, cancel := context.WithTimeoutCause(context.Background(), 20*time.Millisecond, cause)
 	defer cancel()
 	rep, err := gpu.RunCtx(ctx)

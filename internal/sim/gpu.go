@@ -48,8 +48,8 @@ func (g *GPU) Run() *Report {
 }
 
 // canceled wraps the context's cause into the error a canceled run returns.
-// context.Cause surfaces the watchdog's typed deadline error when the
-// experiment runner armed one (context.WithTimeoutCause), and the plain
+// context.Cause surfaces a typed cause when the caller planted one (the
+// service's per-job deadline arms context.WithTimeoutCause), and the plain
 // context.Canceled/DeadlineExceeded otherwise, so errors.Is works against
 // whichever sentinel the caller planted.
 func (g *GPU) canceled(ctx context.Context) error {

@@ -28,8 +28,6 @@ type Engine struct {
 	// per-scale runners inherit it, and the engine's own pool is what
 	// schedules cells, so the two never multiply.
 	Parallelism int
-	// MaxWallTime is the per-cell watchdog, passed to the runners.
-	MaxWallTime time.Duration
 	// Progress, when non-nil, is called after each cell completes (from
 	// worker goroutines — must be safe for concurrent use).
 	Progress func(done, total int, res CellResult)
@@ -98,7 +96,6 @@ func (e *Engine) runner(scale float64) *core.Runner {
 	r.Scale = scale
 	r.Store = e.Store
 	r.Parallelism = e.Parallelism
-	r.MaxWallTime = e.MaxWallTime
 	r.Progress = func(string, config.Config) { e.sims.Add(1) }
 	e.runners[scale] = r
 	return r
