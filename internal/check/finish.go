@@ -49,20 +49,6 @@ func (c *Checker) Finish(rep *sim.Report) error {
 	for i := range agg {
 		agg[i].idleRunMin = -1
 	}
-	// Fold the per-SM shards' conserved instruction counters into the
-	// device-level aggregates the reconciliation below runs on. The shards
-	// stopped mutating when the run drained, so this pass is single-threaded.
-	c.issuedTotal = 0
-	c.issuedByClass = [isa.NumClasses]uint64{}
-	for _, s := range c.sms {
-		if s == nil {
-			continue
-		}
-		c.issuedTotal += s.issuedTotal
-		for cl := range s.issuedByClass {
-			c.issuedByClass[cl] += s.issuedByClass[cl]
-		}
-	}
 	var maxTicks int64
 	for _, s := range c.sms {
 		if s == nil {

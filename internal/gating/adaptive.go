@@ -111,19 +111,12 @@ func (a *AdaptiveIdleDetect) NextEpochEnd() int64 {
 // bit-identical to calling Tick(0) n times: the in-progress epoch finishes
 // with whatever criticals it accumulated before the batch, and every complete
 // epoch after it is quiet, so the window only recovers (value decrements every
-// decEpochs quiet epochs down to the minimum). The simulator uses it to
-// settle the cycles it leaves unticked.
+// decEpochs quiet epochs down to the minimum). A zero-critical epoch is quiet
+// because the threshold is non-negative, which config.Validate enforces
+// whenever adaptation is on. The simulator uses it to settle the cycles it
+// leaves unticked.
 func (a *AdaptiveIdleDetect) AdvanceIdle(n int64) {
 	if !a.enabled || n <= 0 {
-		return
-	}
-	if a.threshold < 0 {
-		// A negative threshold makes even zero-critical epochs "critical";
-		// no validated configuration does this, but fall back to stepping
-		// rather than silently diverging from Tick.
-		for ; n > 0; n-- {
-			a.Tick(0)
-		}
 		return
 	}
 	// Finish the in-progress epoch; it may carry pre-batch criticals.

@@ -401,8 +401,5 @@ func (c *Controller) Stats() Stats { return c.st }
 // counter the adaptive idle-detect reads every cycle, without copying Stats.
 func (c *Controller) CriticalWakeups() uint64 { return c.st.CriticalWakeups }
 
-// Kind returns the controller's gating policy.
-func (c *Controller) Kind() config.GatingKind { return c.kind }
-
 // BreakEven returns the configured break-even time in cycles.
 func (c *Controller) BreakEven() int { return c.breakEven }

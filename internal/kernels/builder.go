@@ -271,13 +271,3 @@ func (p *Profile) memInstr(rng *stats.SplitMix64, allocReg func() isa.Reg, pickS
 	in.Region = region
 	return in
 }
-
-// MustBuild builds the kernel and panics on error; for use with the vetted
-// built-in profiles.
-func (p *Profile) MustBuild() *Kernel {
-	k, err := p.Build()
-	if err != nil {
-		panic(err)
-	}
-	return k
-}

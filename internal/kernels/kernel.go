@@ -109,14 +109,26 @@ func (k *Kernel) Mix() [isa.NumClasses]float64 {
 // key that names a huge one.
 const MaxScale = 1e4
 
+// CheckScale is the one validity rule for a workload scale factor: it must
+// be finite and in (0, MaxScale]. NaN, ±Inf, zero, negative values and
+// factors past MaxScale are errors. Every layer that accepts a scale from a
+// caller (the runner, sweep specs, the service) checks it here before
+// scaling a kernel or keying a job.
+func CheckScale(f float64) error {
+	if !(f > 0 && f <= MaxScale) {
+		return fmt.Errorf("kernels: scale must be in (0, %g], got %v", MaxScale, f)
+	}
+	return nil
+}
+
 // Scale returns a copy of the kernel with its total work multiplied by f
 // (0 < f <= 1 shrinks, f > 1 grows). Scaling adjusts iteration counts and CTA
 // counts, never the body, so instruction mix and dependence structure are
 // preserved; tests use small scales, the figure harness uses 1.0. It panics
-// unless 0 < f <= MaxScale.
+// with CheckScale's error unless 0 < f <= MaxScale.
 func (k *Kernel) Scale(f float64) *Kernel {
-	if !(f > 0 && f <= MaxScale) {
-		panic(fmt.Sprintf("kernels: scale %v outside (0, %g]", f, MaxScale))
+	if err := CheckScale(f); err != nil {
+		panic(err)
 	}
 	cp := *k
 	cp.Iterations = maxInt(1, int(float64(k.Iterations)*f+0.5))

@@ -193,7 +193,7 @@ func TestSweepValidationTable(t *testing.T) {
 			path:       "/v1/sweeps",
 			body:       `{"benches":["nw"],"scales":[0.1,1e18]}`,
 			wantStatus: http.StatusBadRequest,
-			wantBody:   []string{"sweep: scale must be in (0, 10000], got 1e+18"},
+			wantBody:   []string{"sweep: kernels: scale must be in (0, 10000], got 1e+18"},
 		},
 		{
 			name:       "grid too large to expand is 400",

@@ -23,7 +23,6 @@ type Pipe struct {
 	gate *gating.Controller
 
 	issuedInstrs uint64
-	issuedByOp   [isa.NumOps]uint64
 }
 
 // newPipe builds a pipe for the given class/cluster with its controller.
@@ -46,7 +45,7 @@ func (p *Pipe) CanStart(now int64) bool {
 
 // Start commits an instruction to the pipe at cycle now, holding the port
 // for ii cycles and the pipeline for latency cycles.
-func (p *Pipe) Start(now int64, op isa.Op, ii, latency int) {
+func (p *Pipe) Start(now int64, ii, latency int) {
 	if !p.CanStart(now) {
 		panic(fmt.Sprintf("sim: Start on unavailable %s pipe (cluster %d)", p.class, p.cluster))
 	}
@@ -58,7 +57,6 @@ func (p *Pipe) Start(now int64, op isa.Op, ii, latency int) {
 		p.drainAt = d
 	}
 	p.issuedInstrs++
-	p.issuedByOp[op]++
 }
 
 // Gate exposes the pipe's gating controller.
@@ -72,6 +70,3 @@ func (p *Pipe) Cluster() int { return p.cluster }
 
 // Issued returns the number of warp instructions this pipe executed.
 func (p *Pipe) Issued() uint64 { return p.issuedInstrs }
-
-// IssuedByOp returns per-opcode issue counts.
-func (p *Pipe) IssuedByOp() [isa.NumOps]uint64 { return p.issuedByOp }

@@ -844,7 +844,7 @@ func (sm *SM) commitIssue(now int64, w *Warp, in *isa.Instr, p *Pipe, ii, latenc
 		// The owed ticks before now saw the pipe idle.
 		sm.groups[p.class].settle(now)
 	}
-	p.Start(now, in.Op, ii, latency)
+	p.Start(now, ii, latency)
 	if sm.tracer != nil {
 		sm.tracer(sm.id, now, w.id, in.Class(), p.Cluster())
 	}

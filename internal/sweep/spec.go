@@ -118,8 +118,8 @@ func Expand(spec Spec, base config.Config) ([]Cell, error) {
 	sms := dedupInts(defaultInts(spec.SMs, base.NumSMs))
 	scales := dedupFloats(defaultFloats(spec.Scales, 1.0))
 	for _, sc := range scales {
-		if !(sc > 0 && sc <= kernels.MaxScale) {
-			return nil, fmt.Errorf("sweep: scale must be in (0, %g], got %v", kernels.MaxScale, sc)
+		if err := kernels.CheckScale(sc); err != nil {
+			return nil, fmt.Errorf("sweep: %w", err)
 		}
 	}
 	seeds := dedupUints(defaultUints(spec.Seeds, base.Seed))
