@@ -3,8 +3,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -13,6 +15,30 @@ import (
 	"warpedgates/internal/store"
 	"warpedgates/internal/sweep"
 )
+
+// readSpec strictly decodes a sweep spec file: unknown fields and anything
+// but whitespace after the one JSON value are errors, as for the service's
+// request bodies (json.Decoder alone would stop reading after the first
+// value and silently drop the rest of the file).
+func readSpec(path string) (sweep.Spec, error) {
+	var spec sweep.Spec
+	f, err := os.Open(path)
+	if err != nil {
+		return spec, err
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	err = dec.Decode(&spec)
+	if err == nil {
+		var extra json.RawMessage
+		if err = dec.Decode(&extra); err == io.EOF {
+			return spec, nil
+		}
+		err = errors.New("trailing data after the JSON value")
+	}
+	return spec, fmt.Errorf("sweep spec %s: %w", path, err)
+}
 
 // cmdSweep runs a declarative parameter-grid sweep: a spec (JSON file and/or
 // axis flags) expands to canonical jobs, deduplicates against the report
@@ -42,14 +68,9 @@ func cmdSweep(args []string) error {
 
 	var spec sweep.Spec
 	if *specPath != "" {
-		b, err := os.ReadFile(*specPath)
-		if err != nil {
+		var err error
+		if spec, err = readSpec(*specPath); err != nil {
 			return err
-		}
-		dec := json.NewDecoder(strings.NewReader(string(b)))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			return fmt.Errorf("sweep spec %s: %w", *specPath, err)
 		}
 	}
 	if *benches != "" {
