@@ -140,6 +140,92 @@ func TestSweepCollapsesOntoExistingJob(t *testing.T) {
 	if n := s.Simulations(); n != 1 {
 		t.Fatalf("%d simulations after job+sweep of the same cell, want 1", n)
 	}
+
+	// The reverse: a job submitted after a sweep cell completes collapses
+	// onto the cell.
+	sw := postSweep(t, ts, `{"benches":["nw"],"techniques":["Baseline"],"sms":[2],"scales":[0.05]}`,
+		http.StatusAccepted)
+	sw = waitSweepTerminal(t, ts, sw.ID)
+	if sw.State != StateDone {
+		t.Fatalf("second sweep ended %s", sw.State)
+	}
+	resp, raw := doJSON(t, ts, http.MethodPost, "/v1/jobs", `{"bench":"nw","technique":"Baseline","sms":2,"scale":0.05}`, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("job after its sweep cell = %d, want 200; body %s", resp.StatusCode, raw)
+	}
+	var js JobStatus
+	if err := json.Unmarshal([]byte(raw), &js); err != nil {
+		t.Fatalf("submit response %q: %v", raw, err)
+	}
+	if js.ID != sw.CellStatus[0].ID || js.State != StateDone {
+		t.Fatalf("job after its sweep cell is %s %s, want the done cell %s", js.ID, js.State, sw.CellStatus[0].ID)
+	}
+	if n := s.Simulations(); n != 2 {
+		t.Fatalf("%d simulations after sweep+job of the same cell, want 2 (one per distinct cell)", n)
+	}
+}
+
+// TestJobIsOneCellSweep pins the job endpoint to the sweep endpoint: every
+// job request builds the same canonical key and id as the sole cell of the
+// equivalent one-valued sweep. A zero or absent job field is an empty sweep
+// axis, and an absent seed is no seed axis.
+func TestJobIsOneCellSweep(t *testing.T) {
+	s, _ := newTestServer(t, nil)
+	cases := []struct{ name, job, sweep string }{
+		{"scale zero is the full workload",
+			`{"bench":"nw","technique":"Baseline"}`,
+			`{"benches":["nw"],"techniques":["Baseline"]}`},
+		{"scale one is the empty axis",
+			`{"bench":"nw","technique":"Baseline","scale":1}`,
+			`{"benches":["nw"],"techniques":["Baseline"]}`},
+		{"explicit scale",
+			`{"bench":"hotspot","technique":"WarpedGates","scale":0.25}`,
+			`{"benches":["hotspot"],"techniques":["WarpedGates"],"scales":[0.25]}`},
+		{"sms",
+			`{"bench":"hotspot","technique":"ConvPG","sms":4}`,
+			`{"benches":["hotspot"],"techniques":["ConvPG"],"sms":[4]}`},
+		{"seed zero",
+			`{"bench":"srad","technique":"GATES","seed":0}`,
+			`{"benches":["srad"],"techniques":["GATES"],"seeds":[0]}`},
+		{"seed non-zero",
+			`{"bench":"srad","technique":"GATES","seed":7}`,
+			`{"benches":["srad"],"techniques":["GATES"],"seeds":[7]}`},
+		{"gating knobs",
+			`{"bench":"bfs","technique":"WarpedGates","idle_detect":8,"break_even":20,"wakeup_delay":4}`,
+			`{"benches":["bfs"],"techniques":["WarpedGates"],"idle_detects":[8],"break_evens":[20],"wakeup_delays":[4]}`},
+		{"sampling",
+			`{"bench":"hotspot","technique":"WarpedGates","sample_detail":500,"sample_period":2500}`,
+			`{"benches":["hotspot"],"techniques":["WarpedGates"],"sample_detail":500,"sample_period":2500}`},
+		{"every axis",
+			`{"bench":"nw","technique":"CoordBlackout","sms":3,"scale":0.1,"seed":11,"idle_detect":6,"break_even":16,"wakeup_delay":2,"sample_detail":400,"sample_period":2000}`,
+			`{"benches":["nw"],"techniques":["CoordBlackout"],"sms":[3],"scales":[0.1],"seeds":[11],"idle_detects":[6],"break_evens":[16],"wakeup_delays":[2],"sample_detail":400,"sample_period":2000}`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var jr JobRequest
+			if _, err := decodeRequest(nil, io.NopCloser(strings.NewReader(tc.job)), &jr); err != nil {
+				t.Fatalf("decoding job: %v", err)
+			}
+			var sr SweepRequest
+			if _, err := decodeRequest(nil, io.NopCloser(strings.NewReader(tc.sweep)), &sr); err != nil {
+				t.Fatalf("decoding sweep: %v", err)
+			}
+			j, err := s.buildJob(&jr)
+			if err != nil {
+				t.Fatalf("buildJob: %v", err)
+			}
+			_, cells, err := s.buildSweep(&sr)
+			if err != nil {
+				t.Fatalf("buildSweep: %v", err)
+			}
+			if len(cells) != 1 {
+				t.Fatalf("sweep has %d cells, want 1", len(cells))
+			}
+			if j.key != cells[0].key || j.id != cells[0].id {
+				t.Fatalf("job key %q id %s, sweep cell key %q id %s", j.key, j.id, cells[0].key, cells[0].id)
+			}
+		})
+	}
 }
 
 // TestSweepValidationTable pins the sweep endpoint's 4xx/5xx contracts.
