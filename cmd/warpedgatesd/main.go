@@ -92,7 +92,8 @@ func run() error {
 		return err
 	}
 	hs := &http.Server{Handler: srv}
-	log.Printf("serving on %s (store=%q jobs=%d queue=%d)", ln.Addr(), *storeDir, opts.Workers, *queue)
+	resolved := srv.Options()
+	log.Printf("serving on %s (store=%q jobs=%d queue=%d)", ln.Addr(), *storeDir, resolved.Workers, resolved.QueueDepth)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

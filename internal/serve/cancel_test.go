@@ -477,3 +477,22 @@ func TestJobStateMachine(t *testing.T) {
 		})
 	}
 }
+
+// TestUnwatchedProgressAllocatesNothing pins that progress on a job nobody
+// streams costs no status marshal: with no SSE subscriber, publish returns
+// before building the status JSON, so a progress report allocates nothing.
+func TestUnwatchedProgressAllocatesNothing(t *testing.T) {
+	s, _ := newTestServer(t, nil)
+	j, err := s.buildJob(&JobRequest{Bench: "hotspot", Technique: "WarpedGates"})
+	if err != nil {
+		t.Fatalf("buildJob: %v", err)
+	}
+	var cycles int64
+	allocs := testing.AllocsPerRun(100, func() {
+		cycles += progressEveryCycles
+		j.progress(cycles)
+	})
+	if allocs != 0 {
+		t.Fatalf("progress on an unwatched job allocates %v times per report, want 0", allocs)
+	}
+}

@@ -16,6 +16,7 @@ import (
 	"warpedgates/internal/kernels"
 	"warpedgates/internal/sim"
 	"warpedgates/internal/store"
+	"warpedgates/internal/sweep"
 )
 
 // ErrDeadline is the cancellation cause planted when a job's deadline (its
@@ -151,6 +152,11 @@ func (j *job) Err() error {
 func (j *job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	return j.statusLocked()
+}
+
+// statusLocked is status for a caller that holds j.mu.
+func (j *job) statusLocked() JobStatus {
 	st := JobStatus{
 		ID:        j.id,
 		Key:       j.key,
@@ -205,20 +211,31 @@ func (j *job) progress(cycles int64) {
 
 // publish fans the current status out to every subscriber, dropping events a
 // slow subscriber has no buffer for (the terminal event is never lost: the
-// done channel carries it out-of-band).
+// done channel carries it out-of-band). A job nobody watches is not
+// marshaled at all.
 func (j *job) publish() {
-	data, err := json.Marshal(j.status())
-	if err != nil {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if len(j.subs) == 0 {
 		return
 	}
-	j.mu.Lock()
+	data := statusJSON(j.statusLocked())
 	for ch := range j.subs {
 		select {
 		case ch <- data:
 		default:
 		}
 	}
-	j.mu.Unlock()
+}
+
+// statusJSON marshals a status snapshot. The status struct cannot fail to
+// marshal, so an error degrades to an empty object rather than a panic.
+func statusJSON(st JobStatus) []byte {
+	data, err := json.Marshal(st)
+	if err != nil {
+		return []byte("{}")
+	}
+	return data
 }
 
 // subscribe registers an SSE watcher; the returned cancel must be called on
@@ -247,71 +264,68 @@ func (l *lifecycle) init() {
 	l.rootCtx, l.cancelRoot = context.WithCancelCause(context.Background())
 }
 
-// buildJob resolves a JobRequest into a registry job: technique applied to
-// the base machine, request overrides folded in, everything validated. The
-// error string is client-facing (a 400 body).
+// buildJob resolves a JobRequest as the one-cell sweep it is: each set
+// field becomes a one-valued sweep axis and each zero or absent one an empty
+// axis (the base value), so sweep.Expand and the cell constructor are the
+// only axis→config rule for jobs and sweep cells alike. The error string is
+// client-facing (a 400 body).
 func (s *Server) buildJob(req *JobRequest) (*job, error) {
 	if req.Bench == "" {
 		return nil, fmt.Errorf("missing field: bench")
 	}
-	if _, err := kernels.Benchmark(req.Bench); err != nil {
-		return nil, fmt.Errorf("unknown benchmark %q", req.Bench)
-	}
 	if req.Technique == "" {
 		return nil, fmt.Errorf("missing field: technique")
 	}
-	tech, err := core.ParseTechnique(req.Technique)
-	if err != nil {
-		return nil, fmt.Errorf("unknown technique %q", req.Technique)
-	}
-	scale := req.Scale
-	if scale == 0 {
-		scale = 1.0
-	}
-	if err := kernels.CheckScale(scale); err != nil {
-		return nil, err
-	}
-	// Non-zero overrides are applied verbatim — including invalid negative
-	// values — so cfg.Validate rejects them with a precise message instead of
-	// the server silently ignoring them.
-	cfg := tech.Apply(s.opts.Base)
-	if req.SMs != 0 {
-		cfg.NumSMs = req.SMs
+	spec := sweep.Spec{
+		Benches:      []string{req.Bench},
+		Techniques:   []string{req.Technique},
+		SMs:          axis(req.SMs),
+		Scales:       axis(req.Scale),
+		IdleDetects:  axis(req.IdleDetect),
+		BreakEvens:   axis(req.BreakEven),
+		WakeupDelays: axis(req.WakeupDelay),
+		SampleDetail: req.SampleDetail,
+		SamplePeriod: req.SamplePeriod,
 	}
 	if req.Seed != nil {
-		cfg.Seed = *req.Seed
+		spec.Seeds = []uint64{*req.Seed}
 	}
-	if req.IdleDetect != 0 {
-		cfg.IdleDetect = req.IdleDetect
+	cells, err := sweep.Expand(spec, s.opts.Base)
+	if err != nil {
+		return nil, err
 	}
-	if req.BreakEven != 0 {
-		cfg.BreakEven = req.BreakEven
+	return s.newJob(cells[0])
+}
+
+// axis maps a one-valued request field onto a sweep axis: zero is the empty
+// axis, which keeps the base value. A non-zero value is kept verbatim, even
+// an invalid negative one, so validation rejects it with a precise message.
+func axis[T int | float64](v T) []T {
+	if v == 0 {
+		return nil
 	}
-	if req.WakeupDelay != 0 {
-		cfg.WakeupDelay = req.WakeupDelay
-	}
-	if req.SampleDetail != 0 {
-		cfg.SampleDetailCycles = req.SampleDetail
-	}
-	if req.SamplePeriod != 0 {
-		cfg.SamplePeriod = req.SamplePeriod
-	}
+	return []T{v}
+}
+
+// newJob validates one resolved grid cell and builds its registry job,
+// queued and not yet admitted. Jobs and sweep cells both come from here.
+func (s *Server) newJob(c sweep.Cell) (*job, error) {
+	cfg := c.Config(s.opts.Base)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	key := core.JobKey(req.Bench, cfg, scale)
-	j := &job{
+	key := core.JobKey(c.Bench, cfg, c.Scale)
+	return &job{
 		id:    store.HashKey(key),
 		key:   key,
-		bench: req.Bench,
-		tech:  tech,
+		bench: c.Bench,
+		tech:  c.Technique,
 		cfg:   cfg,
-		scale: scale,
+		scale: c.Scale,
 		state: StateQueued,
 		subs:  make(map[chan []byte]struct{}),
 		done:  make(chan struct{}),
-	}
-	return j, nil
+	}, nil
 }
 
 // deadline resolves a requested deadline (milliseconds) against the server's
@@ -333,14 +347,8 @@ func (s *Server) deadline(ms int64) time.Duration {
 // face of the runner's singleflight). A failed or canceled job is replaced
 // by its resubmission, which is what makes every error retryable.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if ok, wait := s.quotas.take(clientID(r), time.Now()); !ok {
-		w.Header().Set("Retry-After", retryAfter(wait))
-		writeError(w, http.StatusTooManyRequests, "client quota exceeded; retry in %s", wait.Round(time.Millisecond))
-		return
-	}
 	var req JobRequest
-	if code, err := decodeRequest(w, r.Body, &req); err != nil {
-		writeError(w, code, "%v", err)
+	if !s.decodeSubmission(w, r, &req) {
 		return
 	}
 	j, err := s.buildJob(&req)
@@ -356,31 +364,67 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining: not admitting new jobs")
 		return
 	}
-	if prev, ok := s.jobs[j.id]; ok {
-		if st := prev.State(); st != StateFailed && st != StateCanceled {
-			s.mu.Unlock()
-			writeJSON(w, http.StatusOK, prev.status())
-			return
+	// A single job never waits for a queue slot: a full queue refuses it.
+	got := s.claimLocked(j, deadline, func(j *job) bool {
+		select {
+		case s.queue <- j:
+			return true
+		default:
+			return false
 		}
-		// Terminal failure: fall through and replace with the fresh job.
-	}
-	j.runDeadline = deadline
-	j.ctx, j.cancel = context.WithCancelCause(s.rootCtx)
-	select {
-	case s.queue <- j:
-	default:
-		s.mu.Unlock()
-		j.cancel(errReleased)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "admission queue full (%d jobs); retry later", cap(s.queue))
-		return
-	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j)
+	})
 	s.pruneLocked()
 	s.mu.Unlock()
 
-	writeJSON(w, http.StatusAccepted, j.status())
+	switch got {
+	case nil:
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusTooManyRequests, "admission queue full (%d jobs); retry later", cap(s.queue))
+	case j:
+		writeJSON(w, http.StatusAccepted, j.status())
+	default:
+		writeJSON(w, http.StatusOK, got.status())
+	}
+}
+
+// decodeSubmission is the preamble both submit endpoints share: the
+// client's quota, then the strict decode of the body into req. On failure
+// it has written the error response and returns false.
+func (s *Server) decodeSubmission(w http.ResponseWriter, r *http.Request, req any) bool {
+	if ok, wait := s.quotas.take(clientID(r), time.Now()); !ok {
+		w.Header().Set("Retry-After", retryAfter(wait))
+		writeError(w, http.StatusTooManyRequests, "client quota exceeded; retry in %s", wait.Round(time.Millisecond))
+		return false
+	}
+	if code, err := decodeRequest(w, r.Body, req); err != nil {
+		writeError(w, code, "%v", err)
+		return false
+	}
+	return true
+}
+
+// claimLocked is the collapse-or-register step of both submit endpoints,
+// run under s.mu. A live or done job with j's id is returned as is: the
+// submission collapses onto it. Otherwise j gets its deadline and a context
+// derived from the server root and, if admit (nil admits everything) takes
+// it, replaces any failed or canceled job under that id and is returned. A
+// job admit refuses is released, and nil is returned with nothing
+// registered.
+func (s *Server) claimLocked(j *job, deadline time.Duration, admit func(*job) bool) *job {
+	if prev, ok := s.jobs[j.id]; ok {
+		if st := prev.State(); st != StateFailed && st != StateCanceled {
+			return prev
+		}
+	}
+	j.runDeadline = deadline
+	j.ctx, j.cancel = context.WithCancelCause(s.rootCtx)
+	if admit != nil && !admit(j) {
+		j.cancel(errReleased)
+		return nil
+	}
+	s.jobs[j.id] = j
+	s.order = append(s.order, j)
+	return j
 }
 
 // pruneLocked evicts the oldest terminal jobs once the registry exceeds its
@@ -478,8 +522,7 @@ func isCanceled(err error) bool {
 // instrument is the Runner.Instrument hook for one scale's runner: it wires
 // the engine's per-cycle probe to the job registry so SSE watchers see
 // throttled progress events, and reports the final cycle count on
-// completion. Simulations the registry does not know about (none today, but
-// a future sweep path could share the runner) run unprobed.
+// completion. Simulations the registry does not know about run unprobed.
 func (s *Server) instrument(scale float64) core.Instrumenter {
 	return func(bench string, cfg config.Config, k *kernels.Kernel, g *sim.GPU) func(*sim.Report) error {
 		j := s.lookup(store.HashKey(core.JobKey(bench, cfg, scale)))
@@ -571,6 +614,3 @@ func retryAfter(wait time.Duration) string {
 	}
 	return fmt.Sprintf("%d", secs)
 }
-
-// encodeReport adapts the sim codec for the report endpoint.
-func encodeReport(rep *sim.Report) ([]byte, error) { return sim.EncodeReport(rep) }

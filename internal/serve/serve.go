@@ -36,6 +36,7 @@ import (
 
 	"warpedgates/internal/config"
 	"warpedgates/internal/core"
+	"warpedgates/internal/sim"
 	"warpedgates/internal/store"
 )
 
@@ -221,6 +222,9 @@ func (s *Server) residentRunner(scale float64) (*core.Runner, bool) {
 // — zero when every request was served from a cache tier.
 func (s *Server) Simulations() uint64 { return s.sims.Load() }
 
+// Options returns the options the server runs with, defaults resolved.
+func (s *Server) Options() Options { return s.opts }
+
 // apiError is the JSON error envelope every non-2xx response carries.
 type apiError struct {
 	Error string `json:"error"`
@@ -394,7 +398,7 @@ func (s *Server) reportFromL1(id string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	data, err := encodeReport(rep)
+	data, err := sim.EncodeReport(rep)
 	if err != nil {
 		return nil, false
 	}
@@ -418,14 +422,9 @@ func errorKind(err error) string {
 		return "draining"
 	case isCanceled(err):
 		return "canceled"
-	case isPanic(err):
+	case errors.As(err, new(*core.PanicError)):
 		return "panic"
 	default:
 		return "error"
 	}
-}
-
-func isPanic(err error) bool {
-	var pe *core.PanicError
-	return errors.As(err, &pe)
 }

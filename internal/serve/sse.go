@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 )
@@ -14,8 +13,9 @@ import (
 // An SSE stream is an attachment, not just a view: a watcher that
 // disconnects while the job is still live cancels the job's context with
 // ErrClientGone as the cause. Streamed jobs are interactive — nobody is
-// left to consume the result, so the simulation stops within one epoch
-// window and the key becomes immediately retryable. Clients that want
+// left to consume the result, so the simulation stops within one device
+// step (the serial loop polls the context once per step) and the key
+// becomes immediately retryable. Clients that want
 // fire-and-forget semantics poll instead of streaming.
 func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job) {
 	fl, ok := w.(http.Flusher)
@@ -31,7 +31,7 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job) {
 	events, unsubscribe := j.subscribe()
 	defer unsubscribe()
 
-	writeEvent(w, mustStatusJSON(j))
+	writeEvent(w, statusJSON(j.status()))
 	fl.Flush()
 
 	for {
@@ -42,7 +42,7 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job) {
 		case <-j.done:
 			// Drain nothing: the terminal snapshot supersedes any queued
 			// progress events.
-			writeEvent(w, mustStatusJSON(j))
+			writeEvent(w, statusJSON(j.status()))
 			fl.Flush()
 			return
 		case <-r.Context().Done():
@@ -56,14 +56,4 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, j *job) {
 // payload (JSON without indentation), which json.Marshal guarantees.
 func writeEvent(w http.ResponseWriter, data []byte) {
 	fmt.Fprintf(w, "event: status\ndata: %s\n\n", data)
-}
-
-// mustStatusJSON marshals a job's status snapshot; the status struct cannot
-// fail to marshal, so errors degrade to an empty object rather than a panic.
-func mustStatusJSON(j *job) []byte {
-	data, err := json.Marshal(j.status())
-	if err != nil {
-		return []byte("{}")
-	}
-	return data
 }

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"warpedgates/internal/core"
 	"warpedgates/internal/store"
 	"warpedgates/internal/sweep"
 )
@@ -119,23 +118,9 @@ func (s *Server) buildSweep(req *SweepRequest) (string, []*job, error) {
 	}
 	jobs := make([]*job, len(cells))
 	for i, c := range cells {
-		cfg := c.Config(s.opts.Base)
-		if err := cfg.Validate(); err != nil {
+		if jobs[i], err = s.newJob(c); err != nil {
 			return "", nil, fmt.Errorf("cell %s/%s: %w", c.Bench, c.TechName, err)
 		}
-		key := core.JobKey(c.Bench, cfg, c.Scale)
-		j := &job{
-			id:    store.HashKey(key),
-			key:   key,
-			bench: c.Bench,
-			tech:  c.Technique,
-			cfg:   cfg,
-			scale: c.Scale,
-			state: StateQueued,
-			subs:  make(map[chan []byte]struct{}),
-			done:  make(chan struct{}),
-		}
-		jobs[i] = j
 	}
 	sort.Slice(jobs, func(a, b int) bool { return jobs[a].key < jobs[b].key })
 	keys := make([]string, len(jobs))
@@ -152,14 +137,8 @@ func (s *Server) buildSweep(req *SweepRequest) (string, []*job, error) {
 // dedup), and a background feeder that streams fresh cells through the same
 // bounded admission queue single jobs use.
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	if ok, wait := s.quotas.take(clientID(r), time.Now()); !ok {
-		w.Header().Set("Retry-After", retryAfter(wait))
-		writeError(w, http.StatusTooManyRequests, "client quota exceeded; retry in %s", wait.Round(time.Millisecond))
-		return
-	}
 	var req SweepRequest
-	if code, err := decodeRequest(w, r.Body, &req); err != nil {
-		writeError(w, code, "%v", err)
+	if !s.decodeSubmission(w, r, &req) {
 		return
 	}
 	id, jobs, err := s.buildSweep(&req)
@@ -182,19 +161,11 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	var fresh []*job
 	for i, j := range jobs {
-		if prev, ok := s.jobs[j.id]; ok {
-			if st := prev.State(); st != StateFailed && st != StateCanceled {
-				jobs[i] = prev // live or done: the cell collapses onto it
-				continue
-			}
-			// Terminal failure: the fresh cell job replaces it, making the
-			// cell retryable exactly like a resubmitted job.
+		// A live or done cell collapses onto its job; a fresh one (or the
+		// retry of a failed or canceled one) is registered for the feeder.
+		if jobs[i] = s.claimLocked(j, deadline, nil); jobs[i] == j {
+			fresh = append(fresh, j)
 		}
-		j.runDeadline = deadline
-		j.ctx, j.cancel = context.WithCancelCause(s.rootCtx)
-		s.jobs[j.id] = j
-		s.order = append(s.order, j)
-		fresh = append(fresh, j)
 	}
 	sw := &sweepRun{id: id, created: time.Now(), cells: jobs}
 	s.sweeps[id] = sw

@@ -94,7 +94,7 @@ func Expand(spec Spec, base config.Config) ([]Cell, error) {
 	if len(benches) == 0 {
 		benches = kernels.BenchmarkNames
 	}
-	benches = dedupStrings(benches)
+	benches = dedup(benches)
 	for _, b := range benches {
 		if _, err := kernels.Benchmark(b); err != nil {
 			return nil, fmt.Errorf("sweep: %w", err)
@@ -106,7 +106,7 @@ func Expand(spec Spec, base config.Config) ([]Cell, error) {
 			techNames = append(techNames, t.String())
 		}
 	}
-	techNames = dedupStrings(techNames)
+	techNames = dedup(techNames)
 	techs := make([]core.Technique, len(techNames))
 	for i, name := range techNames {
 		t, err := core.ParseTechnique(name)
@@ -115,17 +115,17 @@ func Expand(spec Spec, base config.Config) ([]Cell, error) {
 		}
 		techs[i] = t
 	}
-	sms := dedupInts(defaultInts(spec.SMs, base.NumSMs))
-	scales := dedupFloats(defaultFloats(spec.Scales, 1.0))
+	sms := dedup(orDefault(spec.SMs, base.NumSMs))
+	scales := dedup(orDefault(spec.Scales, 1.0))
 	for _, sc := range scales {
 		if err := kernels.CheckScale(sc); err != nil {
 			return nil, fmt.Errorf("sweep: %w", err)
 		}
 	}
-	seeds := dedupUints(defaultUints(spec.Seeds, base.Seed))
-	idles := dedupInts(defaultInts(spec.IdleDetects, base.IdleDetect))
-	bets := dedupInts(defaultInts(spec.BreakEvens, base.BreakEven))
-	wakes := dedupInts(defaultInts(spec.WakeupDelays, base.WakeupDelay))
+	seeds := dedup(orDefault(spec.Seeds, base.Seed))
+	idles := dedup(orDefault(spec.IdleDetects, base.IdleDetect))
+	bets := dedup(orDefault(spec.BreakEvens, base.BreakEven))
+	wakes := dedup(orDefault(spec.WakeupDelays, base.WakeupDelay))
 
 	// Every axis is non-empty, and n stays at most MaxGridCells, so the
 	// products below cannot overflow.
@@ -197,70 +197,22 @@ func Shard(cells []Cell, base config.Config, i, n int) ([]Cell, error) {
 	return out, nil
 }
 
-func defaultInts(v []int, d int) []int {
+// orDefault returns v, or the one-value axis {d} when v is empty.
+func orDefault[T any](v []T, d T) []T {
 	if len(v) == 0 {
-		return []int{d}
+		return []T{d}
 	}
 	return v
 }
 
-func defaultFloats(v []float64, d float64) []float64 {
-	if len(v) == 0 {
-		return []float64{d}
-	}
-	return v
-}
-
-func defaultUints(v []uint64, d uint64) []uint64 {
-	if len(v) == 0 {
-		return []uint64{d}
-	}
-	return v
-}
-
-func dedupStrings(v []string) []string {
-	seen := make(map[string]bool, len(v))
+// dedup returns v's distinct values in first-seen order, in a new slice.
+func dedup[T comparable](v []T) []T {
+	seen := make(map[T]bool, len(v))
 	out := v[:0:0]
-	for _, s := range v {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-func dedupInts(v []int) []int {
-	seen := make(map[int]bool, len(v))
-	out := v[:0:0]
-	for _, s := range v {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-func dedupFloats(v []float64) []float64 {
-	seen := make(map[float64]bool, len(v))
-	out := v[:0:0]
-	for _, s := range v {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-func dedupUints(v []uint64) []uint64 {
-	seen := make(map[uint64]bool, len(v))
-	out := v[:0:0]
-	for _, s := range v {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
+	for _, x := range v {
+		if !seen[x] {
+			seen[x] = true
+			out = append(out, x)
 		}
 	}
 	return out
