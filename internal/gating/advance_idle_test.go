@@ -241,3 +241,28 @@ func TestControllerNextEventAdvanceExact(t *testing.T) {
 		}
 	}
 }
+
+// TestNextEventAfterBusy checks the prediction made when an active unit
+// starts an instruction against the controller after a real busy tick, for
+// every gating kind, idle count and staged directive.
+func TestNextEventAfterBusy(t *testing.T) {
+	kinds := []config.GatingKind{config.GateNone, config.GateConventional, config.GateNaiveBlackout, config.GateCoordBlackout}
+	for _, kind := range kinds {
+		for idleRun := 0; idleRun < 5; idleRun++ {
+			for _, dir := range []struct{ inhibit, force bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+				c := NewController(kind, func() int { return 5 }, 14, 3)
+				for i := 0; i < idleRun; i++ {
+					c.SetDirectives(true, false) // stay active while counting
+					c.Tick(false)
+				}
+				c.SetDirectives(dir.inhibit, dir.force)
+				got := c.NextEventAfterBusy()
+				c.TickKeep(true)
+				if want := c.NextEvent(false); got != want {
+					t.Errorf("%v after %d idle, directives %+v: NextEventAfterBusy = %d, NextEvent after a busy tick = %d",
+						kind, idleRun, dir, got, want)
+				}
+			}
+		}
+	}
+}

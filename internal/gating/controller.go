@@ -315,13 +315,10 @@ func (c *Controller) NextEvent(busy bool) int64 {
 	in := c.next
 	switch c.state {
 	case StActive:
-		switch {
-		case busy || in.inhibit || c.kind == config.GateNone:
+		if busy {
 			return never
-		case in.force:
-			return 1
 		}
-		return max(1, int64(c.idleDetect()-c.idleCtr))
+		return c.nextGating(c.idleCtr)
 	case StUncompensated:
 		if in.demand && c.kind == config.GateConventional {
 			return 1
@@ -335,6 +332,23 @@ func (c *Controller) NextEvent(busy bool) int64 {
 	default:
 		return max(1, int64(c.wakeCtr))
 	}
+}
+
+// NextEventAfterBusy is NextEvent(false) of an active controller once a
+// busy tick has reset its idle count: for a pipe that just started an
+// instruction, the idle ticks after its drain that reach the next event.
+func (c *Controller) NextEventAfterBusy() int64 { return c.nextGating(0) }
+
+// nextGating is NextEvent(false) of an active controller that has counted
+// idle idle cycles.
+func (c *Controller) nextGating(idle int) int64 {
+	switch {
+	case c.next.inhibit || c.kind == config.GateNone:
+		return never
+	case c.next.force:
+		return 1
+	}
+	return max(1, int64(c.idleDetect()-idle))
 }
 
 // Advance applies n ticks with the installed demand and directives and the

@@ -90,3 +90,29 @@ func BenchmarkFullRunSmall(b *testing.B) {
 		gpu.Run()
 	}
 }
+
+// BenchmarkDecodeReport decodes one stored report of a GTX480 run (hotspot
+// at scale 0.1 under Warped Gates), the per-entry work of a store read; run
+// with -benchmem, its B/op and allocs/op are what a decoded report costs.
+func BenchmarkDecodeReport(b *testing.B) {
+	cfg := config.GTX480()
+	cfg.Scheduler = config.SchedGATES
+	cfg.Gating = config.GateCoordBlackout
+	cfg.AdaptiveIdleDetect = true
+	gpu, err := NewGPU(cfg, kernels.MustBenchmark("hotspot").Scale(0.1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := EncodeReport(gpu.Run())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeReport(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

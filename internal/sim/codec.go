@@ -44,8 +44,8 @@ func EncodeReport(r *Report) ([]byte, error) {
 
 // DecodeReport parses a payload produced by EncodeReport. Version mismatches
 // and structural damage return an error (callers treat it as a store miss);
-// a successful decode always carries non-nil idle histograms, so consumers
-// never need to distinguish decoded from freshly simulated reports.
+// a successful decode always carries non-nil packed idle histograms, so
+// consumers never need to distinguish decoded from freshly simulated reports.
 func DecodeReport(data []byte) (*Report, error) {
 	var env reportEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
@@ -61,6 +61,7 @@ func DecodeReport(data []byte) (*Report, error) {
 	for c := isa.Class(0); c < isa.NumClasses; c++ {
 		if r.Domains[c].IdlePeriods == nil {
 			r.Domains[c].IdlePeriods = stats.NewHistogram()
+			r.Domains[c].IdlePeriods.Pack()
 		}
 	}
 	return r, nil

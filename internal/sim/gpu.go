@@ -194,7 +194,7 @@ type DomainStats struct {
 	gating.Counters
 	IssuedInstrs uint64
 
-	IdlePeriods *stats.Histogram
+	IdlePeriods *stats.Histogram // packed, so read-only
 }
 
 // CellCycles returns the total domain-cycles observed (cycles × clusters).
@@ -339,6 +339,11 @@ func (g *GPU) report(smp *sampler) *Report {
 	}
 	if v := float64(t.l1Acc) + est[vL1Acc]; v > 0 {
 		r.L1MissRate = (float64(t.l1Miss) + est[vL1Miss]) / v
+	}
+	// Pack here, before the report is published: the runner cache shares
+	// reports across goroutines, so nothing may repack one on read.
+	for c := range r.Domains {
+		r.Domains[c].IdlePeriods.Pack()
 	}
 	return r
 }

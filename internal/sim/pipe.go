@@ -19,6 +19,7 @@ type Pipe struct {
 
 	portFreeAt int64
 	drainAt    int64
+	due        int64 // first cycle whose tick may change the controller's state
 
 	gate *gating.Controller
 

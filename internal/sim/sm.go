@@ -162,7 +162,9 @@ type SM struct {
 // busy flag, which follows the pipe's drain cycle. So tickGating leaves the
 // group unticked, and settle applies the owed cycles in closed form once an
 // input changes or the event arrives — or, before an idle pipe starts an
-// instruction, up to that cycle (commitIssue).
+// instruction, up to that cycle (commitIssue). Each pipe keeps the cycle of
+// its controller's next event and the group their earliest, with the
+// adaptive epoch end; a start moves only the started pipe's.
 type gateGroup struct {
 	class isa.Class
 	pipes []*Pipe
@@ -176,8 +178,17 @@ type gateGroup struct {
 	demand   bool   // whether the ready work wanted more then (see wantsMore)
 	actv     bool   // whether the ACTV snapshot was nonzero then
 	settled  int64  // first cycle not yet ticked
-	due      int64  // first cycle whose tick may change a controller's state
+	epochEnd int64  // the adaptive window's next epoch end, or math.MaxInt64
+	due      int64  // the earliest of epochEnd and the pipes' dues
 	prevCrit uint64 // the pipes' cumulative critical wakeups at the latest tick
+}
+
+// refreshDue recomputes g.due from the epoch end and the pipes' dues.
+func (g *gateGroup) refreshDue() {
+	g.due = g.epochEnd
+	for _, p := range g.pipes {
+		g.due = min(g.due, p.due)
+	}
 }
 
 // settle applies the ticks owed for cycles before end under the staged
@@ -840,11 +851,16 @@ func (sm *SM) commitIssue(now int64, w *Warp, in *isa.Instr, p *Pipe, ii, latenc
 	if dstMask != 0 && !isa.IsMemory(in.Op) {
 		sm.scheduleRetire(now, now+int64(latency), w, dstMask)
 	}
+	g := &sm.groups[p.class]
 	if !p.Busy(now) {
 		// The owed ticks before now saw the pipe idle.
-		sm.groups[p.class].settle(now)
+		g.settle(now)
 	}
 	p.Start(now, ii, latency)
+	// The busy ticks up to the drain reset the idle count, so the pipe's
+	// next event moves past the drain; the group's other dues hold.
+	p.due = after(p.drainAt-1, p.gate.NextEventAfterBusy())
+	g.refreshDue()
 	if sm.tracer != nil {
 		sm.tracer(sm.id, now, w.id, in.Class(), p.Cluster())
 	}
@@ -941,9 +957,9 @@ func (sm *SM) tickGating(now int64) (moved bool) {
 }
 
 // tickGroup ticks one class's controllers for cycle now, stages the inputs
-// of the cycles after it, and computes the group's next due cycle: a
+// of the cycles after it, and computes the due cycles: each pipe's
 // controller's next event (for a busy pipe, the one its idle cycles after
-// the drain reach), or the adaptive epoch end. It
+// the drain reach) and the adaptive epoch end. It
 // reports whether a controller changed what the rest of the step reads of
 // it: whether its pipe accepts work (issue) and whether it is in blackout
 // (the GATES priority switch). Other state changes only move the inputs the
@@ -966,13 +982,13 @@ func (sm *SM) tickGroup(g *gateGroup, now int64) bool {
 	if moved && g.coord != nil {
 		sm.smState.AllBlackout[g.class] = g.coord.AllInBlackout()
 	}
-	due := int64(math.MaxInt64)
+	g.epochEnd = math.MaxInt64
 	if g.adapt != nil {
 		// Feed the cycle's critical-wakeup delta to the adaptive window.
 		cur := sumCriticals(g.pipes)
 		g.adapt.Tick(int(cur - g.prevCrit))
 		g.prevCrit = cur
-		due = after(now, g.adapt.NextEpochEnd())
+		g.epochEnd = after(now, g.adapt.NextEpochEnd())
 	}
 	if changed {
 		sm.stageInputs(g)
@@ -980,9 +996,10 @@ func (sm *SM) tickGroup(g *gateGroup, now int64) bool {
 	for _, p := range g.pipes {
 		// A busy pipe's controller is active with its idle count at zero,
 		// as it will be when the drain starts the count.
-		due = min(due, after(max(now, p.drainAt-1), p.gate.NextEvent(false)))
+		p.due = after(max(now, p.drainAt-1), p.gate.NextEvent(false))
 	}
-	g.settled, g.due = now+1, due
+	g.settled = now + 1
+	g.refreshDue()
 	return moved
 }
 

@@ -3,6 +3,8 @@ package stats
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -148,7 +150,7 @@ func checkAgainstModel(t *testing.T, step string, h *Histogram, ref refHistogram
 		t.Fatalf("%s: histogram with one more observation is Equal", step)
 	}
 
-	wire := histogramJSON{Values: vals, Counts: make([]uint64, len(vals))}
+	wire := refHistogramJSON{Values: vals, Counts: make([]uint64, len(vals))}
 	for i, v := range vals {
 		wire.Counts[i] = ref[v]
 	}
@@ -170,10 +172,10 @@ func checkAgainstModel(t *testing.T, step string, h *Histogram, ref refHistogram
 	}
 }
 
-// TestHistogramMatchesMapModel drives random Add/AddN/Merge sequences over
-// a few histograms, including merges into an empty histogram and of a
-// histogram into itself, and checks every accessor against a map model
-// after each step.
+// TestHistogramMatchesMapModel drives random Add/AddN/Merge/Pack sequences
+// over a few histograms, including merges into an empty histogram, of a
+// histogram into itself and from a packed histogram, and checks every
+// accessor of both forms against a map model after each step.
 func TestHistogramMatchesMapModel(t *testing.T) {
 	const pool, steps = 3, 60
 	for seed := uint64(1); seed <= 100; seed++ {
@@ -186,7 +188,7 @@ func TestHistogramMatchesMapModel(t *testing.T) {
 		for step := 0; step < steps; step++ {
 			i := rng.Intn(pool)
 			var op string
-			switch rng.Intn(8) {
+			switch rng.Intn(9) {
 			case 0, 1, 2:
 				op = "Add"
 				v := randValue(rng)
@@ -218,18 +220,88 @@ func TestHistogramMatchesMapModel(t *testing.T) {
 				for k, v := range src {
 					refs[i].addN(v, counts[k])
 				}
-			default:
+			case 7:
 				op = "Merge self"
 				hs[i].Merge(hs[i])
 				for v, c := range refs[i] {
 					refs[i][v] = 2 * c
 				}
+			default:
+				// Add an entry at the int and uint64 extremes, check a
+				// packed copy, then merge the packed copy into another
+				// histogram of the pool.
+				op = "Pack"
+				v, n := math.MaxInt-rng.Intn(3), math.MaxUint64-uint64(rng.Intn(3))
+				hs[i].AddN(v, n)
+				refs[i].addN(v, n)
+				packed := NewHistogram()
+				packed.Merge(hs[i])
+				packed.Pack()
+				if !packed.Packed() || hs[i].Packed() {
+					t.Fatalf("Pack: Packed() = %v for the copy and %v for the source", packed.Packed(), hs[i].Packed())
+				}
+				checkAgainstModel(t, op, packed, refs[i], rng)
+				packed.Pack() // a second Pack does nothing
+				checkAgainstModel(t, "Pack again", packed, refs[i], rng)
+				j := rng.Intn(pool)
+				hs[j].Merge(packed)
+				for v, c := range refs[i] {
+					refs[j].addN(v, c)
+				}
+				checkAgainstModel(t, "Merge packed", hs[j], refs[j], rng)
 			}
 			checkAgainstModel(t, op, hs[i], refs[i], rng)
 		}
 	}
 }
 
+// refHistogramJSON and refUnmarshal are the reflective decoder that
+// UnmarshalJSON replaced, kept as the reference FuzzHistogramJSON checks it
+// against.
+type refHistogramJSON struct {
+	Values []int    `json:"values"`
+	Counts []uint64 `json:"counts"`
+}
+
+func refUnmarshal(data []byte) (*Histogram, error) {
+	var dec refHistogramJSON
+	if err := json.Unmarshal(data, &dec); err != nil {
+		return nil, err
+	}
+	if len(dec.Values) != len(dec.Counts) {
+		return nil, fmt.Errorf("%d values but %d counts", len(dec.Values), len(dec.Counts))
+	}
+	var total, sum, carry uint64
+	for i, v := range dec.Values {
+		if v < 0 {
+			return nil, fmt.Errorf("negative value %d", v)
+		}
+		if i > 0 && v <= dec.Values[i-1] {
+			return nil, fmt.Errorf("value %d after %d", v, dec.Values[i-1])
+		}
+		c := dec.Counts[i]
+		if c == 0 {
+			return nil, fmt.Errorf("zero count for value %d", v)
+		}
+		if total, carry = bits.Add64(total, c, 0); carry != 0 {
+			return nil, fmt.Errorf("total overflows at value %d", v)
+		}
+		hi, lo := bits.Mul64(uint64(v), c)
+		if sum, carry = bits.Add64(sum, lo, 0); hi != 0 || carry != 0 {
+			return nil, fmt.Errorf("sum overflows at value %d", v)
+		}
+	}
+	h := NewHistogram()
+	for i, v := range dec.Values {
+		h.AddN(v, dec.Counts[i])
+	}
+	return h, nil
+}
+
+// FuzzHistogramJSON checks UnmarshalJSON against the reflective reference:
+// it never accepts bytes the reference rejects, it decodes what both accept
+// to the same histogram, and it accepts the canonical encoding of whatever
+// the reference accepts. What it accepts re-encodes stably.
 func FuzzHistogramJSON(f *testing.F) {
 	for _, body := range malformedHistogramJSON {
 		f.Add([]byte(body))
@@ -237,9 +309,29 @@ func FuzzHistogramJSON(f *testing.F) {
 	f.Add([]byte(`{"values":[1,7,100],"counts":[5,3,1]}`))
 	f.Add([]byte(`{"values":[],"counts":[]}`))
 	f.Add([]byte(`{"values":null,"counts":null}`))
+	f.Add([]byte(` { "counts" : [ 2 , 1 ] , "values" : [ 0 , 9223372036854775807 ] } `))
+	f.Add([]byte(`{"values":[-0,1],"counts":[1,18446744073709551614]}`))
+	f.Add([]byte(`{"Values":[1],"counts":[1]}`))
+	f.Add([]byte(`{"values":[1],"counts":[1],"extra":{}}`))
+	f.Add([]byte(`{"values":[1.0],"counts":[1e0]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		ref, refErr := refUnmarshal(data)
 		h := NewHistogram()
-		if err := h.UnmarshalJSON(data); err != nil {
+		err := h.UnmarshalJSON(data)
+		if err == nil && refErr != nil {
+			t.Fatalf("accepted %q, which the reference rejects: %v", data, refErr)
+		}
+		if err == nil && !h.Equal(ref) {
+			t.Fatalf("%q decodes to %s, the reference to %s", data, h, ref)
+		}
+		if refErr == nil {
+			canon, _ := ref.MarshalJSON()
+			again := NewHistogram()
+			if err := again.UnmarshalJSON(canon); err != nil || !again.Equal(ref) {
+				t.Fatalf("canonical %s of accepted %q does not decode back: %v", canon, data, err)
+			}
+		}
+		if err != nil {
 			return
 		}
 		first, err := h.MarshalJSON()

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -279,5 +281,69 @@ func TestHistogramEqual(t *testing.T) {
 	a.Add(6)
 	if a.Equal(b) {
 		t.Fatal("same totals, different values reported equal")
+	}
+}
+
+func TestHistogramUnmarshalAllocatesOnce(t *testing.T) {
+	src := NewHistogram()
+	for v := 0; v < 300; v++ {
+		src.AddN(v*v%4000, uint64(1+v%250))
+	}
+	data, err := src.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := NewHistogram()
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := h.UnmarshalJSON(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("UnmarshalJSON of a canonical histogram: %v allocations, want at most 1", allocs)
+	}
+	if !h.Equal(src) || !h.Packed() {
+		t.Fatalf("decoded %s (packed %v), want %s packed", h, h.Packed(), src)
+	}
+}
+
+func TestHistogramPackedIsReadOnly(t *testing.T) {
+	other := NewHistogram()
+	other.Add(1)
+	for name, write := range map[string]func(h *Histogram){
+		"Add":     func(h *Histogram) { h.Add(3) },
+		"AddN":    func(h *Histogram) { h.AddN(3, 0) },
+		"Merge":   func(h *Histogram) { h.Merge(other) },
+		"MergeIn": func(h *Histogram) { h.Merge(h) },
+	} {
+		h := NewHistogram()
+		h.Add(2)
+		h.Pack()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s into a packed histogram did not panic", name)
+				}
+			}()
+			write(h)
+		}()
+	}
+}
+
+func TestHistogramEach(t *testing.T) {
+	h := NewHistogram()
+	h.AddN(9, 2)
+	h.Add(0)
+	h.AddN(300, 7)
+	want := "0:1 9:2 300:7 "
+	for _, packed := range []bool{false, true} {
+		if packed {
+			h.Pack()
+		}
+		var got strings.Builder
+		h.Each(func(v int, n uint64) { fmt.Fprintf(&got, "%d:%d ", v, n) })
+		if got.String() != want {
+			t.Fatalf("Each (packed %v) = %q, want %q", packed, got.String(), want)
+		}
 	}
 }
