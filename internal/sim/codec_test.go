@@ -45,6 +45,11 @@ func TestReportCodecRoundtrip(t *testing.T) {
 		if d.IdlePeriods == nil {
 			t.Fatalf("domain %s decoded with nil IdlePeriods", c)
 		}
+		// Both are published, so both must already be packed.
+		if !d.IdlePeriods.Packed() || !w.IdlePeriods.Packed() {
+			t.Fatalf("domain %s: decoded histogram packed %v, simulated %v; want both packed",
+				c, d.IdlePeriods.Packed(), w.IdlePeriods.Packed())
+		}
 		if !d.IdlePeriods.Equal(w.IdlePeriods) {
 			t.Fatalf("domain %s idle-period histogram drifted through the codec", c)
 		}
@@ -72,6 +77,21 @@ func TestReportCodecRejectsForeignVersion(t *testing.T) {
 	}
 	if _, err := DecodeReport(nil); err == nil {
 		t.Fatal("empty payload accepted")
+	}
+
+}
+
+// TestDecodeReportFillsMissingHistograms: a stored report without idle
+// histograms decodes with empty packed ones, as a simulated report has.
+func TestDecodeReportFillsMissingHistograms(t *testing.T) {
+	rep, err := DecodeReport([]byte(`{"version":1,"report":{}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := range rep.Domains {
+		if h := rep.Domains[c].IdlePeriods; h == nil || !h.Packed() || h.Total() != 0 {
+			t.Fatalf("domain %d: %v, want an empty packed histogram", c, h)
+		}
 	}
 }
 
