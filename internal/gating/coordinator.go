@@ -39,17 +39,21 @@ func (co *Coordinator) PreTick(actv int) {
 	if co.kind != config.GateCoordBlackout {
 		return // only Coordinated Blackout modulates the idle-detect rule
 	}
+	gated := 0
+	for _, c := range co.ctrls {
+		if c.Gated() {
+			gated++
+		}
+	}
 	for i, c := range co.ctrls {
 		if !c.CanIssue() && !c.Gated() {
 			continue // waking up: no gating decision to make
 		}
-		peerGated := false
-		for j, p := range co.ctrls {
-			if j != i && p.Gated() {
-				peerGated = true
-				break
-			}
+		peers := gated
+		if c.Gated() {
+			peers--
 		}
+		peerGated := peers > 0
 		switch {
 		case peerGated && actv == 0:
 			// No warp of this type is even waiting: gate the second
