@@ -52,9 +52,12 @@ func NewAdaptiveIdleDetect(cfg config.Config) *AdaptiveIdleDetect {
 	return a
 }
 
-// Value returns the current idle-detect window; Controllers take this method
-// as their idleDetect closure.
+// Value returns the current idle-detect window, which the Controllers built
+// on a reads every cycle.
 func (a *AdaptiveIdleDetect) Value() int { return a.value }
+
+// FixedIdleDetect returns an idle-detect window that never adapts: v cycles.
+func FixedIdleDetect(v int) *AdaptiveIdleDetect { return &AdaptiveIdleDetect{value: v} }
 
 // Tick advances one cycle, folding in the number of critical wakeups the
 // type's clusters saw this cycle.

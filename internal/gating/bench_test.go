@@ -7,7 +7,7 @@ import (
 )
 
 func BenchmarkControllerTick(b *testing.B) {
-	c := NewController(config.GateCoordBlackout, func() int { return 5 }, 14, 3)
+	c := NewController(config.GateCoordBlackout, FixedIdleDetect(5), 14, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		busy := i%7 < 2 && c.State() == StActive
@@ -19,8 +19,8 @@ func BenchmarkControllerTick(b *testing.B) {
 }
 
 func BenchmarkCoordinatorPreTick(b *testing.B) {
-	x := NewController(config.GateCoordBlackout, func() int { return 5 }, 14, 3)
-	y := NewController(config.GateCoordBlackout, func() int { return 5 }, 14, 3)
+	x := NewController(config.GateCoordBlackout, FixedIdleDetect(5), 14, 3)
+	y := NewController(config.GateCoordBlackout, FixedIdleDetect(5), 14, 3)
 	co := NewCoordinator(config.GateCoordBlackout, x, y)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
