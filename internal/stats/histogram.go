@@ -61,6 +61,50 @@ func (h *Histogram) AddN(v int, n uint64) {
 	h.sum += uint64(v) * n
 }
 
+// AddCounts records counts[v] observations of each value v, as AddN(v,
+// counts[v]) for every v would, in one merge pass that allocates at most
+// once.
+func (h *Histogram) AddCounts(counts []uint64) {
+	h.mustBeOpen()
+	union, i := len(h.vals), 0
+	for v, n := range counts {
+		if n == 0 {
+			continue
+		}
+		for i < len(h.vals) && h.vals[i] < v {
+			i++
+		}
+		if i == len(h.vals) || h.vals[i] != v {
+			union++
+		}
+		h.total += n
+		h.sum += uint64(v) * n
+	}
+	vals, cs := h.vals[:0], h.counts[:0] // in place when no value is new
+	if union > len(h.vals) {
+		vals, cs = make([]int, 0, union), make([]uint64, 0, union)
+	}
+	// In place, entry i of h is read before slot i is written.
+	i = 0
+	for v, n := range counts {
+		if n == 0 {
+			continue
+		}
+		for ; i < len(h.vals) && h.vals[i] < v; i++ {
+			vals, cs = append(vals, h.vals[i]), append(cs, h.counts[i])
+		}
+		if i < len(h.vals) && h.vals[i] == v {
+			n += h.counts[i]
+			i++
+		}
+		vals, cs = append(vals, v), append(cs, n)
+	}
+	for ; i < len(h.vals); i++ {
+		vals, cs = append(vals, h.vals[i]), append(cs, h.counts[i])
+	}
+	h.vals, h.counts = vals, cs
+}
+
 // mustBeOpen panics when h is packed: a finished histogram is read-only.
 func (h *Histogram) mustBeOpen() {
 	if h.packed != nil {

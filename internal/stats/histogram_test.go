@@ -2,6 +2,7 @@ package stats
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -344,6 +345,37 @@ func TestHistogramEach(t *testing.T) {
 		h.Each(func(v int, n uint64) { fmt.Fprintf(&got, "%d:%d ", v, n) })
 		if got.String() != want {
 			t.Fatalf("Each (packed %v) = %q, want %q", packed, got.String(), want)
+		}
+	}
+}
+
+// TestAddCountsMatchesAddN checks AddCounts against one AddN per value over
+// random count arrays merged into random histograms, including arrays whose
+// values all exist already (the in-place path) and empty ones.
+func TestAddCountsMatchesAddN(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 500; trial++ {
+		got, want := NewHistogram(), NewHistogram()
+		for i, n := 0, rng.Intn(20); i < n; i++ {
+			v, k := rng.Intn(300), uint64(1+rng.Intn(5))
+			got.AddN(v, k)
+			want.AddN(v, k)
+		}
+		counts := make([]uint64, rng.Intn(300))
+		for v := range counts {
+			switch {
+			case trial%3 == 0 && got.Count(v) == 0:
+				// Only values the histogram holds: merged in place.
+			case rng.Intn(4) == 0:
+				counts[v] = uint64(rng.Intn(1000))
+			}
+		}
+		for v, k := range counts {
+			want.AddN(v, k)
+		}
+		got.AddCounts(counts)
+		if !got.Equal(want) || got.Total() != want.Total() || got.Sum() != want.Sum() {
+			t.Fatalf("trial %d: AddCounts gave %s, want %s", trial, got, want)
 		}
 	}
 }
