@@ -102,3 +102,65 @@ func TestOrderMatchesListArrangement(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestOrderSkipCountsPassedWarps checks the skipping walk against visiting
+// every warp: at random points of a walk, random masks are skipped under
+// either kind, and Next must return exactly the full walk's warps outside
+// them while Passed counts, per kind, the skipped warps the full walk
+// visits before the warp Next returned last (all of them once it returns
+// -1), a warp in both masks counting under kind 0.
+func TestOrderSkipCountsPassedWarps(t *testing.T) {
+	f := func(ready, slot uint64, classes [64]uint8, lastRaw uint8, masks [6]uint64, at [6]uint8, kinds uint8, gates bool) bool {
+		last := int(lastRaw%65) - 1
+		var readyCls [isa.NumClasses]uint64
+		for i := 0; i < 64; i++ {
+			if bit := uint64(1) << uint(i); ready&bit != 0 {
+				readyCls[classes[i]%uint8(isa.NumClasses)] |= bit
+			}
+		}
+		var p Policy = &TwoLevel{roundRobin{last: last}}
+		if gates {
+			p = &GATES{roundRobin: roundRobin{last: last}, highIsINT: true}
+		}
+		full := walk(p, &readyCls, slot)
+		var o Order
+		p.Order(&o, &readyCls, slot)
+		var skip [2]uint64
+		var want [2]int
+		step, k := 0, 0 // full-walk position, next mask to apply
+		for {
+			for ; k < len(masks) && int(at[k])%(len(full)+1) <= step; k++ {
+				kind := int(kinds>>uint(k)) & 1
+				o.Skip(kind, masks[k])
+				skip[kind] |= masks[k]
+			}
+			got := o.Next()
+			// The reference: visit the full walk until a warp not skipped.
+			for ; step < len(full); step++ {
+				w := uint64(1) << uint(full[step])
+				if skip[0]&w != 0 {
+					want[0]++
+				} else if skip[1]&w != 0 {
+					want[1]++
+				} else {
+					break
+				}
+			}
+			ref := -1
+			if step < len(full) {
+				ref = full[step]
+				step++
+			}
+			if got != ref || o.Passed(0) != want[0] || o.Passed(1) != want[1] {
+				t.Logf("%s: Next %d, want %d; passed %d/%d, want %d/%d", p.Name(), got, ref, o.Passed(0), o.Passed(1), want[0], want[1])
+				return false
+			}
+			if got < 0 {
+				return true
+			}
+		}
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Fatal(err)
+	}
+}

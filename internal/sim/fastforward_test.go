@@ -301,7 +301,7 @@ func TestScheduleRetirePanicsOutsideHorizon(t *testing.T) {
 					t.Errorf("scheduleRetire(now=0, at=%d) did not panic", at)
 				}
 			}()
-			sm.scheduleRetire(0, at, sm.warps[0], 1)
+			sm.scheduleRetire(0, at, &sm.warps[0], 1)
 		}()
 	}
 }
@@ -326,7 +326,7 @@ func TestScheduleRetireFarFuture(t *testing.T) {
 	for sm.retireCount > 0 {
 		sm.step(sm.skipUntil)
 	}
-	w := sm.warps[0]
+	w := &sm.warps[0]
 	const bit = uint64(1) << 5
 	for _, ahead := range []int64{5000, 1 << 20} {
 		now := sm.skipUntil
