@@ -177,7 +177,7 @@ func (s *sampler) boundary() {
 // would drift) and a plain loop-body kernel (microkernels with PerWarpSlice
 // have one instruction per warp and nothing representative to skip).
 func (s *sampler) splice(sm *SM, budget float64) uint64 {
-	k := sm.kernel
+	k := sm.prog.kernel
 	conc := len(sm.ctaLive)
 	if k.PerWarpSlice || len(sm.warps) != conc*k.WarpsPerCTA {
 		return 0
