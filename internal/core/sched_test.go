@@ -6,7 +6,6 @@ import (
 	"os"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -151,34 +150,6 @@ func schedRunner(par int) *Runner {
 	return r
 }
 
-// TestRunManyWorkerShapesMatchSerial is the job schedule's correctness
-// contract: the same batch run at several job-level worker counts (LPT
-// dispatch) produces fingerprint-identical reports in identical positions to
-// a serial loop (Parallelism=1). Fresh runners per count, so nothing is
-// shared through a cache.
-func TestRunManyWorkerShapesMatchSerial(t *testing.T) {
-	jobs := TechniqueJobs(config.Small(), kernels.BenchmarkNames, Baseline, WarpedGates)
-	serial, err := schedRunner(1).RunMany(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{2, 4, 8} {
-		got, err := schedRunner(par).RunMany(jobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(serial) {
-			t.Fatalf("-j %d: %d reports, want %d", par, len(got), len(serial))
-		}
-		for i := range jobs {
-			if f, g := FingerprintReport(serial[i]), FingerprintReport(got[i]); f != g {
-				t.Errorf("-j %d %s/%s: fingerprint diverged\nserial: %s\ngot:    %s",
-					par, jobs[i].Bench, jobs[i].Cfg.Gating, f, g)
-			}
-		}
-	}
-}
-
 // TestRunManyFailFast pins the doomed-job ordering: a job that cannot pass
 // validation sorts ahead of every simulation under LPT, so the batch fails
 // in milliseconds instead of after the longest cell.
@@ -196,41 +167,5 @@ func TestRunManyFailFast(t *testing.T) {
 	}
 	if d := time.Since(t0); d > 5*time.Second {
 		t.Fatalf("doomed job took %v to surface — LPT buried it behind simulations", d)
-	}
-}
-
-// TestGoldenMatrixSchedStable is the byte-stability acceptance check for the
-// job schedule: the full 108-cell corpus renders identically at several
-// job-level worker counts (LPT dispatch) and serially (Parallelism=1). The
-// committed corpus itself is pinned by TestGoldenMatrixCorpus; this proves
-// the worker count cannot move a byte.
-func TestGoldenMatrixSchedStable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("repeated full matrices are slow; skipped with -short")
-	}
-	corpus := func(par int) string {
-		r := NewRunner(config.Small())
-		r.Scale = goldenMatrixScale
-		r.Parallelism = par
-		got, err := goldenCorpus(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	want := corpus(1)
-	for _, par := range []int{8, 4, 3} {
-		got := corpus(par)
-		if got == want {
-			continue
-		}
-		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
-		for i := 0; i < len(gl) && i < len(wl); i++ {
-			if gl[i] != wl[i] {
-				t.Fatalf("-j %d corpus drifted; first diff at line %d:\n  serial: %s\n  got:    %s",
-					par, i+1, wl[i], gl[i])
-			}
-		}
-		t.Fatalf("-j %d corpus drifted: length mismatch", par)
 	}
 }

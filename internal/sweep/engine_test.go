@@ -86,53 +86,15 @@ func TestSweepEndToEndStoreDedup(t *testing.T) {
 		t.Fatalf("row counts differ: %d vs %d", len(rep1.Results), len(rep2.Results))
 	}
 	for i := range rep1.Results {
-		a, b := rep1.Results[i], rep2.Results[i]
-		if a.Key != b.Key || a.Cycles != b.Cycles || a.Issued != b.Issued {
+		// Whole rows: a store replay must match a fresh run in Err,
+		// Sampled and SampleErrorEst too, not only the counters.
+		if a, b := rep1.Results[i], rep2.Results[i]; a != b {
 			t.Fatalf("row %d differs between runs:\n%+v\n%+v", i, a, b)
 		}
 	}
 	t.Logf("sweep: %d cells, first run %v (%d sims), re-run %v (%d store hits)",
 		rep1.Cells, rep1.WallTime.Round(time.Millisecond), rep1.Simulated,
 		rep2.WallTime.Round(time.Millisecond), rep2.StoreHits)
-}
-
-// TestSweepWorkerShapesIdentical is the job schedule's acceptance check at
-// sweep scale: the full 864-cell grid produces row-for-row identical reports
-// at several job-level worker counts (LPT dispatch) and serially
-// (Parallelism=1). Cold engines, no store — every run simulates everything — so equality is a
-// property of the simulations, not a shared cache.
-func TestSweepWorkerShapesIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("hundreds of cells per shape; skipped with -short")
-	}
-	run := func(par int) *Report {
-		e := &Engine{Base: sweepBase(), Parallelism: par}
-		rep, err := e.Run(context.Background(), bigSpec(), 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Failed > 0 {
-			t.Fatalf("par=%d: %d cells failed", par, rep.Failed)
-		}
-		return rep
-	}
-	want := run(1)
-	if want.Cells < 500 {
-		t.Fatalf("grid has %d cells, want >= 500", want.Cells)
-	}
-	for _, par := range []int{4, 8} {
-		got := run(par)
-		if len(got.Results) != len(want.Results) {
-			t.Fatalf("par=%d: %d rows, want %d", par, len(got.Results), len(want.Results))
-		}
-		for i := range want.Results {
-			a, b := want.Results[i], got.Results[i]
-			if a.Key != b.Key || a.Cycles != b.Cycles || a.Issued != b.Issued || a.Err != b.Err {
-				t.Fatalf("par=%d row %d differs:\nserial: %+v\ngot:    %+v",
-					par, i, a, b)
-			}
-		}
-	}
 }
 
 // TestSweepShardsComposeToWholeGrid runs the same spec as three separate
