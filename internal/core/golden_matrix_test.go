@@ -99,3 +99,32 @@ func checkGolden(t *testing.T, path, got, name string) {
 	}
 	t.Fatalf("%s drift: %d line(s) differ (intentional change? regenerate with: %s)", path, diffs, regen)
 }
+
+// TestGoldenMatrixParallelismStable is the byte-stability acceptance check:
+// a -j 1 and a -j 8 runner render the identical corpus. Fresh runners on both
+// sides, so nothing is served from a shared cache.
+func TestGoldenMatrixParallelismStable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("serial full matrix is slow; skipped with -short")
+	}
+	corpus := func(par int) string {
+		r := goldenRunner()
+		r.Parallelism = par
+		got, err := goldenCorpus(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	serial, parallel := corpus(1), corpus(8)
+	if serial != parallel {
+		sl, pl := strings.Split(serial, "\n"), strings.Split(parallel, "\n")
+		for i := 0; i < len(sl) && i < len(pl); i++ {
+			if sl[i] != pl[i] {
+				t.Fatalf("corpus not byte-stable across -j 1 vs -j 8; first diff at line %d:\n  -j 1: %s\n  -j 8: %s",
+					i+1, sl[i], pl[i])
+			}
+		}
+		t.Fatal("corpus not byte-stable across -j 1 vs -j 8 (length mismatch)")
+	}
+}

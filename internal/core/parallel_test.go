@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -59,6 +60,58 @@ func TestRunnerSingleflight(t *testing.T) {
 	}
 	if r.CacheSize() != 1 {
 		t.Fatalf("cache size = %d, want 1", r.CacheSize())
+	}
+}
+
+// TestRunManyDeterministic runs the suite in parallel twice and serially
+// once (a Parallelism = 1 runner), asserting identical reports in identical
+// order, a cache holding exactly one entry per unique key, and exactly-once
+// simulation.
+func TestRunManyDeterministic(t *testing.T) {
+	var simsP atomic.Int64
+	par := countingRunner(&simsP)
+	par.Parallelism = 8
+	jobs := TechniqueJobs(par.Base, kernels.BenchmarkNames, Baseline)
+	p1, err := par.RunMany(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := par.RunMany(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var simsS atomic.Int64
+	ser := countingRunner(&simsS)
+	ser.Parallelism = 1
+	s1, err := ser.RunMany(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want := len(kernels.BenchmarkNames)
+	if len(p1) != want || len(s1) != want {
+		t.Fatalf("lengths %d/%d, want %d", len(p1), len(s1), want)
+	}
+	for i, b := range kernels.BenchmarkNames {
+		// Second parallel pass must be served from cache: same pointers.
+		if p1[i] != p2[i] {
+			t.Fatalf("%s: repeated parallel run not served from cache", b)
+		}
+		// Parallel and serial runners simulate independently, so compare
+		// values: every field of every report must match exactly.
+		if !reflect.DeepEqual(p1[i], s1[i]) {
+			t.Fatalf("%s: parallel report differs from serial report:\n%v\nvs\n%v", b, p1[i], s1[i])
+		}
+	}
+	if n := simsP.Load(); n != int64(want) {
+		t.Fatalf("parallel runner simulated %d times, want exactly %d", n, want)
+	}
+	if par.CacheSize() != want {
+		t.Fatalf("parallel cache size = %d, want %d unique keys", par.CacheSize(), want)
+	}
+	if ser.CacheSize() != want {
+		t.Fatalf("serial cache size = %d, want %d", ser.CacheSize(), want)
 	}
 }
 
