@@ -22,9 +22,9 @@ race:
 	$(GO) test -race ./...
 
 # The profiled bench harness: times the full benchmark × technique matrix
-# with and without the fast-forward, measures the steady-state
-# per-cycle cost (which must report 0 allocs/cycle) and the full-matrix
-# makespan through the job-level runner, and writes BENCH_sim.json.
+# one cell at a time, measures the steady-state per-cycle cost (which must
+# report 0 allocs/cycle) and the full-matrix makespan through the job-level
+# runner, and writes BENCH_sim.json.
 # bench-short is the CI-sized variant.
 bench:
 	$(GO) run ./cmd/warpedgates bench -sms 6 -scale 0.25 -out BENCH_sim.json

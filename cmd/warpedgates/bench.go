@@ -42,9 +42,8 @@ type benchReport struct {
 		AllocsPerCycle float64 `json:"allocs_per_cycle"`
 	} `json:"steady_state"`
 
-	// Cells cover the full benchmark × technique matrix with the idle
-	// fast-forward enabled; their alloc counts include device construction,
-	// amortized over the run.
+	// Cells cover the full benchmark × technique matrix; their alloc counts
+	// include device construction, amortized over the run.
 	Cells []benchCell `json:"cells"`
 
 	// Makespan is the full benchmark × technique matrix's wall time through
@@ -56,19 +55,13 @@ type benchReport struct {
 		JobWorkers int     `json:"job_workers"`
 		MS         float64 `json:"ms"`
 	} `json:"makespan"`
-
-	Totals struct {
-		FastForwardMS float64 `json:"fast_forward_ms"`
-		SteppedMS     float64 `json:"stepped_ms"`
-		Speedup       float64 `json:"speedup"`
-	} `json:"totals"`
 }
 
 // cmdBench times the full benchmark × technique matrix serially (one
 // simulation at a time, bypassing the runner's memoization so every cell is
-// really executed), measures the steady-state per-cycle cost, reruns the
-// matrix with the fast-forward disabled for the speedup baseline, and
-// writes everything as JSON.
+// really executed), measures the steady-state per-cycle cost and the
+// matrix's makespan through the job-level runner, and writes everything as
+// JSON.
 func cmdBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	sms := fs.Int("sms", 6, "number of SMs")
@@ -105,9 +98,8 @@ func cmdBench(args []string) error {
 	rep.Scale = *scale
 	rep.GOMAXPROCS = runtime.GOMAXPROCS(0)
 
-	runCell := func(bench string, tech core.Technique, disableFF bool) (benchCell, *sim.Report, config.Config, error) {
+	runCell := func(bench string, tech core.Technique) (benchCell, *sim.Report, config.Config, error) {
 		cfg := tech.Apply(base)
-		cfg.DisableFastForward = disableFF
 		k := kernels.MustBenchmark(bench).Scale(*scale)
 		runtime.GC()
 		var m0, m1 runtime.MemStats
@@ -156,26 +148,13 @@ func cmdBench(args []string) error {
 		len(kernels.BenchmarkNames), len(techs), *sms, *scale)
 	for _, bench := range kernels.BenchmarkNames {
 		for _, tech := range techs {
-			cell, r, cfg, err := runCell(bench, tech, false)
+			cell, r, cfg, err := runCell(bench, tech)
 			if err != nil {
 				return err
 			}
 			commitCell(bench, cfg, r)
 			rep.Cells = append(rep.Cells, cell)
-			rep.Totals.FastForwardMS += cell.WallMS
 		}
-	}
-	for _, bench := range kernels.BenchmarkNames {
-		for _, tech := range techs {
-			cell, _, _, err := runCell(bench, tech, true)
-			if err != nil {
-				return err
-			}
-			rep.Totals.SteppedMS += cell.WallMS
-		}
-	}
-	if rep.Totals.FastForwardMS > 0 {
-		rep.Totals.Speedup = rep.Totals.SteppedMS / rep.Totals.FastForwardMS
 	}
 
 	// Makespan: the full matrix through the job-level runner on a fresh
@@ -221,8 +200,6 @@ func cmdBench(args []string) error {
 		return err
 	}
 	fmt.Printf("steady state: %.0f ns/cycle, %g allocs/cycle\n", ns, allocs)
-	fmt.Printf("matrix: fast-forward %.0f ms, stepped %.0f ms, speedup %.2fx\n",
-		rep.Totals.FastForwardMS, rep.Totals.SteppedMS, rep.Totals.Speedup)
 	fmt.Printf("makespan (%d jobs, %d job workers): %.0f ms\n",
 		rep.Makespan.Jobs, rep.Makespan.JobWorkers, rep.Makespan.MS)
 	fmt.Printf("wrote %s (%d cells)\n", *out, len(rep.Cells))

@@ -40,16 +40,21 @@ func cmdBenchcmp(args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("benchcmp wants exactly two arguments: OLD.json NEW.json (or -history DIR)")
 	}
-	oldRep, err := readBenchReport(args[0])
+	return benchcmpPair(os.Stdout, args[0], args[1])
+}
+
+// benchcmpPair renders the two-file comparison of cmdBenchcmp to w.
+func benchcmpPair(w io.Writer, oldPath, newPath string) error {
+	oldRep, err := readBenchReport(oldPath)
 	if err != nil {
 		return err
 	}
-	newRep, err := readBenchReport(args[1])
+	newRep, err := readBenchReport(newPath)
 	if err != nil {
 		return err
 	}
 	if oldRep.SMs != newRep.SMs || oldRep.Scale != newRep.Scale || oldRep.GOMAXPROCS != newRep.GOMAXPROCS {
-		fmt.Printf("note: machine mismatch — old sms=%d scale=%g cores=%d, new sms=%d scale=%g cores=%d; speedups conflate code and configuration\n",
+		fmt.Fprintf(w, "note: machine mismatch — old sms=%d scale=%g cores=%d, new sms=%d scale=%g cores=%d; speedups conflate code and configuration\n",
 			oldRep.SMs, oldRep.Scale, oldRep.GOMAXPROCS, newRep.SMs, newRep.Scale, newRep.GOMAXPROCS)
 	}
 
@@ -59,13 +64,13 @@ func cmdBenchcmp(args []string) error {
 		oldCells[cellKey{c.Bench, c.Technique}] = c
 	}
 
-	t := stats.NewTable(fmt.Sprintf("bench comparison: %s -> %s", args[0], args[1]),
+	t := stats.NewTable(fmt.Sprintf("bench comparison: %s -> %s", oldPath, newPath),
 		"benchmark", "technique", "old ms", "new ms", "speedup", "old ns/cyc", "new ns/cyc")
 	matched := 0
 	for _, nc := range newRep.Cells {
 		oc, ok := oldCells[cellKey{nc.Bench, nc.Technique}]
 		if !ok {
-			fmt.Printf("note: %s/%s only in %s\n", nc.Bench, nc.Technique, args[1])
+			fmt.Fprintf(w, "note: %s/%s only in %s\n", nc.Bench, nc.Technique, newPath)
 			continue
 		}
 		delete(oldCells, cellKey{nc.Bench, nc.Technique})
@@ -79,28 +84,27 @@ func cmdBenchcmp(args []string) error {
 		t.AddRowf(nc.Bench, nc.Technique, oc.WallMS, nc.WallMS, speedup, oc.NsPerCycle, nc.NsPerCycle)
 	}
 	for k := range oldCells {
-		fmt.Printf("note: %s/%s only in %s\n", k.bench, k.tech, args[0])
+		fmt.Fprintf(w, "note: %s/%s only in %s\n", k.bench, k.tech, oldPath)
 	}
-	fmt.Println(t)
+	fmt.Fprintln(w, t)
 
 	if o, n := oldRep.SteadyState, newRep.SteadyState; o.NsPerCycle > 0 && n.NsPerCycle > 0 {
-		fmt.Printf("steady state: %.0f -> %.0f ns/cycle (%.2fx), %g -> %g allocs/cycle\n",
+		fmt.Fprintf(w, "steady state: %.0f -> %.0f ns/cycle (%.2fx), %g -> %g allocs/cycle\n",
 			o.NsPerCycle, n.NsPerCycle, o.NsPerCycle/n.NsPerCycle, o.AllocsPerCycle, n.AllocsPerCycle)
 	}
-	if o, n := oldRep.Totals, newRep.Totals; o.FastForwardMS > 0 && n.FastForwardMS > 0 {
-		fmt.Printf("matrix wall: %.0f -> %.0f ms (%.2fx)\n",
-			o.FastForwardMS, n.FastForwardMS, o.FastForwardMS/n.FastForwardMS)
+	if o, n := oldRep.matrixWallMS(), newRep.matrixWallMS(); o > 0 && n > 0 {
+		fmt.Fprintf(w, "matrix wall: %.0f -> %.0f ms (%.2fx)\n", o, n, o/n)
 	}
 	for _, which := range []struct {
 		name string
 		rep  *benchReport
-	}{{args[0], oldRep}, {args[1], newRep}} {
+	}{{oldPath, oldRep}, {newPath, newRep}} {
 		if m := which.rep.Makespan; m.MS > 0 {
-			fmt.Printf("makespan in %s (%d cores, %d jobs): %.0f ms\n",
+			fmt.Fprintf(w, "makespan in %s (%d cores, %d jobs): %.0f ms\n",
 				which.name, which.rep.GOMAXPROCS, m.Jobs, m.MS)
 		}
 	}
-	fmt.Printf("compared %d cells\n", matched)
+	fmt.Fprintf(w, "compared %d cells\n", matched)
 	return nil
 }
 
@@ -198,6 +202,15 @@ func benchcmpHistory(w io.Writer, dir string, regressPct float64) error {
 			labels[len(labels)-1], newest, regressPct, bestLabel, best)
 	}
 	return nil
+}
+
+// matrixWallMS is the serial matrix's wall time, summed over its cells.
+func (r *benchReport) matrixWallMS() float64 {
+	var ms float64
+	for _, c := range r.Cells {
+		ms += c.WallMS
+	}
+	return ms
 }
 
 // readBenchReport loads one BENCH_sim.json payload.

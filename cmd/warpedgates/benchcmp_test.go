@@ -217,6 +217,52 @@ func TestBenchcmpHistoryCommittedSnapshots(t *testing.T) {
 	}
 }
 
+// TestBenchcmpMatrixWall: the matrix wall line sums the cells' wall times,
+// so a snapshot that still carries the retired "totals" block (fast-forward
+// and stepped matrix times) compares with one that does not.
+func TestBenchcmpMatrixWall(t *testing.T) {
+	withCell := func(rep *benchReport, wallMS float64) *benchReport {
+		rep.Cells = append(rep.Cells, benchCell{
+			Bench: "nw", Technique: "WarpedGates", Cycles: 50000, WallMS: wallMS, NsPerCycle: wallMS * 20,
+		})
+		return rep
+	}
+	dir := t.TempDir()
+	data, err := json.Marshal(withCell(historyReport(500, 900), 30)) // 90 + 30 ms
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old map[string]any
+	if err := json.Unmarshal(data, &old); err != nil {
+		t.Fatal(err)
+	}
+	old["totals"] = map[string]float64{"fast_forward_ms": 120, "stepped_ms": 200, "speedup": 200.0 / 120}
+	if data, err = json.Marshal(old); err != nil {
+		t.Fatal(err)
+	}
+	oldPath := filepath.Join(dir, "old.json")
+	if err := os.WriteFile(oldPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = json.Marshal(withCell(historyReport(450, 600), 20)); err != nil { // 60 + 20 ms
+		t.Fatal(err)
+	}
+	newPath := filepath.Join(dir, "new.json")
+	if err := os.WriteFile(newPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out strings.Builder
+	if err := benchcmpPair(&out, oldPath, newPath); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"matrix wall: 120 -> 80 ms (1.50x)", "compared 2 cells"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("comparison missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
 // TestExitCode pins the error → exit status mapping main uses.
 func TestExitCode(t *testing.T) {
 	if got := exitCode(nil); got != 0 {

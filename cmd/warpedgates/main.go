@@ -23,8 +23,8 @@
 //	    checker attached and fail on any violation.
 //
 //	warpedgates bench [-sms 6] [-scale 0.25] [-out BENCH_sim.json]
-//	    Time the benchmark x technique matrix (fast-forward on and off) and
-//	    the steady-state per-cycle cost, writing the results as JSON.
+//	    Time the benchmark x technique matrix, the steady-state per-cycle
+//	    cost and the matrix's makespan, writing the results as JSON.
 //
 //	warpedgates characterize
 //	    Print the benchmark suite's workload characterization.

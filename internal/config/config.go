@@ -133,14 +133,6 @@ type Config struct {
 	// config, so keeping it leaves stored and served report bytes unchanged.
 	// It is not part of the experiment runner's cache key.
 	IntraRunWorkers int
-	// DisableFastForward turns off the event-driven step: every SM steps
-	// every cycle and ticks every gating controller every cycle, instead of
-	// jumping across cycles that repeat a stalled one and ticking a class's
-	// controllers only when their inputs change or an event falls due. Both
-	// are cycle-exact (identical reports, probes, histograms and memory
-	// counters), so this knob exists only for equivalence testing and
-	// debugging; the zero value leaves them enabled.
-	DisableFastForward bool
 
 	// --- Interval-sampled simulation ---
 	//

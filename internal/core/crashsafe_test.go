@@ -379,11 +379,10 @@ func TestRunnerStoreDecodeFailureIsMiss(t *testing.T) {
 	}
 }
 
-// TestJobKeyAxes pins which configuration axes key the durable store: knobs
-// that cannot change a result (the ignored IntraRunWorkers field,
-// fast-forward) must NOT key, while every result-determining axis MUST. The
-// full key string is pinned byte for byte: changing it moves every stored
-// report.
+// TestJobKeyAxes pins which configuration axes key the durable store: a knob
+// that cannot change a result (the ignored IntraRunWorkers field) must NOT
+// key, while every result-determining axis MUST. The full key string is
+// pinned byte for byte: changing it moves every stored report.
 func TestJobKeyAxes(t *testing.T) {
 	base := config.Small()
 	key := JobKey("hotspot", base, 0.1)
@@ -394,7 +393,6 @@ func TestJobKeyAxes(t *testing.T) {
 
 	invariant := base
 	invariant.IntraRunWorkers = 7
-	invariant.DisableFastForward = true
 	if got := JobKey("hotspot", invariant, 0.1); got != key {
 		t.Fatalf("engine-tuning axes leaked into the job key:\n %s\n %s", key, got)
 	}

@@ -77,8 +77,8 @@ func TestGoldenEncodedReports(t *testing.T) {
 		r    *Runner
 		want string
 	}{
-		{"full", full, "05add32d9608979f9de697a374900749698e40ef610fb1d305e45c3c2861439e"},
-		{"sampled", sampledGoldenRunner(), "aa3a56c844e26e0eaa779b279a62f4eb446a5eac5c824828cdd5a80d8a8cdc36"},
+		{"full", full, "4f0d026c922b0f76db9d27dfd86d61bf32affe1f3226217f172554175ed67985"},
+		{"sampled", sampledGoldenRunner(), "885f3273894e449e6a87f27919127df0c1feac05f238a7cd0842d292aaf2afc6"},
 	} {
 		rep, err := c.r.Run("hotspot", WarpedGates)
 		if err != nil {

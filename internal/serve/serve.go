@@ -384,7 +384,9 @@ func serveReport(w http.ResponseWriter, id string, data []byte) {
 // reportFromL1 serves a report from the registry + runner in-memory tier:
 // a known, completed job whose report is still resident encodes to exactly
 // the bytes the store holds (the codec is deterministic — pinned by the
-// golden corpus), so the two tiers are interchangeable.
+// golden corpus), so the two tiers are interchangeable. An entry stored
+// while the config carried a since-removed field still holds it and this
+// tier omits it; both decode to the same report.
 func (s *Server) reportFromL1(id string) ([]byte, bool) {
 	j := s.lookup(id)
 	if j == nil || j.State() != StateDone {

@@ -35,24 +35,24 @@ func BenchmarkSMCycle(b *testing.B) {
 // complete small-machine run; the per-cycle cost is reported alongside.
 func BenchmarkMatrix(b *testing.B) {
 	techs := []struct {
-		name  string
-		apply func(c *config.Config)
+		name    string
+		apply   func(c *config.Config)
+		stepped bool // run on the stepped reference loop
 	}{
 		{"Baseline", func(c *config.Config) {
 			c.Scheduler = config.SchedTwoLevel
 			c.Gating = config.GateNone
-		}},
+		}, false},
 		{"WarpedGates", func(c *config.Config) {
 			c.Scheduler = config.SchedGATES
 			c.Gating = config.GateCoordBlackout
 			c.AdaptiveIdleDetect = true
-		}},
+		}, false},
 		{"WarpedGatesStepped", func(c *config.Config) {
 			c.Scheduler = config.SchedGATES
 			c.Gating = config.GateCoordBlackout
 			c.AdaptiveIdleDetect = true
-			c.DisableFastForward = true
-		}},
+		}, true},
 	}
 	for _, bench := range []string{"hotspot", "bfs"} {
 		for _, tech := range techs {
@@ -63,7 +63,7 @@ func BenchmarkMatrix(b *testing.B) {
 				var cycles int64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					gpu, err := NewGPU(cfg, k)
+					gpu, err := newGPU(cfg, k, tech.stepped)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -44,11 +44,12 @@ func fnvMix(h, v uint64) uint64 {
 	return h
 }
 
-// runDigests executes cfg/k to completion and returns the report plus
-// per-SM digests of the full probe and issue-trace streams.
-func runDigests(t *testing.T, cfg config.Config, k *kernels.Kernel) (*Report, []uint64, []uint64) {
+// runDigests executes cfg/k to completion, on the stepped reference loop
+// if stepped is set, and returns the report plus per-SM digests of the full
+// probe and issue-trace streams.
+func runDigests(t *testing.T, cfg config.Config, k *kernels.Kernel, stepped bool) (*Report, []uint64, []uint64) {
 	t.Helper()
-	gpu, err := NewGPU(cfg, k)
+	gpu, err := newGPU(cfg, k, stepped)
 	if err != nil {
 		t.Fatalf("NewGPU: %v", err)
 	}
@@ -80,25 +81,16 @@ func runDigests(t *testing.T, cfg config.Config, k *kernels.Kernel) (*Report, []
 	return gpu.Run(), probeD, issueD
 }
 
-// sameReport compares two reports ignoring the config they ran under (the
-// knob under test is the one field allowed to differ).
-func sameReport(a, b *Report) bool {
-	ca, cb := a.Config, b.Config
-	a.Config, b.Config = config.Config{}, config.Config{}
-	eq := reflect.DeepEqual(a, b)
-	a.Config, b.Config = ca, cb
-	return eq
-}
-
-// runHashed runs cfg over kernel k with a cycle probe installed, folding every
-// per-cycle lane observation into one FNV stream per SM. Within an SM the
+// runHashed runs cfg over kernel k, on the stepped reference loop if stepped
+// is set, with a cycle probe installed, folding every per-cycle lane
+// observation into one FNV stream per SM. Within an SM the
 // probe fires in strict cycle order whether or not the run jumps, so equal
 // digests mean the gating-state timelines are identical cycle for cycle. It
 // also renders each SM's memory-port and MSHR counters, which no report
 // field carries: a jump books its MSHR refusals in closed form.
-func runHashed(t *testing.T, cfg config.Config, k *kernels.Kernel) (*Report, []uint64, []string) {
+func runHashed(t *testing.T, cfg config.Config, k *kernels.Kernel, stepped bool) (*Report, []uint64, []string) {
 	t.Helper()
-	gpu, err := NewGPU(cfg, k)
+	gpu, err := newGPU(cfg, k, stepped)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,19 +163,10 @@ func TestFastForwardBitExact(t *testing.T) {
 		bench := benchNames[int(benchRaw)%len(benchNames)]
 		k := kernels.MustBenchmark(bench).Scale(0.08)
 
-		ffCfg := cfg
-		ffCfg.DisableFastForward = false
-		stepCfg := cfg
-		stepCfg.DisableFastForward = true
-
-		ffRep, ffHash, ffPorts := runHashed(t, ffCfg, k)
-		stRep, stHash, stPorts := runHashed(t, stepCfg, k)
+		ffRep, ffHash, ffPorts := runHashed(t, cfg, k, false)
+		stRep, stHash, stPorts := runHashed(t, cfg, k, true)
 		name := fmt.Sprintf("%s %v/%v mshr=%d aux=%t sampled=%t", bench, cfg.Scheduler, cfg.Gating,
 			cfg.MSHRPerSM, aux, sampled)
-		// The config is part of the report; blank the knob under test before
-		// comparing the rest.
-		ffRep.Config.DisableFastForward = false
-		stRep.Config.DisableFastForward = false
 		if a, b := reportFingerprint(ffRep), reportFingerprint(stRep); a != b {
 			t.Logf("%s: report drift\n  ff:      %s\n  stepped: %s", name, a, b)
 			return false
@@ -214,14 +197,12 @@ func TestFarWritebackFastForwardExact(t *testing.T) {
 	for _, lat := range []int{3000, 20000} {
 		cfg := config.Small()
 		cfg.DRAMLatency = lat
-		wantRep, wantProbe, wantIssue := runDigests(t, cfg, k)
+		wantRep, wantProbe, wantIssue := runDigests(t, cfg, k, false)
 		if wantRep.RanOut || wantRep.Cycles <= int64(lat) {
 			t.Fatalf("DRAMLatency=%d: run took %d cycles (ran out: %v)", lat, wantRep.Cycles, wantRep.RanOut)
 		}
-		noFF := cfg
-		noFF.DisableFastForward = true
-		gotRep, gotProbe, gotIssue := runDigests(t, noFF, k)
-		if !sameReport(wantRep, gotRep) {
+		gotRep, gotProbe, gotIssue := runDigests(t, cfg, k, true)
+		if !reflect.DeepEqual(wantRep, gotRep) {
 			t.Errorf("DRAMLatency=%d: report diverged\nfast-forward: %v\nstepped:      %v", lat, wantRep, gotRep)
 		}
 		if !reflect.DeepEqual(wantProbe, gotProbe) || !reflect.DeepEqual(wantIssue, gotIssue) {

@@ -25,6 +25,17 @@ type GPU struct {
 
 // NewGPU builds a device running kernel k under cfg. It validates both.
 func NewGPU(cfg config.Config, k *kernels.Kernel) (*GPU, error) {
+	return newGPU(cfg, k, false)
+}
+
+// newGPU is NewGPU with a choice of loop. A stepped device steps every SM
+// every cycle and ticks every gating controller every cycle, instead of
+// jumping across cycles that repeat a stalled one and ticking a class's
+// controllers only when their inputs change or an event falls due. Both
+// loops are cycle-exact (identical reports, probes, histograms and memory
+// counters); the stepped one is the reference the fast-forward tests
+// compare against.
+func newGPU(cfg config.Config, k *kernels.Kernel, stepped bool) (*GPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -35,7 +46,7 @@ func NewGPU(cfg config.Config, k *kernels.Kernel) (*GPU, error) {
 	benchSeed := stats.CombineSeeds(stats.HashString(k.Name), cfg.Seed)
 	prog := decodeKernel(k)
 	for i := 0; i < cfg.NumSMs; i++ {
-		g.sms = append(g.sms, newSM(i, cfg, prog, g.gmem, benchSeed))
+		g.sms = append(g.sms, newSM(i, cfg, prog, g.gmem, benchSeed, stepped))
 	}
 	return g, nil
 }

@@ -60,14 +60,14 @@ func TestSampledModeCorpusErrorBound(t *testing.T) {
 			k := kernels.MustBenchmark(bench).Scale(2.0)
 			cfg := sampleCorpusCfg(cb.sched, cb.gate, ci == 2)
 			t0 := time.Now()
-			det, _, _ := runDigests(t, cfg, k)
+			det, _, _ := runDigests(t, cfg, k, false)
 			detWall += time.Since(t0)
 
 			scfg := cfg
 			scfg.SampleDetailCycles = 1000
 			scfg.SamplePeriod = 5000
 			t0 = time.Now()
-			smp, _, _ := runDigests(t, scfg, k)
+			smp, _, _ := runDigests(t, scfg, k, false)
 			smpWall += time.Since(t0)
 
 			if det.RanOut || smp.RanOut {
@@ -123,7 +123,7 @@ func TestSampledRunDeterministic(t *testing.T) {
 	cfg.SamplePeriod = 5000
 	var blobs [2][]byte
 	for i := range blobs {
-		rep, _, _ := runDigests(t, cfg, k)
+		rep, _, _ := runDigests(t, cfg, k, false)
 		b, err := EncodeReport(rep)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
@@ -143,7 +143,7 @@ func TestSampledReportRoundTrip(t *testing.T) {
 	cfg := sampleCorpusCfg(config.SchedLRR, config.GateNone, false)
 	cfg.SampleDetailCycles = 1000
 	cfg.SamplePeriod = 5000
-	rep, _, _ := runDigests(t, cfg, k)
+	rep, _, _ := runDigests(t, cfg, k, false)
 	if !rep.Sampled || rep.SampledSkippedCTAs == 0 {
 		t.Fatalf("run did not sample: %+v", rep)
 	}

@@ -127,10 +127,10 @@ type SM struct {
 	// booked retireRingSize or more cycles ahead.
 	retireFar []int32
 
-	// ffEnabled caches !cfg.DisableFastForward. skipUntil is the first cycle
-	// the SM has not simulated: step returns it for any earlier cycle, which
-	// a jump has already accounted. stepLimit caps every jump: MaxCycles, or
-	// the sampler's next window boundary.
+	// ffEnabled is false on the stepped reference loop (newGPU). skipUntil
+	// is the first cycle the SM has not simulated: step returns it for any
+	// earlier cycle, which a jump has already accounted. stepLimit caps
+	// every jump: MaxCycles, or the sampler's next window boundary.
 	ffEnabled bool
 	// ungated marks a machine whose controllers never tick on their own
 	// (GateNone, no adaptive window): they never leave Active, raise no
@@ -226,7 +226,7 @@ func after(now, k int64) int64 {
 }
 
 // newSM builds one SM with its pipes, controllers and scheduler slots.
-func newSM(id int, cfg config.Config, prog *program, gpuMem *mem.GPUMem, benchSeed uint64) *SM {
+func newSM(id int, cfg config.Config, prog *program, gpuMem *mem.GPUMem, benchSeed uint64, stepped bool) *SM {
 	k := prog.kernel
 	sm := &SM{
 		id:        id,
@@ -235,7 +235,7 @@ func newSM(id int, cfg config.Config, prog *program, gpuMem *mem.GPUMem, benchSe
 		memPort:   mem.NewSMPort(cfg, gpuMem),
 		coalescer: mem.NewCoalescer(),
 		benchSeed: benchSeed,
-		ffEnabled: !cfg.DisableFastForward,
+		ffEnabled: !stepped,
 		ungated:   cfg.Gating == config.GateNone && !cfg.AdaptiveIdleDetect,
 		stepLimit: math.MaxInt64,
 	}
@@ -1018,8 +1018,8 @@ func (sm *SM) signalReadyDemand(g *gateGroup) {
 // tickGating advances the gating controllers of every class whose inputs
 // changed or whose event is due, settling first the cycles the class owes
 // (see gateGroup), and reports whether the next cycle's issue stage sees a
-// controller change (see tickGroup); with DisableFastForward every class
-// ticks every cycle. The live rdy counters already reflect this cycle's
+// controller change (see tickGroup); on the stepped reference loop every
+// class ticks every cycle. The live rdy counters already reflect this cycle's
 // issues (refreshWarp runs at commit), so a warp that just issued is no
 // longer waiting and must not wake a gated unit.
 func (sm *SM) tickGating(now int64) (moved bool) {
