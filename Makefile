@@ -108,11 +108,10 @@ serve-test:
 # The sweep-engine suite under the race detector: grid expansion and shard
 # partition properties, the end-to-end store-dedup proof (re-running a
 # >500-cell sweep on a cold engine simulates zero cells — every cell is a
-# store hit), the sampled-sweep speedup run, the sampled-mode golden-corpus
-# error ceiling (worst-cell cycle error must stay within the documented 5%
-# bound, with instruction/CTA counts conserved exactly), and the service's
-# sweep endpoints. Wall-clock speedup floors are logged but not asserted
-# under -race (it taxes detailed and sampled modes unevenly).
+# store hit), the sampled-mode contract table (every golden-corpus cell run
+# detailed and sampled: cycle error within the documented 5% bound,
+# instruction/CTA counts conserved exactly, a >= 3x simulated-cycle ratio),
+# and the service's sweep endpoints.
 sweep-test:
 	$(GO) test -race ./internal/sweep/
 	$(GO) test -race -run 'TestSampled' ./internal/sim/

@@ -106,13 +106,13 @@ type cacheEntry struct {
 // JobKey returns the canonical key of one job at the given scale: the
 // deterministic single-line string the in-memory cache, the durable store and
 // the HTTP service all address a simulation by. It holds exactly the axes that
-// can change a result; runs that differ only in an engine knob (fast-forward,
-// the ignored worker count) share one key. The sampling axes are present,
-// because a sampled report is an estimate, never interchangeable with the
-// detailed run it approximates. The format is versioned: changing which
-// fields key a simulation (or how they are rendered) must bump it, or stale
-// store entries would be served for jobs they no longer describe. The float
-// scale uses the shortest exact round-trip form, like the fingerprints.
+// can change a result; runs that differ only in an engine knob (the ignored
+// worker count) share one key. The sampling axes are present, because a
+// sampled report is an estimate, never interchangeable with the detailed run
+// it approximates. The format is versioned: changing which fields key a
+// simulation (or how they are rendered) must bump it, or stale store entries
+// would be served for jobs they no longer describe. The float scale uses the
+// shortest exact round-trip form, like the fingerprints.
 func JobKey(bench string, cfg config.Config, scale float64) string {
 	// relaxed=0 stays: dropping it would move every stored report and digest.
 	return fmt.Sprintf(

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -26,140 +28,170 @@ func sampleCorpusCfg(sched config.SchedulerKind, gate config.GatingKind, adaptiv
 }
 
 var sampleCorpusCombos = []struct {
-	sched config.SchedulerKind
-	gate  config.GatingKind
+	sched    config.SchedulerKind
+	gate     config.GatingKind
+	adaptive bool
 }{
-	{config.SchedLRR, config.GateNone},
-	{config.SchedTwoLevel, config.GateConventional},
-	{config.SchedGATES, config.GateCoordBlackout},
+	{config.SchedLRR, config.GateNone, false},
+	{config.SchedTwoLevel, config.GateConventional, false},
+	{config.SchedGATES, config.GateCoordBlackout, true},
 }
 
-// TestSampledModeCorpusErrorBound runs the golden corpus (benchmark ×
-// scheduler/gating combos) at scale 2.0 both detailed and sampled at the
-// validated operating point, and asserts for every cell:
+// samplingBlock is the part of a report the sampler stamps, compared whole
+// across the codec round trip.
+type samplingBlock struct {
+	sampled      bool
+	detailCycles int64
+	skippedInstr uint64
+	skippedCTAs  int
+	errorEst     float64
+}
+
+func samplingOf(r *Report) samplingBlock {
+	return samplingBlock{r.Sampled, r.SampledDetailCycles, r.SampledSkippedInstrs, r.SampledSkippedCTAs, r.SampleErrorEst}
+}
+
+// TestSampledModeContract is the sampled mode's whole contract, checked on
+// the golden corpus: every benchmark × scheduler/gating combo at scale 2.0,
+// run once detailed and once sampled at the validated operating point. Each
+// row asserts, against its own detailed reference:
 //
-//   - |sampled - detailed| cycle error <= 5% (measured worst 2.5%; the
-//     ceiling leaves 2x headroom and is what EXPERIMENTS.md documents),
-//   - IssuedTotal and CTAsCompleted match the detailed run exactly (the
-//     sampler conserves both by construction),
-//   - the run actually sampled (Sampled set, CTAs spliced) — a sampler that
-//     silently degrades to a full detailed run would pass any error bound.
+//   - |sampled - detailed| cycle error <= 5% (EXPERIMENTS.md's ceiling);
+//   - IssuedTotal and CTAsCompleted equal (the sampler conserves both by
+//     construction);
+//   - the run sampled (Sampled set, CTAs spliced): a sampler that silently
+//     degrades to a full detailed run would pass any error bound;
+//   - SampleErrorEst <= 15% (the estimate budget) and >= the realized error
+//     (the estimate is documented as conservative);
+//   - the codec round trip keeps the whole sampling block.
 //
-// It also records the corpus-wide wall-clock speedup; the hard >= 3x
-// assertion lives in the sweep engine's speedup test where the comparison is
-// made per sweep, but a sampled corpus slower than ~2x detailed here means
-// the splice pacing regressed, so a soft floor is asserted too.
-func TestSampledModeCorpusErrorBound(t *testing.T) {
+// Over the corpus, the detailed runs must simulate at least 3× the device
+// cycles the sampled runs do. That ratio is deterministic; the wall-clock
+// ratio, which another process on the same cores can move, is logged and
+// only held to a 2× floor that catches regressed splice pacing. Finally one
+// sampled cell runs again and must encode to the same bytes.
+func TestSampledModeContract(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-corpus detailed references are slow; skipped with -short")
+		t.Skip("scale-2.0 detailed references are slow; skipped with -short")
 	}
-	var worst float64
-	var detWall, smpWall time.Duration
-	for _, bench := range []string{"nw", "hotspot", "mri", "bfs", "kmeans"} {
-		for ci, cb := range sampleCorpusCombos {
-			k := kernels.MustBenchmark(bench).Scale(2.0)
-			cfg := sampleCorpusCfg(cb.sched, cb.gate, ci == 2)
-			t0 := time.Now()
-			det, _, _ := runDigests(t, cfg, k, false)
-			detWall += time.Since(t0)
-
-			scfg := cfg
-			scfg.SampleDetailCycles = 1000
-			scfg.SamplePeriod = 5000
-			t0 = time.Now()
-			smp, _, _ := runDigests(t, scfg, k, false)
-			smpWall += time.Since(t0)
-
-			if det.RanOut || smp.RanOut {
-				t.Fatalf("%s combo %d ran out", bench, ci)
-			}
-			if !smp.Sampled {
-				t.Errorf("%s combo %d: sampled run did not set Report.Sampled", bench, ci)
-			}
-			if smp.SampledSkippedCTAs == 0 {
-				t.Errorf("%s combo %d: sampled run spliced no CTAs — degenerated to a detailed run", bench, ci)
-			}
-			if smp.IssuedTotal != det.IssuedTotal {
-				t.Errorf("%s combo %d: IssuedTotal not conserved: sampled %d detailed %d",
-					bench, ci, smp.IssuedTotal, det.IssuedTotal)
-			}
-			if smp.CTAsCompleted != det.CTAsCompleted {
-				t.Errorf("%s combo %d: CTAsCompleted not conserved: sampled %d detailed %d",
-					bench, ci, smp.CTAsCompleted, det.CTAsCompleted)
-			}
-			diff := float64(smp.Cycles-det.Cycles) / float64(det.Cycles)
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff > worst {
-				worst = diff
-			}
-			t.Logf("%-8s sched=%d gate=%d: detailed=%8d sampled=%8d err=%+.2f%% est=%.2f%% skippedCTAs=%d",
-				bench, cb.sched, cb.gate, det.Cycles, smp.Cycles,
-				float64(smp.Cycles-det.Cycles)/float64(det.Cycles)*100,
-				smp.SampleErrorEst*100, smp.SampledSkippedCTAs)
+	const repeatRow = "bfs/GATES/CoordBlackout" // adaptive idle detect
+	run := func(t *testing.T, cfg config.Config, k *kernels.Kernel) (*Report, time.Duration) {
+		t.Helper()
+		t0 := time.Now()
+		gpu, err := NewGPU(cfg, k)
+		if err != nil {
+			t.Fatalf("NewGPU: %v", err)
 		}
+		rep := gpu.Run()
+		if rep.RanOut {
+			t.Fatalf("ran out at cycle %d", rep.Cycles)
+		}
+		return rep, time.Since(t0)
 	}
-	t.Logf("worst |dCycles|/Cycles = %.2f%%, wall detailed=%v sampled=%v (%.2fx)",
-		worst*100, detWall.Round(time.Millisecond), smpWall.Round(time.Millisecond),
-		float64(detWall)/float64(smpWall))
-	if worst > 0.05 {
-		t.Errorf("sampled-mode corpus error %.2f%% exceeds the 5%% bound", worst*100)
-	}
-	if detWall < 2*smpWall {
-		t.Errorf("sampled corpus only %.2fx faster than detailed — splice pacing regressed",
-			float64(detWall)/float64(smpWall))
-	}
-}
-
-// TestSampledRunDeterministic pins that a sampled run is a pure function of
-// its configuration: two runs of the same cell produce byte-identical encoded
-// reports (the sampler's splice decisions depend only on the deterministic
-// serial engine's counters).
-func TestSampledRunDeterministic(t *testing.T) {
-	k := kernels.MustBenchmark("bfs").Scale(2.0)
-	cfg := sampleCorpusCfg(config.SchedGATES, config.GateCoordBlackout, true)
-	cfg.SampleDetailCycles = 1000
-	cfg.SamplePeriod = 5000
-	var blobs [2][]byte
-	for i := range blobs {
-		rep, _, _ := runDigests(t, cfg, k, false)
-		b, err := EncodeReport(rep)
+	encode := func(t *testing.T, r *Report) []byte {
+		t.Helper()
+		b, err := EncodeReport(r)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		blobs[i] = b
+		return b
 	}
-	if !bytes.Equal(blobs[0], blobs[1]) {
-		t.Fatalf("sampled runs differ between invocations:\n%s\n----\n%s", blobs[0], blobs[1])
-	}
-}
 
-// TestSampledReportRoundTrip pins that the sampling metadata survives the
-// store codec (the fields are additive on the v1 envelope; a full run's
-// all-zero sampling block is what old blobs decode to).
-func TestSampledReportRoundTrip(t *testing.T) {
-	k := kernels.MustBenchmark("kmeans").Scale(2.0)
-	cfg := sampleCorpusCfg(config.SchedLRR, config.GateNone, false)
-	cfg.SampleDetailCycles = 1000
-	cfg.SamplePeriod = 5000
-	rep, _, _ := runDigests(t, cfg, k, false)
-	if !rep.Sampled || rep.SampledSkippedCTAs == 0 {
-		t.Fatalf("run did not sample: %+v", rep)
+	var (
+		detCycles, smpCycles     int64
+		detWall, smpWall         time.Duration
+		worstErr, worstEst       float64
+		worstErrRow, worstEstRow string
+		repeatCfg                config.Config
+		repeatBlob               []byte
+	)
+	for _, bench := range []string{"nw", "hotspot", "mri", "bfs", "kmeans"} {
+		for _, cb := range sampleCorpusCombos {
+			name := fmt.Sprintf("%s/%s/%s", bench, cb.sched, cb.gate)
+			t.Run(name, func(t *testing.T) {
+				k := kernels.MustBenchmark(bench).Scale(2.0)
+				cfg := sampleCorpusCfg(cb.sched, cb.gate, cb.adaptive)
+				det, dw := run(t, cfg, k)
+				cfg.SampleDetailCycles = 1000
+				cfg.SamplePeriod = 5000
+				smp, sw := run(t, cfg, k)
+				detCycles += det.Cycles
+				smpCycles += smp.SampledDetailCycles
+				detWall += dw
+				smpWall += sw
+
+				realized := math.Abs(float64(smp.Cycles-det.Cycles)) / float64(det.Cycles)
+				if realized > worstErr {
+					worstErr, worstErrRow = realized, name
+				}
+				if smp.SampleErrorEst > worstEst {
+					worstEst, worstEstRow = smp.SampleErrorEst, name
+				}
+				t.Logf("detailed=%8d sampled=%8d err=%+.2f%% est=%.2f%% detailCycles=%d skippedCTAs=%d",
+					det.Cycles, smp.Cycles, float64(smp.Cycles-det.Cycles)/float64(det.Cycles)*100,
+					smp.SampleErrorEst*100, smp.SampledDetailCycles, smp.SampledSkippedCTAs)
+
+				if !smp.Sampled {
+					t.Error("sampled run did not set Report.Sampled")
+				}
+				if smp.SampledSkippedCTAs == 0 {
+					t.Error("sampled run spliced no CTAs — degenerated to a detailed run")
+				}
+				if smp.IssuedTotal != det.IssuedTotal {
+					t.Errorf("IssuedTotal not conserved: sampled %d detailed %d", smp.IssuedTotal, det.IssuedTotal)
+				}
+				if smp.CTAsCompleted != det.CTAsCompleted {
+					t.Errorf("CTAsCompleted not conserved: sampled %d detailed %d", smp.CTAsCompleted, det.CTAsCompleted)
+				}
+				if realized > 0.05 {
+					t.Errorf("cycle error %.2f%% exceeds the 5%% bound", realized*100)
+				}
+				if smp.SampleErrorEst > 0.15 {
+					t.Errorf("error estimate %.2f%% exceeds the 15%% estimate budget", smp.SampleErrorEst*100)
+				}
+				if smp.SampleErrorEst < realized {
+					t.Errorf("error estimate %.2f%% is below the realized error %.2f%%",
+						smp.SampleErrorEst*100, realized*100)
+				}
+
+				blob := encode(t, smp)
+				got, err := DecodeReport(blob)
+				if err != nil {
+					t.Fatalf("decode: %v", err)
+				}
+				if samplingOf(got) != samplingOf(smp) {
+					t.Errorf("sampling block lost in the codec round trip:\ngot  %+v\nwant %+v",
+						samplingOf(got), samplingOf(smp))
+				}
+				if name == repeatRow {
+					repeatCfg, repeatBlob = cfg, blob
+				}
+			})
+		}
 	}
-	b, err := EncodeReport(rep)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
+
+	if smpCycles == 0 || smpWall == 0 {
+		t.Fatal("no sampled row completed")
 	}
-	got, err := DecodeReport(b)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
+	ratio := float64(detCycles) / float64(smpCycles)
+	wall := float64(detWall) / float64(smpWall)
+	t.Logf("corpus: %.3fx cycles (detailed %d, sampled %d), %.2fx wall (detailed %v, sampled %v)",
+		ratio, detCycles, smpCycles, wall, detWall.Round(time.Millisecond), smpWall.Round(time.Millisecond))
+	t.Logf("worst |dCycles|/Cycles = %.2f%% (%s), largest estimate %.2f%% (%s)",
+		worstErr*100, worstErrRow, worstEst*100, worstEstRow)
+	// The ratio reads 3.25x over the corpus.
+	if ratio < 3.0 {
+		t.Errorf("sampled runs simulate only %.2fx fewer cycles than detailed, want >= 3x", ratio)
 	}
-	if got.Sampled != rep.Sampled ||
-		got.SampledDetailCycles != rep.SampledDetailCycles ||
-		got.SampledSkippedInstrs != rep.SampledSkippedInstrs ||
-		got.SampledSkippedCTAs != rep.SampledSkippedCTAs ||
-		got.SampleErrorEst != rep.SampleErrorEst {
-		t.Fatalf("sampling metadata lost in round trip:\ngot  %+v\nwant %+v", got, rep)
+	if wall < 2 {
+		t.Errorf("sampled corpus only %.2fx faster than detailed — splice pacing regressed", wall)
+	}
+
+	if repeatBlob == nil {
+		t.Fatalf("row %s did not complete; no determinism check", repeatRow)
+	}
+	again, _ := run(t, repeatCfg, kernels.MustBenchmark("bfs").Scale(2.0))
+	if b := encode(t, again); !bytes.Equal(b, repeatBlob) {
+		t.Errorf("%s: sampled runs differ between invocations:\n%s\n----\n%s", repeatRow, repeatBlob, b)
 	}
 }
