@@ -108,9 +108,10 @@ serve-test:
 # The sweep-engine suite under the race detector: grid expansion and shard
 # partition properties, the end-to-end store-dedup proof (re-running a
 # >500-cell sweep on a cold engine simulates zero cells — every cell is a
-# store hit), the sampled-mode contract table (every golden-corpus cell run
-# detailed and sampled: cycle error within the documented 5% bound,
-# instruction/CTA counts conserved exactly, a >= 3x simulated-cycle ratio),
+# store hit), the sampled-sweep speedup run (>= 3x fewer simulated cycles),
+# the sampled-mode golden-corpus tests (every corpus cell run detailed and
+# sampled once: cycle error within the documented 5% bound, instruction/CTA
+# counts conserved exactly, the codec round trip, a byte-identical rerun),
 # and the service's sweep endpoints.
 sweep-test:
 	$(GO) test -race ./internal/sweep/

@@ -29,7 +29,7 @@ import "math"
 // one each). Idle histograms are not extrapolated: a sampled report's
 // IdlePeriods cover the detailed run only. Sampled reports set
 // Report.Sampled and carry a heuristic error estimate (errorEstimate); the
-// hard validation is TestSampledModeContract against full runs.
+// hard validation is TestSampledModeCorpusErrorBound against full runs.
 
 // Slots of the sampler's counter vector: the device cycle, then every
 // counter updateCounters visits, in its order.
@@ -235,7 +235,7 @@ func (s *sampler) apply(r *Report) [vIssued]float64 {
 // 1/sqrt(n); the factor 2 approximates a 95% interval), scaled by the
 // fraction of the final cycle count that is estimate rather than
 // measurement. Heuristic, not a guarantee — the hard ceiling is pinned by
-// TestSampledModeContract against full runs, which also checks that the
+// TestSampledModeCorpusErrorBound against full runs, which also checks that the
 // estimate stays at or above the realized error on every corpus cell.
 func (s *sampler) errorEstimate(estCycles float64) float64 {
 	if s.skippedInstrs == 0 || s.rateN == 0 || s.rateW <= 0 || s.rateM1 <= 0 {
