@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 
+	"warpedgates/internal/config"
 	"warpedgates/internal/core"
 	"warpedgates/internal/isa"
 	"warpedgates/internal/paper"
@@ -12,7 +13,9 @@ import (
 
 // cmdCompare regenerates the headline results and prints them side by side
 // with the values the paper reports, producing the paper-vs-measured record
-// mechanically (the source of EXPERIMENTS.md's summary tables).
+// mechanically (the source of EXPERIMENTS.md's summary tables). It then
+// checks the Fig. 9 and 10 rows of the paper's claims table on this run and
+// fails when one does not hold.
 func cmdCompare(args []string) error {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	rf := addRunnerFlags(fs)
@@ -54,25 +57,29 @@ func cmdCompare(args []string) error {
 	}
 	fmt.Println(t)
 
-	// The qualitative claims the reproduction must preserve.
-	checks := stats.NewTable("Shape checks", "claim", "holds")
-	claim := func(name string, ok bool) { checks.AddRowf(name, ok) }
-	claim("FP savings > INT savings (Warped Gates)",
-		fig9b.Average[core.WarpedGates] > fig9a.Average[core.WarpedGates])
-	claim("Blackout > ConvPG on INT savings",
-		fig9a.Average[core.CoordBlackout] > fig9a.Average[core.ConvPG])
-	claim("Warped Gates >= 1.3x ConvPG INT savings",
-		fig9a.Average[core.WarpedGates] >= 1.3*fig9a.Average[core.ConvPG])
-	claim("Naive Blackout is the slowest technique",
-		fig10.Geomean[core.NaiveBlackout] <= fig10.Geomean[core.ConvPG] &&
-			fig10.Geomean[core.NaiveBlackout] <= fig10.Geomean[core.CoordBlackout] &&
-			fig10.Geomean[core.NaiveBlackout] <= fig10.Geomean[core.WarpedGates])
-	// Small tolerance: Coordinated Blackout and Warped Gates are within each
-	// other's noise band on performance (the paper separates them by ~1%).
-	const eps = 0.005
-	claim("Warped Gates fastest of the blackout techniques",
-		fig10.Geomean[core.WarpedGates] >= fig10.Geomean[core.NaiveBlackout]-eps &&
-			fig10.Geomean[core.WarpedGates] >= fig10.Geomean[core.CoordBlackout]-eps)
+	// The paper's shape claims (core.Claims) over the panels this run
+	// regenerated. A run on the paper's machine checks the full-scale rows;
+	// any other machine or scale checks only the rows that hold at both.
+	vals := core.HeadlineValues(fig9a, fig9b, fig10)
+	scale := core.BothScales
+	if r.Base == config.GTX480() && r.Scale == 1 {
+		scale = core.FullScale
+	}
+	checks := stats.NewTable("Paper claims", "figure", "claim", "scale", "measured", "holds")
+	failed := 0
+	for _, c := range core.Claims {
+		if !vals.Has(c.Figure) || !c.AppliesAt(scale) {
+			continue
+		}
+		measured, ok := c.Eval(vals)
+		checks.AddRowf(c.Figure, c.Name, c.Scale.String(), measured, ok)
+		if !ok {
+			failed++
+		}
+	}
 	fmt.Println(checks)
+	if failed > 0 {
+		return fmt.Errorf("compare: %d paper claim(s) fail", failed)
+	}
 	return nil
 }

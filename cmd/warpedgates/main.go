@@ -137,6 +137,9 @@ quarantines damage, sweeps crash debris) and exits non-zero on corruption.
 run, figure, verify and bench also accept -cpuprofile FILE and
 -memprofile FILE for pprof output.
 
+compare exits 1 when one of the paper's claims (core.Claims) fails on its
+run.
+
 exit codes: 0 success; 1 error; 2 usage.`)
 }
 

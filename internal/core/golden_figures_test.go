@@ -9,46 +9,63 @@ import (
 	"strings"
 	"testing"
 
+	"warpedgates/internal/config"
 	"warpedgates/internal/isa"
 	"warpedgates/internal/stats"
 )
 
-const goldenFiguresPath = "testdata/golden_figures.txt"
+const (
+	goldenFiguresPath = "testdata/golden_figures.txt"
+	paperFiguresPath  = "testdata/paper_figures.txt"
+)
 
 // TestGoldenFigures pins the rendered table of every figure the CLI's
 // `figure -id all` prints, with the CLI's own arguments, on the shared
-// small-scale runner, plus every Fig. 8/9/10/11 and ablation value at full
+// small-scale runner, plus every Fig. 3/8/9/10/11 and ablation value at full
 // float precision (the tables round to three digits, so a last-bit change in
 // an aggregation would pass a table-only comparison). Regenerate after an
 // intentional model change with:
 //
 //	go test ./internal/core -run GoldenFigures -update
 func TestGoldenFigures(t *testing.T) {
-	got, err := goldenFigures(figRunner)
+	got, err := goldenFigures(figRunner, "Golden figures", "config.Small() scale 0.2",
+		"go test ./internal/core -run GoldenFigures -update")
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, goldenFiguresPath, got, "GoldenFigures")
 }
 
-// goldenFigures renders the golden figures file for runner r.
-func goldenFigures(r *Runner) (string, error) {
+// TestPaperFigures rewrites the full-scale figure record, the same file
+// rendered on the paper's machine (the GTX480 at scale 1), which
+// TestPaperClaims reads for its full-scale rows. It runs only under -update:
+// the record takes about 100 s on two cores, so tier-1 reads the committed
+// file and CI regenerates it with `make paper-figures` and diffs.
+func TestPaperFigures(t *testing.T) {
+	if !*updateGolden {
+		t.Skip("regenerated only under -update (make paper-figures)")
+	}
+	got, err := goldenFigures(NewRunner(config.GTX480()), "Paper figures", "config.GTX480() scale 1",
+		"make paper-figures")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, paperFiguresPath, got, "PaperFigures")
+}
+
+// goldenFigures renders a figure record for runner r: what the record is,
+// the machine and scale r runs, and the command that regenerates it head
+// the file.
+func goldenFigures(r *Runner, what, machine, regen string) (string, error) {
 	var b strings.Builder
-	b.WriteString("# Golden figures: every `figure -id all` table plus full-precision values\n")
-	b.WriteString("# at config.Small() scale 0.2. Regenerate after an intentional model change:\n")
-	b.WriteString("#   go test ./internal/core -run GoldenFigures -update\n")
+	fmt.Fprintf(&b, "# %s: every `figure -id all` table plus full-precision values\n", what)
+	fmt.Fprintf(&b, "# at %s. Regenerate after an intentional model change:\n", machine)
+	fmt.Fprintf(&b, "#   %s\n", regen)
 	table := func(id string, tab *stats.Table) {
 		fmt.Fprintf(&b, "== %s\n%s\n", id, tab)
 	}
 	value := func(v float64, path ...string) {
 		fmt.Fprintf(&b, "%s %s\n", strings.Join(path, " "), strconv.FormatFloat(v, 'g', -1, 64))
-	}
-	techValues := func(m map[Technique]float64, path ...string) {
-		for t := Baseline; t < NumTechniques; t++ {
-			if v, ok := m[t]; ok {
-				value(v, append(path, t.String())...)
-			}
-		}
 	}
 
 	f1, err := RunFig1b(r)
@@ -61,6 +78,11 @@ func goldenFigures(r *Runner) (string, error) {
 		return "", err
 	}
 	table("fig3", f3.Table)
+	for _, row := range f3.Rows {
+		value(row.Wasted, "fig3", row.Technique.String(), "wasted")
+		value(row.Negative, "fig3", row.Technique.String(), "negative")
+		value(row.Positive, "fig3", row.Technique.String(), "positive")
+	}
 	f4, err := RunFig4()
 	if err != nil {
 		return "", err
@@ -90,28 +112,21 @@ func goldenFigures(r *Runner) (string, error) {
 	table("fig8b", f8.TableB)
 	table("fig8c", f8.TableC)
 	for _, row := range f8.Rows {
-		techValues(row.IdleFrac, "fig8a", row.Benchmark)
-		techValues(row.CompMinusUncomp, "fig8b", row.Benchmark)
-		techValues(row.WakeupsNorm, "fig8c", row.Benchmark)
+		emitTechs(value, row.IdleFrac, "fig8a", row.Benchmark)
+		emitTechs(value, row.CompMinusUncomp, "fig8b", row.Benchmark)
+		emitTechs(value, row.WakeupsNorm, "fig8c", row.Benchmark)
 	}
-	techValues(f8.GeomeanIdle, "fig8a", "geomean")
-	techValues(f8.GeomeanComp, "fig8b", "mean")
-	techValues(f8.GeomeanWakeups, "fig8c", "geomean")
+	emitTechs(value, f8.GeomeanIdle, "fig8a", "geomean")
+	emitTechs(value, f8.GeomeanComp, "fig8b", "mean")
+	emitTechs(value, f8.GeomeanWakeups, "fig8c", "geomean")
 
 	for _, class := range []isa.Class{isa.INT, isa.FP} {
 		f9, err := RunFig9(r, class)
 		if err != nil {
 			return "", err
 		}
-		id := "fig9a"
-		if class == isa.FP {
-			id = "fig9b"
-		}
-		table(id, f9.Table)
-		for _, row := range f9.Rows {
-			techValues(row.Savings, id, row.Benchmark)
-		}
-		techValues(f9.Average, id, "average")
+		table(fig9ID(class), f9.Table)
+		emitFig9(value, f9)
 	}
 
 	f10, err := RunFig10(r)
@@ -119,10 +134,7 @@ func goldenFigures(r *Runner) (string, error) {
 		return "", err
 	}
 	table("fig10", f10.Table)
-	for _, row := range f10.Rows {
-		techValues(row.Performance, "fig10", row.Benchmark)
-	}
-	techValues(f10.Geomean, "fig10", "geomean")
+	emitFig10(value, f10)
 
 	for _, sweep := range []struct {
 		id  string

@@ -13,6 +13,7 @@ import (
 
 	"warpedgates/internal/config"
 	"warpedgates/internal/core"
+	"warpedgates/internal/isa"
 	"warpedgates/internal/kernels"
 	"warpedgates/internal/sim"
 	"warpedgates/internal/store"
@@ -520,9 +521,12 @@ func isCanceled(err error) bool {
 }
 
 // instrument is the Runner.Instrument hook for one scale's runner: it wires
-// the engine's per-cycle probe to the job registry so SSE watchers see
+// the engine's issue tracer to the job registry so SSE watchers see
 // throttled progress events, and reports the final cycle count on
-// completion. Simulations the registry does not know about run unprobed.
+// completion. The tracer costs one call per issued instruction and leaves
+// the fast-forward alone, where a per-cycle probe would make every SM build
+// its lane states on every cycle, skipped ones included. Simulations the
+// registry does not know about run untraced.
 func (s *Server) instrument(scale float64) core.Instrumenter {
 	return func(bench string, cfg config.Config, k *kernels.Kernel, g *sim.GPU) func(*sim.Report) error {
 		j := s.lookup(store.HashKey(core.JobKey(bench, cfg, scale)))
@@ -530,10 +534,10 @@ func (s *Server) instrument(scale float64) core.Instrumenter {
 			return nil
 		}
 		var last int64
-		g.SetCycleProbe(func(smID int, cycle int64, _ []sim.LaneState) {
-			// SM 0 alone reports, so each emission is one device-cycle
-			// value.
-			if smID != 0 || cycle-last < progressEveryCycles {
+		g.SetIssueTracer(func(_ int, cycle int64, _ int, _ isa.Class, _ int) {
+			// Any SM may report: the loop steps SMs in id order within a
+			// device cycle, so issue cycles never decrease.
+			if cycle-last < progressEveryCycles {
 				return
 			}
 			last = cycle
