@@ -67,14 +67,10 @@ func cmdBench(args []string) error {
 	sms := fs.Int("sms", 6, "number of SMs")
 	scale := fs.Float64("scale", 0.25, "workload scale factor")
 	out := fs.String("out", "BENCH_sim.json", "output JSON path")
-	calibrate := fs.String("calibrate", "", "write the cost-model calibration table to this file and exit (canonical path: internal/core/costdata.json)")
 	storeDir := addStoreFlag(fs)
 	prof := addProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *calibrate != "" {
-		return writeCalibration(*calibrate)
 	}
 	if err := prof.start(); err != nil {
 		return err
@@ -203,27 +199,5 @@ func cmdBench(args []string) error {
 	fmt.Printf("makespan (%d jobs, %d job workers): %.0f ms\n",
 		rep.Makespan.Jobs, rep.Makespan.JobWorkers, rep.Makespan.MS)
 	fmt.Printf("wrote %s (%d cells)\n", *out, len(rep.Cells))
-	return nil
-}
-
-// writeCalibration regenerates the committed cost-model calibration table by
-// running every benchmark once at the fixed calibration point and writing the
-// canonical encoding. Running it against internal/core/costdata.json must
-// produce no diff: the table is deterministic, so a diff means the simulator's
-// cycle counts moved and the embedded table is stale.
-func writeCalibration(path string) error {
-	t, err := core.CalibrateCostTable()
-	if err != nil {
-		return err
-	}
-	data, err := t.Encode()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s (%d benchmarks at sms=%d scale=%g)\n",
-		path, len(t.Cells), core.CalCostSMS, core.CalCostScale)
 	return nil
 }

@@ -111,7 +111,6 @@ func usage() {
   warpedgates trace -bench <name> -tech <technique> [-from C] [-cycles N]
   warpedgates verify [-sms N] [-scale F] [-j N] [-bench <name>] [-tech <technique>] [-store DIR] [-v]
   warpedgates bench [-sms N] [-scale F] [-out BENCH_sim.json] [-store DIR]
-                    [-calibrate FILE]
   warpedgates benchcmp OLD.json NEW.json
   warpedgates benchcmp -history DIR [-regress PCT]
   warpedgates characterize [-sms N] [-scale F] [-j N] [-store DIR]
@@ -127,9 +126,9 @@ figure regeneration is deterministic at any -j. Each simulation runs on one
 goroutine.
 Batches dispatch longest-predicted job first, by the committed cost table;
 the order is a wall-clock matter only.
-`+"`bench -calibrate FILE`"+` regenerates the committed cost table
-(internal/core/costdata.json) and must produce no diff on an unchanged
-simulator.
+`+"`go test ./internal/core -run CostTable -update`"+` regenerates the
+committed cost table (internal/core/costdata.json) and must produce no diff
+on an unchanged simulator.
 -store DIR persists every report in a crash-safe checksummed on-disk store;
 later runs at any -j serve byte-identical results from it without
 simulating. `+"`store verify`"+` scrubs a store (checksums every entry,

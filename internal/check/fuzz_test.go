@@ -90,7 +90,7 @@ func FuzzBuilderCheckedSim(f *testing.F) {
 		// policies including the adaptive and aux-blackout paths.
 		switch variant % 8 {
 		case 0:
-			cfg.Scheduler, cfg.Gating = config.SchedLRR, config.GateNone
+			cfg.Scheduler, cfg.Gating = config.SchedTwoLevel, config.GateNone
 		case 1:
 			cfg.Scheduler, cfg.Gating = config.SchedTwoLevel, config.GateConventional
 		case 2:
@@ -106,7 +106,7 @@ func FuzzBuilderCheckedSim(f *testing.F) {
 			cfg.Scheduler, cfg.Gating = config.SchedGATES, config.GateNaiveBlackout
 			cfg.BlackoutAux = true
 		case 7:
-			cfg.Scheduler, cfg.Gating = config.SchedLRR, config.GateConventional
+			cfg.Scheduler, cfg.Gating = config.SchedTwoLevel, config.GateConventional
 			cfg.WakeupDelay = 0
 		}
 

@@ -12,18 +12,16 @@ import "fmt"
 // SchedulerKind selects the warp-scheduling policy.
 type SchedulerKind uint8
 
-// Scheduler kinds.
+// Scheduler kinds. Encoded reports and job keys store the number, so the
+// values are fixed; 0 is not a scheduler.
 const (
-	SchedLRR      SchedulerKind = iota // loose round-robin (pre-two-level baseline)
-	SchedTwoLevel                      // Gebhart-style two-level scheduler (paper baseline)
-	SchedGATES                         // gating-aware two-level scheduler (the contribution)
+	SchedTwoLevel SchedulerKind = 1 // Gebhart-style two-level scheduler (paper baseline)
+	SchedGATES    SchedulerKind = 2 // gating-aware two-level scheduler (the contribution)
 )
 
 // String names the scheduler kind.
 func (k SchedulerKind) String() string {
 	switch k {
-	case SchedLRR:
-		return "LRR"
 	case SchedTwoLevel:
 		return "TwoLevel"
 	case SchedGATES:
@@ -72,7 +70,6 @@ type Config struct {
 
 	NumSMs        int // streaming multiprocessors
 	MaxWarpsPerSM int // concurrent warps resident on one SM
-	WarpSize      int // threads per warp
 	NumSchedulers int // warp schedulers per SM, each issues <=1 per cycle
 	NumSPClusters int // SP clusters per SM; each has one INT and one FP pipe
 
@@ -111,7 +108,6 @@ type Config struct {
 
 	L1Sets        int // L1 data cache sets per SM
 	L1Ways        int // L1 associativity
-	L1LineBytes   int // cache line size
 	L1HitLatency  int // cycles for an L1 hit (load-to-use)
 	L2HitLatency  int // additional cycles for an L2 hit
 	DRAMLatency   int // additional cycles for a DRAM access
@@ -159,7 +155,6 @@ func GTX480() Config {
 	return Config{
 		NumSMs:        15,
 		MaxWarpsPerSM: 48,
-		WarpSize:      32,
 		NumSchedulers: 2,
 		NumSPClusters: 2,
 
@@ -179,7 +174,6 @@ func GTX480() Config {
 
 		L1Sets:        32,
 		L1Ways:        4,
-		L1LineBytes:   128,
 		L1HitLatency:  28,
 		L2HitLatency:  120,
 		DRAMLatency:   230,
@@ -217,10 +211,11 @@ func (c *Config) Validate() error {
 		return nil
 	}
 	checks := []error{
+		check(c.Scheduler == SchedTwoLevel || c.Scheduler == SchedGATES, "Scheduler must be TwoLevel or GATES, got %v", c.Scheduler),
+		check(c.Gating <= GateCoordBlackout, "Gating must be None, ConvPG, NaiveBlackout or CoordBlackout, got %v", c.Gating),
 		check(c.NumSMs > 0 && c.NumSMs <= MaxSMs, "NumSMs must be in [1,%d], got %d", MaxSMs, c.NumSMs),
 		check(c.MaxWarpsPerSM > 0, "MaxWarpsPerSM must be positive, got %d", c.MaxWarpsPerSM),
 		check(c.MaxWarpsPerSM <= 64, "MaxWarpsPerSM must be at most 64 (warp-table bitset width), got %d", c.MaxWarpsPerSM),
-		check(c.WarpSize > 0 && c.WarpSize <= 32, "WarpSize must be in (0,32], got %d", c.WarpSize),
 		check(c.NumSchedulers > 0, "NumSchedulers must be positive, got %d", c.NumSchedulers),
 		check(c.NumSPClusters > 0, "NumSPClusters must be positive, got %d", c.NumSPClusters),
 		check(c.IdleDetect >= 0, "IdleDetect must be non-negative, got %d", c.IdleDetect),
@@ -228,7 +223,6 @@ func (c *Config) Validate() error {
 		check(c.WakeupDelay >= 0, "WakeupDelay must be non-negative, got %d", c.WakeupDelay),
 		check(c.L1Sets > 0 && (c.L1Sets&(c.L1Sets-1)) == 0, "L1Sets must be a positive power of two, got %d", c.L1Sets),
 		check(c.L1Ways > 0, "L1Ways must be positive, got %d", c.L1Ways),
-		check(c.L1LineBytes > 0 && (c.L1LineBytes&(c.L1LineBytes-1)) == 0, "L1LineBytes must be a positive power of two, got %d", c.L1LineBytes),
 		check(c.L2Sets > 0 && (c.L2Sets&(c.L2Sets-1)) == 0, "L2Sets must be a positive power of two, got %d", c.L2Sets),
 		check(c.L2Ways > 0, "L2Ways must be positive, got %d", c.L2Ways),
 		check(c.MSHRPerSM > 0, "MSHRPerSM must be positive, got %d", c.MSHRPerSM),

@@ -24,9 +24,6 @@ func TestGTX480MatchesPaperBaseline(t *testing.T) {
 	if c.IdleDetect != 5 || c.BreakEven != 14 || c.WakeupDelay != 3 {
 		t.Errorf("PG params = %d/%d/%d, want 5/14/3", c.IdleDetect, c.BreakEven, c.WakeupDelay)
 	}
-	if c.WarpSize != 32 {
-		t.Errorf("WarpSize = %d, want 32", c.WarpSize)
-	}
 	// §5.1: adaptive window bounded to 5..10, epoch 1000 cycles, threshold
 	// 5 critical wakeups, decrement every 4 epochs.
 	if c.IdleDetectMin != 5 || c.IdleDetectMax != 10 {
@@ -59,7 +56,9 @@ func TestValidateRejections(t *testing.T) {
 		{"zero SMs", func(c *Config) { c.NumSMs = 0 }, "NumSMs"},
 		{"too many SMs", func(c *Config) { c.NumSMs = MaxSMs + 1 }, "NumSMs"},
 		{"zero warps", func(c *Config) { c.MaxWarpsPerSM = 0 }, "MaxWarpsPerSM"},
-		{"warp size too big", func(c *Config) { c.WarpSize = 64 }, "WarpSize"},
+		{"zero scheduler", func(c *Config) { c.Scheduler = SchedulerKind(0) }, "Scheduler"},
+		{"unknown scheduler", func(c *Config) { c.Scheduler = SchedulerKind(3) }, "Scheduler"},
+		{"unknown gating", func(c *Config) { c.Gating = GatingKind(4) }, "Gating"},
 		{"zero schedulers", func(c *Config) { c.NumSchedulers = 0 }, "NumSchedulers"},
 		{"zero clusters", func(c *Config) { c.NumSPClusters = 0 }, "NumSPClusters"},
 		{"negative idle detect", func(c *Config) { c.IdleDetect = -1 }, "IdleDetect"},
@@ -67,7 +66,6 @@ func TestValidateRejections(t *testing.T) {
 		{"negative wakeup", func(c *Config) { c.WakeupDelay = -3 }, "WakeupDelay"},
 		{"L1 sets not power of two", func(c *Config) { c.L1Sets = 33 }, "L1Sets"},
 		{"zero L1 ways", func(c *Config) { c.L1Ways = 0 }, "L1Ways"},
-		{"line size not power of two", func(c *Config) { c.L1LineBytes = 100 }, "L1LineBytes"},
 		{"L2 sets", func(c *Config) { c.L2Sets = 0 }, "L2Sets"},
 		{"L2 ways", func(c *Config) { c.L2Ways = -1 }, "L2Ways"},
 		{"zero MSHR", func(c *Config) { c.MSHRPerSM = 0 }, "MSHR"},
@@ -113,7 +111,7 @@ func TestValidateAdaptiveRejections(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	if SchedTwoLevel.String() != "TwoLevel" || SchedGATES.String() != "GATES" || SchedLRR.String() != "LRR" {
+	if SchedTwoLevel.String() != "TwoLevel" || SchedGATES.String() != "GATES" {
 		t.Error("scheduler names wrong")
 	}
 	if GateNone.String() != "None" || GateConventional.String() != "ConvPG" {
@@ -124,5 +122,18 @@ func TestKindStrings(t *testing.T) {
 	}
 	if !strings.Contains(SchedulerKind(42).String(), "42") || !strings.Contains(GatingKind(42).String(), "42") {
 		t.Error("unknown kinds should include their numeric value")
+	}
+}
+
+// TestKindNumbersAreStable pins the kinds' numbers: encoded reports and job
+// keys store them, so renumbering a kind would change what every stored
+// report decodes to.
+func TestKindNumbersAreStable(t *testing.T) {
+	if SchedTwoLevel != 1 || SchedGATES != 2 {
+		t.Errorf("scheduler kinds = %d/%d, want 1/2", SchedTwoLevel, SchedGATES)
+	}
+	if GateNone != 0 || GateConventional != 1 || GateNaiveBlackout != 2 || GateCoordBlackout != 3 {
+		t.Errorf("gating kinds = %d/%d/%d/%d, want 0/1/2/3",
+			GateNone, GateConventional, GateNaiveBlackout, GateCoordBlackout)
 	}
 }

@@ -127,18 +127,12 @@ func RunAblationAuxBlackout(r *Runner) (*AblationResult, error) {
 	return s.run(isa.SFU, isa.LDST)
 }
 
-// RunAblationScheduler compares warp schedulers under conventional gating:
-// loose round-robin (the pre-two-level design), the two-level scheduler
-// (paper baseline) and GATES, quantifying how much gating opportunity each
-// scheduler exposes. Note that LRR and TwoLevel coincide exactly in this
-// simulator: both rotate over ready candidates, and the two-level split's
-// real-hardware benefit (a small active-warp SRAM instead of a full-size
-// scheduler structure) is an energy effect outside the execution-unit scope
-// of this model — the pair serves as a built-in sanity check that policy
-// plumbing does not perturb results.
+// RunAblationScheduler compares the two warp schedulers under conventional
+// gating, the two-level scheduler (paper baseline) and GATES, quantifying
+// how much gating opportunity each scheduler exposes.
 func RunAblationScheduler(r *Runner) (*AblationResult, error) {
 	s := &ablationStudy{r: r, name: "Ablation — scheduler under conventional gating"}
-	for _, kind := range []config.SchedulerKind{config.SchedLRR, config.SchedTwoLevel, config.SchedGATES} {
+	for _, kind := range []config.SchedulerKind{config.SchedTwoLevel, config.SchedGATES} {
 		cfg := ConvPG.Apply(r.Base)
 		cfg.Scheduler = kind
 		s.add(kind.String(), Baseline.Apply(r.Base), cfg)

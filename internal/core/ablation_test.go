@@ -75,10 +75,10 @@ func TestRunAblationScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 3 {
-		t.Fatalf("points = %d, want 3 schedulers", len(res.Points))
+	if len(res.Points) != 2 {
+		t.Fatalf("points = %d, want 2 schedulers", len(res.Points))
 	}
-	labels := []string{"LRR", "TwoLevel", "GATES"}
+	labels := []string{"TwoLevel", "GATES"}
 	for i, p := range res.Points {
 		if p.Label != labels[i] {
 			t.Fatalf("point %d label %q, want %q", i, p.Label, labels[i])

@@ -16,10 +16,10 @@ import (
 // time, not correctness.
 //
 // Predictions come from a committed calibration table (costdata.json,
-// regenerated deterministically by `warpedgates bench -calibrate`): the
-// device cycles each benchmark runs at one reference point. Device cycles are
-// deterministic, so the table — and with it the dispatch order — is the same
-// on any machine and for every batch of a process.
+// regenerated deterministically by `go test ./internal/core -run CostTable
+// -update`): the device cycles each benchmark runs at one reference point.
+// Device cycles are deterministic, so the table — and with it the dispatch
+// order — is the same on any machine and for every batch of a process.
 
 // Calibration reference point. The committed table is measured at this
 // geometry and scale; predictions extrapolate linearly from it. Two SMs keeps
@@ -48,8 +48,7 @@ type CostTable struct {
 
 // Encode renders the table as the canonical committed form: indented JSON
 // with a trailing newline, cells in benchmark order. Byte-deterministic, so
-// `bench -calibrate` regenerating an unchanged table produces an unchanged
-// file.
+// regenerating an unchanged table produces an unchanged file.
 func (t *CostTable) Encode() ([]byte, error) {
 	b, err := json.MarshalIndent(t, "", "  ")
 	if err != nil {

@@ -77,8 +77,8 @@ func TestGoldenEncodedReports(t *testing.T) {
 		r    *Runner
 		want string
 	}{
-		{"full", full, "4f0d026c922b0f76db9d27dfd86d61bf32affe1f3226217f172554175ed67985"},
-		{"sampled", sampledGoldenRunner(), "885f3273894e449e6a87f27919127df0c1feac05f238a7cd0842d292aaf2afc6"},
+		{"full", full, "f51cace44381ada47540092393c34b8b3edb2ecef344d141f41cd3296964812e"},
+		{"sampled", sampledGoldenRunner(), "4c06a4da8c7d0d54bb26034b17460e35a7abf28dd2c7d4989191ebbc132743ca"},
 	} {
 		rep, err := c.r.Run("hotspot", WarpedGates)
 		if err != nil {

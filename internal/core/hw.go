@@ -20,9 +20,3 @@ func RunHWOverhead(numSPClusters int) *HWOverheadResult {
 		Table:    power.OverheadTable(specs),
 	}
 }
-
-// ChipSavings reproduces the paper's §7.3 chip-level estimate for a measured
-// execution-unit static-savings range.
-func ChipSavings(lo, hi float64) *stats.Table {
-	return power.ChipSavingsTable(lo, hi)
-}

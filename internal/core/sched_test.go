@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"math"
-	"os"
 	"reflect"
 	"runtime"
 	"testing"
@@ -116,7 +114,7 @@ func TestCostModelPrior(t *testing.T) {
 // calibration reproduces the committed internal/core/costdata.json byte for
 // byte. A diff means either the encoder lost determinism or the simulator's
 // cycle counts moved and the committed table is stale — regenerate with
-// `warpedgates bench -calibrate internal/core/costdata.json`.
+// `go test ./internal/core -run CostTable -update`.
 func TestCostTableCommittedFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("calibration simulates every benchmark; skipped with -short")
@@ -125,20 +123,14 @@ func TestCostTableCommittedFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(tab.Cells) != len(kernels.BenchmarkNames) {
+		t.Fatalf("calibration covered %d benchmarks, want %d", len(tab.Cells), len(kernels.BenchmarkNames))
+	}
 	got, err := tab.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile("costdata.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("committed costdata.json is stale or calibration lost determinism\n(regenerate with: go run ./cmd/warpedgates bench -calibrate internal/core/costdata.json)")
-	}
-	if len(tab.Cells) != len(kernels.BenchmarkNames) {
-		t.Fatalf("calibration covered %d benchmarks, want %d", len(tab.Cells), len(kernels.BenchmarkNames))
-	}
+	checkGolden(t, "costdata.json", string(got), "CostTable")
 }
 
 // schedRunner builds a fresh small-matrix runner with the given job-level

@@ -150,6 +150,3 @@ func (a *AdaptiveIdleDetect) AdvanceIdle(n int64) {
 func (a *AdaptiveIdleDetect) Stats() (increments, decrements, epochs uint64) {
 	return a.increments, a.decrements, a.epochs
 }
-
-// Enabled reports whether adaptation is active.
-func (a *AdaptiveIdleDetect) Enabled() bool { return a.enabled }

@@ -92,6 +92,3 @@ func (co *Coordinator) AllInBlackout() bool {
 	}
 	return true
 }
-
-// Controllers exposes the coordinated clusters.
-func (co *Coordinator) Controllers() []*Controller { return co.ctrls }

@@ -131,11 +131,3 @@ func TestCoordinatorNilControllerRejected(t *testing.T) {
 	}()
 	NewCoordinator(config.GateCoordBlackout, nil)
 }
-
-func TestCoordinatorControllersAccessor(t *testing.T) {
-	a := newTestCtrl(config.GateCoordBlackout, 2, 10, 3)
-	co := NewCoordinator(config.GateCoordBlackout, a)
-	if len(co.Controllers()) != 1 || co.Controllers()[0] != a {
-		t.Fatal("Controllers accessor broken")
-	}
-}

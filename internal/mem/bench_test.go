@@ -28,11 +28,11 @@ func BenchmarkCacheAccessStreaming(b *testing.B) {
 }
 
 func BenchmarkCoalescerRandom(b *testing.B) {
-	c := NewCoalescer()
 	rng := stats.NewSplitMix64(1)
+	var dst []Line
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Transactions(isa.PatternRandom, 0, uint64(i), 4096, rng)
+		dst = AppendTransactions(dst[:0], isa.PatternRandom, 0, uint64(i), 4096, rng)
 	}
 }
 

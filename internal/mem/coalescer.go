@@ -5,44 +5,23 @@ import (
 	"warpedgates/internal/stats"
 )
 
-// Coalescer converts one warp memory instruction into the set of cache-line
-// transactions the hardware would issue, following Fermi's per-128B-segment
-// coalescing rules. Fully coalesced warps touch one line; strided and random
+// AppendTransactions converts one warp memory instruction into the set of
+// cache-line transactions the hardware would issue, following Fermi's
+// per-128B-segment coalescing rules, appends them to dst and returns the
+// extended slice. Fully coalesced warps touch one line; strided and random
 // patterns fan out into more transactions, which both occupies the LD/ST
 // port longer and raises miss traffic — exactly the mechanism that pushes
 // warps into the pending set in memory-divergent benchmarks (bfs, MUM).
-type Coalescer struct {
-	// MaxTransactions caps the fan-out of a single warp access. Real Fermi
-	// can issue up to 32 transactions; the default cap of 8 preserves the
-	// latency/bandwidth contrast between patterns at far lower simulation
-	// cost (documented substitution, DESIGN.md §7).
-	MaxTransactions int
-}
-
-// NewCoalescer returns a coalescer with the default transaction cap.
-func NewCoalescer() *Coalescer { return &Coalescer{MaxTransactions: 8} }
-
-// Transactions returns the distinct line addresses accessed by one warp
-// executing a memory instruction with the given pattern. The base index
-// identifies the warp's position in its region's working set; rng drives
-// random patterns deterministically.
-func (c *Coalescer) Transactions(pattern isa.AccessPattern, region uint8, base uint64,
-	workingLines int, rng *stats.SplitMix64) []Line {
-	return c.AppendTransactions(nil, pattern, region, base, workingLines, rng)
-}
-
-// AppendTransactions appends the access's distinct line addresses to dst and
-// returns the extended slice, consuming the rng stream and producing the
-// exact lines Transactions would. It exists for the simulator's per-cycle
-// hot path, which reuses one per-warp buffer instead of allocating; the
-// transaction fan-out is capped at MaxTransactions, so a linear dedup scan
+//
+// Real Fermi can issue up to 32 transactions per warp access; the widest
+// pattern here issues 8, which preserves the latency/bandwidth contrast
+// between patterns at far lower simulation cost. The base index identifies
+// the warp's position in its region's working set; rng drives random
+// patterns deterministically. The simulator's per-cycle hot path reuses one
+// per-warp buffer as dst; with at most 8 transactions, a linear dedup scan
 // over the appended suffix beats a freshly allocated set.
-func (c *Coalescer) AppendTransactions(dst []Line, pattern isa.AccessPattern, region uint8,
+func AppendTransactions(dst []Line, pattern isa.AccessPattern, region uint8,
 	base uint64, workingLines int, rng *stats.SplitMix64) []Line {
-	cap := c.MaxTransactions
-	if cap <= 0 {
-		cap = 8
-	}
 	ws := uint64(workingLines)
 	if ws == 0 {
 		ws = 1
@@ -56,19 +35,17 @@ func (c *Coalescer) AppendTransactions(dst []Line, pattern isa.AccessPattern, re
 	case isa.PatternCoalesced:
 		return append(dst, mkLine(base))
 	case isa.PatternStrided2:
-		n := minInt(2, cap)
-		for i := 0; i < n; i++ {
+		for i := 0; i < 2; i++ {
 			dst = append(dst, mkLine(base+uint64(i)))
 		}
 		return dst
 	case isa.PatternStrided8:
-		n := minInt(8, cap)
-		for i := 0; i < n; i++ {
+		for i := 0; i < 8; i++ {
 			dst = append(dst, mkLine(base+uint64(i)*3))
 		}
 		return dst
 	case isa.PatternRandom:
-		n := minInt(8, cap)
+		const n = 8
 		start := len(dst)
 		for len(dst)-start < n {
 			l := mkLine(rng.Uint64() % ws)
@@ -83,7 +60,7 @@ func (c *Coalescer) AppendTransactions(dst []Line, pattern isa.AccessPattern, re
 				// Duplicate lines coalesce into one transaction; with a
 				// small working set this converges to few transactions,
 				// which is the correct hardware behaviour.
-				if seen := len(dst) - start; seen >= workingLines || seen >= n {
+				if len(dst)-start >= workingLines {
 					break
 				}
 				continue
@@ -94,11 +71,4 @@ func (c *Coalescer) AppendTransactions(dst []Line, pattern isa.AccessPattern, re
 	default:
 		return append(dst, mkLine(base))
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -98,33 +98,6 @@ func (b Breakdown) StaticSavings() float64 {
 	return (b.StaticBaseline - b.Static - b.Overhead) / b.StaticBaseline
 }
 
-// FractionStatic returns static energy as a fraction of total consumed.
-func (b Breakdown) FractionStatic() float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	return b.Static / t
-}
-
-// FractionDynamic returns dynamic energy as a fraction of total consumed.
-func (b Breakdown) FractionDynamic() float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	return b.Dynamic / t
-}
-
-// FractionOverhead returns gating overhead as a fraction of total consumed.
-func (b Breakdown) FractionOverhead() float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	return b.Overhead / t
-}
-
 // Analyze computes the energy breakdown of one unit class from a simulation
 // report, normalized against the run's own length (self-normalization).
 // Figure-accurate savings must use AnalyzeAgainst with the no-gating
@@ -169,13 +142,4 @@ func (m *Model) analyze(r *sim.Report, c isa.Class, baselineCellCycles float64) 
 	b.Overhead = float64(d.GatingEvents) * m.EventOverhead(c)
 	b.StaticBaseline = baselineCellCycles * ps
 	return b
-}
-
-// AnalyzeAll returns breakdowns for all four classes.
-func (m *Model) AnalyzeAll(r *sim.Report) [isa.NumClasses]Breakdown {
-	var out [isa.NumClasses]Breakdown
-	for c := isa.Class(0); c < isa.NumClasses; c++ {
-		out[c] = m.Analyze(r, c)
-	}
-	return out
 }

@@ -84,22 +84,6 @@ func TestAnalyzeArithmetic(t *testing.T) {
 	}
 }
 
-func TestBreakdownFractionsSumToOne(t *testing.T) {
-	f := func(powered, gated, events, instrs uint16) bool {
-		m := Default(14)
-		r := fakeReport(uint64(powered), uint64(gated), uint64(events), uint64(instrs))
-		b := m.Analyze(r, isa.INT)
-		if b.Total() == 0 {
-			return b.FractionStatic() == 0 && b.FractionDynamic() == 0 && b.FractionOverhead() == 0
-		}
-		sum := b.FractionStatic() + b.FractionDynamic() + b.FractionOverhead()
-		return sum > 0.999999 && sum < 1.000001
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSavingsNeverExceedOne(t *testing.T) {
 	f := func(powered, gated, events uint16) bool {
 		m := Default(14)
@@ -153,15 +137,15 @@ func TestDynamicEnergyInvariantAcrossTechniques(t *testing.T) {
 	}
 }
 
+// TestAnalyzeAll analyzes every class of an INT-only report: only INT
+// carries dynamic energy.
 func TestAnalyzeAll(t *testing.T) {
 	m := Default(14)
 	r := fakeReport(100, 0, 0, 10)
-	all := m.AnalyzeAll(r)
-	if all[isa.INT].Dynamic == 0 {
-		t.Fatal("INT breakdown missing")
-	}
-	if all[isa.FP].Dynamic != 0 {
-		t.Fatal("FP breakdown should be empty for an INT-only fake report")
+	for c := isa.Class(0); c < isa.NumClasses; c++ {
+		if got := m.Analyze(r, c).Dynamic; (got != 0) != (c == isa.INT) {
+			t.Errorf("%s dynamic energy %v in an INT-only report", c, got)
+		}
 	}
 }
 
@@ -174,7 +158,7 @@ func TestAnalyzeNilAndEmptyReports(t *testing.T) {
 		t.Helper()
 		for _, v := range []float64{
 			b.Static, b.Dynamic, b.Overhead, b.StaticBaseline, b.Total(),
-			b.StaticSavings(), b.FractionStatic(), b.FractionDynamic(), b.FractionOverhead(),
+			b.StaticSavings(),
 		} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("non-finite value %v in breakdown %+v", v, b)
@@ -191,9 +175,6 @@ func TestAnalyzeNilAndEmptyReports(t *testing.T) {
 		if empty.Total() != 0 || empty.StaticSavings() != 0 {
 			t.Fatalf("zero-cycle run has non-zero energy: %+v", empty)
 		}
-	}
-	for _, b := range m.AnalyzeAll(nil) {
-		finite(b)
 	}
 }
 

@@ -103,9 +103,6 @@ func (g *GATES) Order(o *Order, ready *[isa.NumClasses]uint64, slot uint64) {
 	o.start(len(o.groups), g.last)
 }
 
-// Name returns "GATES".
-func (g *GATES) Name() string { return "GATES" }
-
 // HighPriority returns the class currently holding the highest priority.
 func (g *GATES) HighPriority() isa.Class {
 	hi, _ := g.highLow()

@@ -86,13 +86,13 @@ func TestOrderMatchesListArrangement(t *testing.T) {
 				cands = append(cands, candidate{i, c})
 			}
 		}
-		lrr, two, g := NewLRR(), NewTwoLevel(), NewGATES()
-		lrr.last, two.last, g.last = last, last, last
+		two, g := NewTwoLevel(), NewGATES()
+		two.last, g.last = last, last
 		g.highIsINT = !fpHigh
-		for _, p := range []Policy{lrr, two, g} {
+		for _, p := range []Policy{two, g} {
 			want := refArrange(append([]candidate(nil), cands...), last, p == Policy(g), g.HighPriority())
 			if got := walk(p, &readyCls, slot); !equalInts(got, want) {
-				t.Logf("%s last=%d: walk %v, reference %v", p.Name(), last, got, want)
+				t.Logf("%T last=%d: walk %v, reference %v", p, last, got, want)
 				return false
 			}
 		}
@@ -152,7 +152,7 @@ func TestOrderSkipCountsPassedWarps(t *testing.T) {
 				step++
 			}
 			if got != ref || o.Passed(0) != want[0] || o.Passed(1) != want[1] {
-				t.Logf("%s: Next %d, want %d; passed %d/%d, want %d/%d", p.Name(), got, ref, o.Passed(0), o.Passed(1), want[0], want[1])
+				t.Logf("%T: Next %d, want %d; passed %d/%d, want %d/%d", p, got, ref, o.Passed(0), o.Passed(1), want[0], want[1])
 				return false
 			}
 			if got < 0 {

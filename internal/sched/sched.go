@@ -1,8 +1,7 @@
-// Package sched implements the warp-scheduling policies the paper evaluates:
-// a loose round-robin scheduler (the pre-two-level baseline), the two-level
-// warp scheduler of Gebhart et al. [12] (the paper's baseline), and GATES,
-// the gating-aware two-level scheduler that is the paper's first
-// contribution.
+// Package sched implements the two warp-scheduling policies the paper
+// evaluates: the two-level warp scheduler of Gebhart et al. [12] (the paper's
+// baseline) and GATES, the gating-aware two-level scheduler that is the
+// paper's first contribution.
 //
 // Each cycle, each scheduler slot walks its ready warps (those in the active
 // set whose next instruction has all operands ready) in the policy's issue
@@ -45,8 +44,6 @@ type Policy interface {
 	Order(o *Order, ready *[isa.NumClasses]uint64, slot uint64)
 	// OnIssue notifies the policy that warp slot i was issued.
 	OnIssue(i int)
-	// Name returns the policy's short name.
-	Name() string
 }
 
 // Order walks warp bitsets in issue priority: its groups in order and,
@@ -124,8 +121,9 @@ func (o *Order) Next() int {
 	}
 }
 
-// roundRobin is the type-blind loose round-robin order shared by LRR and
-// TwoLevel: one group of every ready warp, rotated after the last issue.
+// roundRobin is the loose round-robin rotation: TwoLevel's whole order, and
+// GATES's order within a type. As a policy it is one group of every ready
+// warp, rotated after the last issue.
 type roundRobin struct {
 	last int
 }
@@ -139,16 +137,6 @@ func (p *roundRobin) Order(o *Order, ready *[isa.NumClasses]uint64, slot uint64)
 // OnIssue records the issued warp for the next rotation.
 func (p *roundRobin) OnIssue(i int) { p.last = i }
 
-// LRR is a loose round-robin scheduler with no type awareness; it serves as
-// the simplest ablation baseline.
-type LRR struct{ roundRobin }
-
-// NewLRR returns a loose round-robin policy.
-func NewLRR() *LRR { return &LRR{roundRobin{last: -1}} }
-
-// Name returns "LRR".
-func (p *LRR) Name() string { return "LRR" }
-
 // TwoLevel is the paper's baseline scheduler: warps waiting on long-latency
 // events live in a pending set (enforced by the simulator — they are never
 // ready), and ready warps issue greedily in loose round-robin order
@@ -159,12 +147,8 @@ type TwoLevel struct{ roundRobin }
 // NewTwoLevel returns a two-level baseline policy.
 func NewTwoLevel() *TwoLevel { return &TwoLevel{roundRobin{last: -1}} }
 
-// Name returns "TwoLevel".
-func (p *TwoLevel) Name() string { return "TwoLevel" }
-
 // ensure interface conformance.
 var (
-	_ Policy = (*LRR)(nil)
 	_ Policy = (*TwoLevel)(nil)
 	_ Policy = (*GATES)(nil)
 )

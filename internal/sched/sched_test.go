@@ -93,17 +93,13 @@ func TestTwoLevelIgnoresType(t *testing.T) {
 	}
 }
 
+// TestLRRBehavesLikeRoundRobin checks TwoLevel's loose round-robin (LRR)
+// rotation: after a warp issues, the next walk starts above it.
 func TestLRRBehavesLikeRoundRobin(t *testing.T) {
-	p := NewLRR()
+	p := NewTwoLevel()
 	ready := readyOf(0, isa.INT, 3, isa.FP)
 	p.OnIssue(walk(p, ready, ^uint64(0))[0])
 	if got := walk(p, ready, ^uint64(0)); got[0] != 3 {
-		t.Fatalf("LRR did not rotate: %v", got)
-	}
-}
-
-func TestPolicyNames(t *testing.T) {
-	if NewLRR().Name() != "LRR" || NewTwoLevel().Name() != "TwoLevel" || NewGATES().Name() != "GATES" {
-		t.Fatal("policy names wrong")
+		t.Fatalf("TwoLevel did not rotate: %v", got)
 	}
 }

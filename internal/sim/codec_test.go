@@ -67,25 +67,25 @@ func TestReportCodecRoundtrip(t *testing.T) {
 	}
 
 	// testdata/old_config_report.json is this run as the store held it
-	// while the config had one more field (a bool, false). Such entries keep
+	// while the config had three more fields (two ints and a bool: the
+	// three config keys the file has and Config lacks). Such entries keep
 	// the codec version, so they must decode to the same report and
 	// re-encode to the current bytes. If the simulator's output moves,
-	// regenerate the file from the new encoding by putting that field (the
-	// one config key the file has and Config lacks) back before
-	// "SampleDetailCycles".
+	// regenerate the file from the new encoding by putting those three keys
+	// back, with their values, where the file has them.
 	legacy, err := os.ReadFile(filepath.Join("testdata", "old_config_report.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	old, err := DecodeReport(legacy)
 	if err != nil {
-		t.Fatalf("DecodeReport of a payload with the removed config field: %v", err)
+		t.Fatalf("DecodeReport of a payload with removed config fields: %v", err)
 	}
 	if a, b := reportFingerprint(old), reportFingerprint(got); a != b {
-		t.Fatalf("payload with the removed config field decoded differently:\n old: %s\n new: %s", a, b)
+		t.Fatalf("payload with removed config fields decoded differently:\n old: %s\n new: %s", a, b)
 	}
 	if reencoded, err := EncodeReport(old); err != nil || !bytes.Equal(reencoded, data) {
-		t.Fatalf("payload with the removed config field re-encodes to other bytes (err %v)", err)
+		t.Fatalf("payload with removed config fields re-encodes to other bytes (err %v)", err)
 	}
 }
 

@@ -141,8 +141,8 @@ func TestFastForwardBitExact(t *testing.T) {
 	f := func(benchRaw, schedRaw, gateRaw, idRaw, betRaw, wakeRaw, holdRaw, mshrRaw uint8, adaptive, aux, sampled bool) bool {
 		cfg := config.Small()
 		cfg.Scheduler = []config.SchedulerKind{
-			config.SchedLRR, config.SchedTwoLevel, config.SchedGATES,
-		}[int(schedRaw)%3]
+			config.SchedTwoLevel, config.SchedGATES,
+		}[int(schedRaw)%2]
 		cfg.Gating = []config.GatingKind{
 			config.GateNone, config.GateConventional,
 			config.GateNaiveBlackout, config.GateCoordBlackout,

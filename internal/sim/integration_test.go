@@ -167,14 +167,6 @@ func TestRetireRingHorizon(t *testing.T) {
 	}
 }
 
-// TestLRRScheduler runs the LRR baseline end to end.
-func TestLRRScheduler(t *testing.T) {
-	rep := runBench(t, "nw", config.SchedLRR, config.GateNone)
-	if rep.IssuedTotal == 0 {
-		t.Fatal("LRR issued nothing")
-	}
-}
-
 // TestSFUConventionalGatingUnderBlackout verifies the SFU unit still uses
 // conventional wakeups (negative events allowed) when BlackoutAux is off.
 func TestSFUConventionalGatingUnderBlackout(t *testing.T) {

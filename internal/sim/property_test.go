@@ -17,8 +17,8 @@ func TestSimulatorInvariantsUnderRandomConfigs(t *testing.T) {
 	f := func(benchRaw, schedRaw, gateRaw, idRaw, betRaw, wakeRaw uint8, adaptive bool) bool {
 		cfg := config.Small()
 		cfg.Scheduler = []config.SchedulerKind{
-			config.SchedLRR, config.SchedTwoLevel, config.SchedGATES,
-		}[int(schedRaw)%3]
+			config.SchedTwoLevel, config.SchedGATES,
+		}[int(schedRaw)%2]
 		cfg.Gating = []config.GatingKind{
 			config.GateNone, config.GateConventional,
 			config.GateNaiveBlackout, config.GateCoordBlackout,

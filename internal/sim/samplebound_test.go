@@ -33,7 +33,7 @@ var sampleCorpusCombos = []struct {
 	gate     config.GatingKind
 	adaptive bool
 }{
-	{config.SchedLRR, config.GateNone, false},
+	{config.SchedTwoLevel, config.GateNone, false},
 	{config.SchedTwoLevel, config.GateConventional, false},
 	{config.SchedGATES, config.GateCoordBlackout, true},
 }

@@ -93,7 +93,7 @@ func TestDynamicWorkInvariantAcrossTechniques(t *testing.T) {
 		{config.SchedGATES, config.GateConventional},
 		{config.SchedGATES, config.GateNaiveBlackout},
 		{config.SchedGATES, config.GateCoordBlackout},
-		{config.SchedLRR, config.GateNone},
+		{config.SchedGATES, config.GateNone},
 	} {
 		rep := runBench(t, "kmeans", combo.s, combo.g)
 		if rep.IssuedTotal != base.IssuedTotal {

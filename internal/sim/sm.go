@@ -84,7 +84,6 @@ type SM struct {
 	liveMask   uint64                 // active or pending-mem
 	actv       [isa.NumClasses]int    // active warps per next-instruction class
 	rdy        [isa.NumClasses]int    // ready warps per next-instruction class
-	rdyMoved   uint8                  // bit c: rdy[c] changed since tickGating last ran
 	emptySlots int                    // CTA slots currently holding no live warps
 	drained    bool                   // all CTAs launched and every warp finished
 
@@ -109,8 +108,7 @@ type SM struct {
 	// groups holds each class's gating domains, indexed by class.
 	groups [isa.NumClasses]gateGroup
 
-	memPort   *mem.SMPort
-	coalescer *mem.Coalescer
+	memPort *mem.SMPort
 
 	// retireHead holds each bucket's event-list head as a retirePool index
 	// (-1 = empty); retireFree heads the free list threaded through the same
@@ -233,7 +231,6 @@ func newSM(id int, cfg config.Config, prog *program, gpuMem *mem.GPUMem, benchSe
 		cfg:       cfg,
 		prog:      prog,
 		memPort:   mem.NewSMPort(cfg, gpuMem),
-		coalescer: mem.NewCoalescer(),
 		benchSeed: benchSeed,
 		ffEnabled: !stepped,
 		ungated:   cfg.Gating == config.GateNone && !cfg.AdaptiveIdleDetect,
@@ -314,11 +311,7 @@ func newSM(id int, cfg config.Config, prog *program, gpuMem *mem.GPUMem, benchSe
 		for i := 0; i < cfg.NumSchedulers; i++ {
 			sm.policies = append(sm.policies, g)
 		}
-	case config.SchedLRR:
-		for i := 0; i < cfg.NumSchedulers; i++ {
-			sm.policies = append(sm.policies, sched.NewLRR())
-		}
-	default:
+	case config.SchedTwoLevel:
 		for i := 0; i < cfg.NumSchedulers; i++ {
 			sm.policies = append(sm.policies, sched.NewTwoLevel())
 		}
@@ -409,7 +402,6 @@ func (sm *SM) refreshWarp(w *Warp) {
 		sm.actv[c]--
 		if sm.readyCls[c]&bit != 0 {
 			sm.rdy[c]--
-			sm.rdyMoved |= 1 << c
 			sm.readyCls[c] &^= bit
 			sm.readyShrd &^= bit
 		}
@@ -426,7 +418,6 @@ func (sm *SM) refreshWarp(w *Warp) {
 		if w.pending&w.op.hazard == 0 {
 			sm.readyCls[c] |= bit
 			sm.rdy[c]++
-			sm.rdyMoved |= 1 << c
 			if w.op.shared {
 				sm.readyShrd |= bit
 			}
@@ -876,7 +867,7 @@ func (sm *SM) issueMemory(now int64, w *Warp, in *uop) bool {
 	// check MSHR admission.
 	if !w.memLinesValid {
 		base := w.globalSeq*97 + w.memCounter
-		w.memLines = sm.coalescer.AppendTransactions(w.memLines[:0],
+		w.memLines = mem.AppendTransactions(w.memLines[:0],
 			in.pattern, in.region, base, sm.prog.kernel.WorkingSetLines, &w.rng)
 		w.memLinesValid = true
 		w.memRefused = 0
@@ -1027,13 +1018,12 @@ func (sm *SM) tickGating(now int64) (moved bool) {
 		g := &sm.groups[i]
 		// Every tick leaves g.demand equal to wantsMore, which moves only
 		// with rdy.
-		if sm.ffEnabled && now < g.due && (sm.rdyMoved&(1<<i) == 0 || sm.wantsMore(g) == g.demand) &&
+		if sm.ffEnabled && now < g.due && sm.wantsMore(g) == g.demand &&
 			(!g.coordinated || (sm.smState.ACTV[i] > 0) == g.actv) {
 			continue
 		}
 		moved = sm.tickGroup(g, now) || moved
 	}
-	sm.rdyMoved = 0
 	return moved
 }
 

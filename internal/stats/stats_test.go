@@ -161,9 +161,6 @@ func TestTableWriteCSV(t *testing.T) {
 	if out != want {
 		t.Fatalf("CSV = %q, want %q", out, want)
 	}
-	if tab.Title() != "title ignored" {
-		t.Fatalf("Title = %q", tab.Title())
-	}
 }
 
 func TestTableRaggedRows(t *testing.T) {

@@ -116,6 +116,3 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// Title returns the table's title.
-func (t *Table) Title() string { return t.title }

@@ -113,9 +113,6 @@ func (r *Recorder) Samples(l Lane) []Sample { return r.samples[l] }
 // Issues returns the recorded issue events.
 func (r *Recorder) Issues() []sim.IssueEvent { return r.issues }
 
-// Window returns the traced cycle range.
-func (r *Recorder) Window() (from, to int64) { return r.from, r.to }
-
 // Waveform renders the trace as one ASCII line per lane, chunked into rows
 // of width cycles. Legend: '#' busy, '.' idle powered, 'u' gated
 // uncompensated, 'C' gated compensated, 'w' waking.
